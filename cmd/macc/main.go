@@ -84,6 +84,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -249,9 +250,7 @@ func main() {
 	cfg.Registers = *regs
 	cfg.Strict = *strict
 	if *dump {
-		cfg.DumpStage = func(stage string, f *rtl.Fn) {
-			fmt.Printf("=== %s: %s ===\n%s\n", f.Name, stage, f)
-		}
+		cfg.DumpStage = dumpStages(os.Stdout)
 	}
 	if *inject != "" {
 		inj, ierr := parseInject(*inject)
@@ -525,6 +524,14 @@ func compileOne(path string, cfg macc.Config, remarksMode string, reports, print
 		}
 	}
 	return fileResult{out: out.String(), errs: errs.String()}
+}
+
+// dumpStages is the -dump hook: a banner naming the function and stage,
+// then the function's RTL after that stage.
+func dumpStages(w io.Writer) func(stage string, f *rtl.Fn) {
+	return func(stage string, f *rtl.Fn) {
+		fmt.Fprintf(w, "=== %s: %s ===\n%s\n", f.Name, stage, f)
+	}
 }
 
 // parseInject parses the -inject spec "pass:kind[:seed]".

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"testing"
 
 	"macc"
+	"macc/internal/bench"
 	"macc/internal/ccache"
 )
 
@@ -26,6 +28,25 @@ func TestParseCall(t *testing.T) {
 		if _, _, err := parseCall(bad); err == nil {
 			t.Errorf("parseCall(%q) should fail", bad)
 		}
+	}
+}
+
+// TestDumpMatchesGolden pins -dump: compiling the dot product with the
+// driver's default flags must print every stage banner and the per-stage RTL
+// exactly as testdata/dump_dotproduct.golden records them.
+func TestDumpMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/dump_dotproduct.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	cfg := macc.DefaultConfig()
+	cfg.DumpStage = dumpStages(&got)
+	if _, err := macc.Compile(bench.DotProductSrc, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("-dump output differs from the golden file:\n--- got ---\n%s--- want ---\n%s", got.String(), want)
 	}
 }
 
