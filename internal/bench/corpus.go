@@ -24,10 +24,6 @@ var CorpusConfigs = []string{"loads", "loads+stores"}
 func NamedConfig(name string, m *machine.Machine) macc.Config {
 	cfg := macc.BaselineConfig(m)
 	cfg.Coalesce = core.Options{Loads: true, Stores: name == "loads+stores"}
-	// Every corpus compile runs the flat pass pipeline, so the corpus
-	// differential (optimized vs unoptimized fingerprint) exercises the
-	// flat path even if the compile default ever changes.
-	cfg.GraphPipeline = false
 	return cfg
 }
 

@@ -2,6 +2,10 @@ package bench_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"os"
 	"testing"
 
 	"macc"
@@ -44,10 +48,28 @@ func TestRunCorpusDifferentialAndCoverage(t *testing.T) {
 }
 
 // TestCorpusFlatPipelineMatchesGraph compiles a corpus slice under every
-// named configuration through both pipelines and requires byte-identical
-// printed RTL — the graph-vs-flat differential over generated programs,
-// complementing RunCorpus's optimized-vs-unoptimized oracle.
+// named configuration and requires the printed RTL's SHA-256 to match the
+// corpus section of testdata/pipeline_golden.json, which was recorded from
+// the retired pointer-graph pipeline — complementing RunCorpus's
+// optimized-vs-unoptimized oracle with an exact-output check.
 func TestCorpusFlatPipelineMatchesGraph(t *testing.T) {
+	data, err := os.ReadFile("../../testdata/pipeline_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden struct {
+		Corpus []struct {
+			Name string `json:"name"`
+			RTL  string `json:"rtl_sha256"`
+		} `json:"corpus"`
+	}
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]string, len(golden.Corpus))
+	for _, c := range golden.Corpus {
+		want[c.Name] = c.RTL
+	}
 	progs := rtlgen.Corpus(11, 30)
 	if testing.Short() {
 		progs = progs[:8]
@@ -56,21 +78,15 @@ func TestCorpusFlatPipelineMatchesGraph(t *testing.T) {
 	for _, p := range progs {
 		for _, m := range machines {
 			for _, cname := range bench.CorpusConfigs {
-				flatCfg := bench.NamedConfig(cname, m)
-				flatCfg.GraphPipeline = false
-				flat, err := macc.Compile(p.Src, flatCfg)
+				name := p.Name + "/" + m.Name + "/" + cname
+				prog, err := macc.Compile(p.Src, bench.NamedConfig(cname, m))
 				if err != nil {
-					t.Fatalf("%s/%s/%s: flat compile: %v", p.Name, m.Name, cname, err)
+					t.Fatalf("%s: compile: %v", name, err)
 				}
-				graphCfg := bench.NamedConfig(cname, m)
-				graphCfg.GraphPipeline = true
-				graph, err := macc.Compile(p.Src, graphCfg)
-				if err != nil {
-					t.Fatalf("%s/%s/%s: graph compile: %v", p.Name, m.Name, cname, err)
-				}
-				if got, want := flat.RTL.String(), graph.RTL.String(); got != want {
-					t.Fatalf("%s/%s/%s: flat pipeline printed different RTL:\n--- graph ---\n%s\n--- flat ---\n%s",
-						p.Name, m.Name, cname, want, got)
+				sum := sha256.Sum256([]byte(prog.RTL.String()))
+				if got := hex.EncodeToString(sum[:]); got != want[name] {
+					t.Fatalf("%s: printed RTL differs from the golden file (sha256 %s, want %q):\n%s",
+						name, got, want[name], prog.RTL)
 				}
 			}
 		}

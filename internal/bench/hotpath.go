@@ -2,10 +2,7 @@ package bench
 
 // Hot-path measurement cores, shared between the go-test microbenchmarks
 // (hotpath_bench_test.go) and cmd/hotpath, which packages the same numbers
-// into the committed BENCH_hotpath.json baseline. Three costs are tracked:
-// the pipeline's per-pass snapshot (journal Update vs the whole-function
-// Clone it replaced), the bench harness's table wall time (serial vs
-// parallel pool), and the simulator's raw interpretation rate.
+// into the committed BENCH_hotpath.json baseline.
 
 import (
 	"fmt"
@@ -15,30 +12,6 @@ import (
 	"macc/internal/machine"
 	"macc/internal/rtl"
 )
-
-// KernelFn is one compiled paper-kernel function, labelled by benchmark.
-type KernelFn struct {
-	Kernel string
-	Fn     *rtl.Fn
-}
-
-// KernelFns compiles every Table I kernel plus the Figure 1 dot product with
-// the baseline configuration for m and returns their RTL functions — the
-// realistic inputs for snapshot-cost measurement (post-unroll sizes, real
-// block structure).
-func KernelFns(m *machine.Machine) ([]KernelFn, error) {
-	var out []KernelFn
-	for _, b := range append(Benchmarks(), DotProduct()) {
-		p, err := macc.Compile(b.Src, macc.BaselineConfig(m))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, err)
-		}
-		for _, f := range p.RTL.Fns {
-			out = append(out, KernelFn{Kernel: b.Name, Fn: f})
-		}
-	}
-	return out, nil
-}
 
 // SimStepper compiles the dot-product kernel for m and returns a step
 // function that performs one full simulated measurement — Reset, input

@@ -6,45 +6,7 @@ import (
 
 	"macc/internal/bench"
 	"macc/internal/machine"
-	"macc/internal/rtl"
 )
-
-// BenchmarkSnapshotClone is the pass pipeline's old per-pass cost: a full
-// deep Clone of every compiled paper-kernel function.
-func BenchmarkSnapshotClone(b *testing.B) {
-	fns, err := bench.KernelFns(machine.Alpha())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, kf := range fns {
-			_ = kf.Fn.Clone()
-		}
-	}
-}
-
-// BenchmarkSnapshotJournal is the replacement cost: a clean journal Update
-// over the same functions — the price the pipeline now pays after a pass
-// that changed nothing.
-func BenchmarkSnapshotJournal(b *testing.B) {
-	fns, err := bench.KernelFns(machine.Alpha())
-	if err != nil {
-		b.Fatal(err)
-	}
-	snaps := make([]*rtl.Snapshot, len(fns))
-	for i, kf := range fns {
-		snaps[i] = rtl.NewSnapshot(kf.Fn)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range snaps {
-			if dirty := s.Update(); dirty != 0 {
-				b.Fatalf("clean function reported %d dirty blocks", dirty)
-			}
-		}
-	}
-}
 
 func benchmarkRunTable(b *testing.B, jobs int) {
 	m := machine.Alpha()

@@ -4,34 +4,13 @@ import (
 	"math/bits"
 	"sort"
 
-	"macc/internal/dataflow"
 	"macc/internal/machine"
 	"macc/internal/rtl"
 )
 
-func dataflowDefUse(f *rtl.Fn) *dataflow.DefUse { return dataflow.ComputeDefUse(f) }
-
-// checkBuilder abstracts where run-time check instructions land and how
-// fresh registers are named, so emitChecks serves the graph preheader
-// (Block.Append) and the flat preheader (AppendInstr) identically — the
-// emission and register-allocation order is the shared code's, so both
-// forms produce byte-identical check sequences.
-type checkBuilder interface {
-	NewReg() rtl.Reg
-	Emit(in *rtl.Instr)
-}
-
-// graphChecks emits into a pointer-graph preheader.
-type graphChecks struct {
-	f  *rtl.Fn
-	ph *rtl.Block
-}
-
-func (b graphChecks) NewReg() rtl.Reg   { return b.f.NewReg() }
-func (b graphChecks) Emit(in *rtl.Instr) { b.ph.Append(in) }
-
-// flatChecks emits into a flat preheader. Check instructions are pure ALU
-// ops (no control flow, no calls), so only the value fields transfer.
+// flatChecks emits run-time check instructions into a flat preheader and
+// names their fresh registers. Check instructions are pure ALU ops (no
+// control flow, no calls), so only the value fields transfer.
 type flatChecks struct {
 	f  *rtl.FlatFn
 	bi int32
@@ -72,8 +51,8 @@ type baseRange struct {
 // [pX+minD, pX+T*sX+maxD+w+|sX|) for forward motion (mirrored for
 // backward). Two ranges are safe when one ends before the other begins.
 // The over-approximation only ever sends execution to the safe loop.
-func emitChecks(cb checkBuilder, body []*rtl.Instr, m *machine.Machine,
-	chunks []*chunk, info ivSource) (okCond rtl.Operand, nInstrs, nPairs, nAligns int, ok bool) {
+func emitChecks(cb flatChecks, body []*rtl.Instr, m *machine.Machine,
+	chunks []*chunk, info flatIV) (okCond rtl.Operand, nInstrs, nPairs, nAligns int, ok bool) {
 
 	emit := func(in *rtl.Instr) {
 		cb.Emit(in)
@@ -243,7 +222,7 @@ func emitChecks(cb checkBuilder, body []*rtl.Instr, m *machine.Machine,
 
 // rangeForBase computes the displacement envelope of every reference off
 // base inside the body, and its per-iteration step.
-func rangeForBase(base rtl.Reg, body []*rtl.Instr, info ivSource) *baseRange {
+func rangeForBase(base rtl.Reg, body []*rtl.Instr, info flatIV) *baseRange {
 	r := &baseRange{base: base}
 	if step, isIV := info.IVStep(base); isIV {
 		r.step = step

@@ -9,19 +9,17 @@
 // statically scheduling the original and transformed loop bodies and
 // keeping the faster (Figure 3).
 //
-// The procedure names follow the paper: CoalesceMemoryAccesses is the
-// Figure 2 driver; classifyPartitions is
+// The optimizer runs on the flat (struct-of-arrays) RTL form, so the driver
+// is too. The procedure names follow the paper: CoalesceMemoryAccessesFlat
+// is the Figure 2 driver; classifyPartitions is
 // ClassifyMemoryReferencesIntoPartitions; IsHazard is Figure 4's safety
-// walk; doProfitabilityAnalysisAndModify is Figure 3.
+// walk; doProfitabilityAnalysisAndModifyFlat is Figure 3.
 package core
 
 import (
 	"fmt"
 	"sort"
 
-	"macc/internal/cfg"
-	"macc/internal/dataflow"
-	"macc/internal/iv"
 	"macc/internal/machine"
 	"macc/internal/rtl"
 	"macc/internal/telemetry"
@@ -66,38 +64,6 @@ type LoopReport struct {
 	AlignmentChecks int
 }
 
-// ivSource abstracts the induction-variable facts the coalescer reads —
-// invariance, basic-IV steps, and the loop-control test — so the
-// classification, hazard, and check-generation code below serves the
-// pointer-graph and flat forms from one implementation.
-type ivSource interface {
-	Invariant(r rtl.Reg) bool
-	// IVStep returns the per-iteration step of basic induction variable r.
-	IVStep(r rtl.Reg) (int64, bool)
-	// ControlInfo returns the loop-control IV register and its invariant
-	// bound; ok is false when no control test was recognized.
-	ControlInfo() (ctl rtl.Reg, bound rtl.Operand, ok bool)
-}
-
-// graphIV adapts iv.Info to ivSource.
-type graphIV struct{ info *iv.Info }
-
-func (s graphIV) Invariant(r rtl.Reg) bool { return s.info.Invariant(r) }
-
-func (s graphIV) IVStep(r rtl.Reg) (int64, bool) {
-	if biv := s.info.BasicIVs[r]; biv != nil {
-		return biv.Step, true
-	}
-	return 0, false
-}
-
-func (s graphIV) ControlInfo() (rtl.Reg, rtl.Operand, bool) {
-	if c := s.info.Control; c != nil {
-		return c.IV, c.Bound, true
-	}
-	return rtl.NoReg, rtl.Operand{}, false
-}
-
 // ref is one narrow memory reference inside the loop body.
 type ref struct {
 	in    *rtl.Instr
@@ -130,32 +96,6 @@ type chunk struct {
 	// needsAliasCheck lists the partitions whose run-time range must be
 	// shown disjoint from this chunk's partition.
 	needsAliasCheck map[rtl.Reg]bool
-}
-
-// CoalesceMemoryAccesses walks every loop of the function innermost-first
-// and applies memory access coalescing where safe and profitable. It
-// returns one report per loop examined, and emits exactly one Passed or
-// Missed optimization remark per examined loop into em (plus Analysis
-// remarks for per-chunk hazard verdicts and run-time check emission). A nil
-// em disables remarks.
-func CoalesceMemoryAccesses(f *rtl.Fn, m *machine.Machine, opts Options, em telemetry.Emitter) []LoopReport {
-	if !opts.Loads && !opts.Stores {
-		return nil
-	}
-	em = telemetry.OrNop(em)
-	var reports []LoopReport
-	g := cfg.New(f)
-	loops := g.FindLoops()
-	for _, l := range loops {
-		rep := coalesceLoop(f, g, l, m, opts, em)
-		reports = append(reports, *rep)
-		emitLoopRemark(em, rep)
-		if rep.Applied {
-			// The CFG is stale after surgery; recompute for further loops.
-			g = cfg.New(f)
-		}
-	}
-	return reports
 }
 
 // emitLoopRemark converts one loop report into its Passed/Missed remark and
@@ -204,68 +144,6 @@ func emitLoopRemark(em telemetry.Emitter, rep *LoopReport) {
 	em.Emit(rem)
 }
 
-// bodyBlock finds the single block carrying the loop's memory references;
-// coalescing requires them all in one block (IsHazard's first test). The
-// reason token distinguishes the two failure shapes.
-func bodyBlock(l *cfg.Loop) (*rtl.Block, string) {
-	var body *rtl.Block
-	for _, b := range l.Blocks {
-		for _, in := range b.Instrs {
-			if in.IsMem() {
-				if body != nil && body != b {
-					return nil, "shape:refs-span-blocks"
-				}
-				body = b
-			}
-		}
-	}
-	if body == nil {
-		return nil, "shape:no-memory-refs"
-	}
-	return body, ""
-}
-
-func coalesceLoop(f *rtl.Fn, g *cfg.Graph, l *cfg.Loop, m *machine.Machine, opts Options, em telemetry.Emitter) *LoopReport {
-	rep := &LoopReport{Header: l.Header.Name, Fn: f.Name}
-	body, why := bodyBlock(l)
-	if body == nil {
-		rep.Reason = why
-		return rep
-	}
-	if body == l.Header && len(l.Blocks) > 2 {
-		rep.Reason = "shape:refs-in-multi-block-header"
-		return rep
-	}
-	// The body must run exactly once per iteration.
-	if !g.Dominates(body, l.Latch) {
-		rep.Reason = "shape:body-not-dominating-latch"
-		return rep
-	}
-	du := dataflow.ComputeDefUse(f)
-	info := iv.Analyze(g, l, du)
-	src := graphIV{info}
-
-	parts := classifyPartitions(body.Instrs, src)
-	if len(parts) == 0 {
-		rep.Reason = "partition:no-analyzable-bases"
-		return rep
-	}
-	chunks := findChunks(parts, m, opts)
-	if len(chunks) == 0 {
-		rep.Reason = "partition:no-consecutive-runs"
-		return rep
-	}
-	safe := filterChunks(body.Instrs, chunks, parts, src, m, opts, em, rep)
-	if len(safe) == 0 {
-		return rep
-	}
-
-	EnsureDedicatedPreheader(f, g, l)
-	rep.Applied = doProfitabilityAnalysisAndModify(f, g, l, body, m, opts, safe, rep)
-	finishReport(em, rep, opts)
-	return rep
-}
-
 // filterChunks is the safety half of the Figure 2 driver: hazard analysis
 // per chunk — chunks that fail are dropped, chunks that need run-time
 // disambiguation record their alias pairs — followed by the trip-count
@@ -273,7 +151,7 @@ func coalesceLoop(f *rtl.Fn, g *cfg.Graph, l *cfg.Loop, m *machine.Machine, opts
 // remark and a counter, so Table-IV-style "why not" questions have answers.
 // On an empty result rep.Reason carries the first rejection.
 func filterChunks(body []*rtl.Instr, chunks []*chunk, parts map[rtl.Reg]*partition,
-	src ivSource, m *machine.Machine, opts Options, em telemetry.Emitter,
+	src flatIV, m *machine.Machine, opts Options, em telemetry.Emitter,
 	rep *LoopReport) []*chunk {
 
 	var safe []*chunk
@@ -363,19 +241,11 @@ func finishReport(em telemetry.Emitter, rep *LoopReport, opts Options) {
 	}
 }
 
-// EnsureDedicatedPreheader guarantees l.Preheader exists and is used only
-// as the loop's entry (safe to grow with check code).
-func EnsureDedicatedPreheader(f *rtl.Fn, g *cfg.Graph, l *cfg.Loop) {
-	if l.Preheader == nil {
-		g.EnsurePreheader(l)
-	}
-}
-
 // classifyPartitions groups the body's memory references by base register.
 // Only bases that are loop invariant or basic induction variables qualify;
 // anything else cannot be described relative to the induction variable and
 // is unsafe to coalesce (CalculateRelativeOffsets failing in the paper).
-func classifyPartitions(body []*rtl.Instr, info ivSource) map[rtl.Reg]*partition {
+func classifyPartitions(body []*rtl.Instr, info flatIV) map[rtl.Reg]*partition {
 	parts := make(map[rtl.Reg]*partition)
 	for i, in := range body {
 		if !in.IsMem() {

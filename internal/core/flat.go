@@ -11,20 +11,20 @@ import (
 	"macc/internal/telemetry"
 )
 
-// Flat driver for memory access coalescing: the Figure 2/3/4/5 pipeline run
-// natively on rtl.FlatProgram. The classification, hazard, and check
-// generation stages are the exact shared code the pointer-graph driver uses
-// (over a decoded view of the body block), and the surgery stages — loop
-// replication, wide-reference insertion, preheader check emission, and
-// terminator retargeting — mirror their graph twins operation for operation,
-// including the NewReg/NewBlock allocation order, so both drivers produce
-// byte-identical functions, reports, remarks, and counters.
+// The driver for memory access coalescing: the Figure 2/3/4/5 pipeline run
+// natively on rtl.FlatProgram. Classification, the hazard walk, and check
+// generation read a decoded view of the body block; the surgery stages —
+// loop replication, wide-reference insertion, preheader check emission, and
+// terminator retargeting — edit the dense arrays in place.
 
-// flatIV adapts iv.FlatInfo to ivSource.
+// flatIV exposes the induction-variable facts the coalescer reads —
+// invariance, basic-IV steps, and the loop-control test — from
+// iv.FlatInfo.
 type flatIV struct{ info *iv.FlatInfo }
 
 func (s flatIV) Invariant(r rtl.Reg) bool { return s.info.Invariant(r) }
 
+// IVStep returns the per-iteration step of basic induction variable r.
 func (s flatIV) IVStep(r rtl.Reg) (int64, bool) {
 	if biv := s.info.BasicIVs[r]; biv != nil {
 		return biv.Step, true
@@ -32,15 +32,21 @@ func (s flatIV) IVStep(r rtl.Reg) (int64, bool) {
 	return 0, false
 }
 
-func (s flatIV) ControlInfo() (rtl.Reg, rtl.Operand, bool) {
+// ControlInfo returns the loop-control IV register and its invariant bound;
+// ok is false when no control test was recognized.
+func (s flatIV) ControlInfo() (ctl rtl.Reg, bound rtl.Operand, ok bool) {
 	if c := s.info.Control; c != nil {
 		return c.IV, c.Bound, true
 	}
 	return rtl.NoReg, rtl.Operand{}, false
 }
 
-// CoalesceMemoryAccessesFlat is CoalesceMemoryAccesses for function fi of a
-// flat program.
+// CoalesceMemoryAccessesFlat walks every loop of function fi of fp
+// innermost-first and applies memory access coalescing where safe and
+// profitable. It returns one report per loop examined, and emits exactly one
+// Passed or Missed optimization remark per examined loop into em (plus
+// Analysis remarks for per-chunk hazard verdicts and run-time check
+// emission). A nil em disables remarks.
 func CoalesceMemoryAccessesFlat(fp *rtl.FlatProgram, fi int, m *machine.Machine, opts Options, em telemetry.Emitter) []LoopReport {
 	if !opts.Loads && !opts.Stores {
 		return nil
@@ -61,8 +67,10 @@ func CoalesceMemoryAccessesFlat(fp *rtl.FlatProgram, fi int, m *machine.Machine,
 	return reports
 }
 
-// flatBodyBlock is bodyBlock over block indices (-1 when no single body
-// block carries the references).
+// flatBodyBlock finds the single block carrying the loop's memory
+// references; coalescing requires them all in one block (IsHazard's first
+// test). It returns -1 and a reason token distinguishing the two failure
+// shapes when no single body block carries them.
 func flatBodyBlock(f *rtl.FlatFn, l *cfg.FlatLoop) (int32, string) {
 	body := int32(-1)
 	for _, bi := range l.Blocks {
@@ -158,13 +166,19 @@ func coalesceLoopFlat(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph, l *cfg.Flat
 	return rep
 }
 
-// doProfitabilityAnalysisAndModifyFlat is doProfitabilityAnalysisAndModify
-// on the flat form; see that function for the Figure 3/5 structure.
+// doProfitabilityAnalysisAndModifyFlat is the paper's Figure 3: replicate
+// the loop, insert the wide references into the copy, statically schedule
+// both bodies, and adopt the copy only if it is faster (or Force is set). On
+// adoption the preheader gains the run-time alignment and alias checks that
+// select between the coalesced copy and the original safe loop at run time
+// (Figure 5's flow graph).
 func doProfitabilityAnalysisAndModifyFlat(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph,
 	l *cfg.FlatLoop, bodyBi int32, body []*rtl.Instr, m *machine.Machine, opts Options,
 	chunks []*chunk, rep *LoopReport) bool {
 
 	f := &fp.Fns[fi]
+	// Static alignment feasibility: the pointer must advance by a multiple
+	// of the wide width or alignment cannot be preserved across iterations.
 	if m.MustAlign {
 		var kept []*chunk
 		for _, c := range chunks {
@@ -197,6 +211,9 @@ func doProfitabilityAnalysisAndModifyFlat(fp *rtl.FlatProgram, fi int, g *cfg.Fl
 		return false
 	}
 
+	// Build the run-time checks in the preheader and point its terminator
+	// at the check branch: coalesced copy when every check passes, original
+	// safe loop otherwise.
 	info := reanalyzeFlat(fp, fi, g, l)
 	okCond, nInstrs, nPairs, nAligns, ok := emitChecks(flatChecks{f: f, bi: l.Preheader},
 		body, m, chunks, flatIV{info})
@@ -230,9 +247,10 @@ func doProfitabilityAnalysisAndModifyFlat(fp *rtl.FlatProgram, fi int, g *cfg.Fl
 	return true
 }
 
-// reanalyzeFlat is reanalyze on the flat form: a fresh CFG (on which the
-// just-appended clone region is unreachable, exactly as on the graph side),
-// the same loop found again by header, and fresh induction info.
+// reanalyzeFlat recomputes induction info for the loop for check
+// generation: a fresh CFG (on which the just-appended clone region is
+// unreachable), the same loop found again by header, and fresh induction
+// info.
 func reanalyzeFlat(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph, l *cfg.FlatLoop) *iv.FlatInfo {
 	g2 := cfg.NewFlat(fp, fi)
 	for _, l2 := range g2.FindLoops() {
@@ -244,11 +262,13 @@ func reanalyzeFlat(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph, l *cfg.FlatLoo
 	return iv.AnalyzeFlat(g, l)
 }
 
-// applyChunksFlat is applyChunks on the flat copy of the body block. The
-// refs' indices are block-relative positions recorded on the original body,
-// valid in the copy because replication preserves layout; reads of the
-// replaced instructions' fields come from the decoded snapshot (identical to
-// the copy's content until the rewrite).
+// applyChunksFlat rewrites the flat copy of the body block: narrow loads
+// become extracts fed by a wide load placed before the first of the group;
+// narrow stores become an insert chain completed by a wide store after the
+// last of the group. The refs' indices are block-relative positions recorded
+// on the original body, valid in the copy because replication preserves
+// layout; reads of the replaced instructions' fields come from the decoded
+// snapshot (identical to the copy's content until the rewrite).
 func applyChunksFlat(f *rtl.FlatFn, bodyCopy int32, chunks []*chunk, rep *LoopReport) {
 	type insertion struct {
 		pos   int // index in the original instruction numbering

@@ -36,7 +36,7 @@ const (
 // filled), or hazardUnsafe; the second return is the machine-readable
 // verdict token ("intervening-store", "unknown-base", ...) that feeds the
 // optimization remark for the rejection.
-func IsHazard(body []*rtl.Instr, c *chunk, parts map[rtl.Reg]*partition, info ivSource) (hazardResult, string) {
+func IsHazard(body []*rtl.Instr, c *chunk, parts map[rtl.Reg]*partition, info flatIV) (hazardResult, string) {
 	lo, hi := c.firstIndex(), c.lastIndex()
 	inChunk := make(map[*rtl.Instr]bool, len(c.refs))
 	for _, r := range c.refs {
@@ -110,7 +110,7 @@ func IsHazard(body []*rtl.Instr, c *chunk, parts map[rtl.Reg]*partition, info iv
 // knownPartition reports whether the base register belongs to an analyzable
 // partition (invariant or basic IV), i.e. run-time range checks can be
 // generated for it.
-func knownPartition(base rtl.Reg, parts map[rtl.Reg]*partition, info ivSource) bool {
+func knownPartition(base rtl.Reg, parts map[rtl.Reg]*partition, info flatIV) bool {
 	if _, ok := parts[base]; ok {
 		return true
 	}

@@ -1,10 +1,10 @@
 // Package faultinject provides deterministic, seedable fault injectors that
-// sabotage optimization passes on purpose: they wrap a pipeline.Pass so that
-// after the real pass runs, the function is corrupted (or the pass panics).
-// The injectors exist to prove the hardened pipeline's guarantees — every
-// injected fault must be caught by the per-pass checkpoint, rolled back to
-// behaviour bit-identical with the unoptimized build, and attributed to the
-// sabotaged pass by pipeline.Bisect.
+// sabotage optimization passes on purpose: they wrap a pipeline.FlatPass so
+// that after the real pass runs, the function is corrupted (or the pass
+// panics). The injectors exist to prove the hardened pipeline's guarantees —
+// every injected fault must be caught by the per-pass checkpoint, rolled
+// back to behaviour bit-identical with the unoptimized build, and attributed
+// to the sabotaged pass by pipeline.Bisect.
 package faultinject
 
 import (
@@ -84,38 +84,14 @@ func (in *Injector) Fired() bool { return in.fired }
 
 // Hook returns a pass wrapper suitable for macc's Config.WrapPass: passes
 // other than the target are returned unchanged.
-func (in *Injector) Hook() func(pipeline.Pass) pipeline.Pass {
-	return in.Wrap
-}
-
-// Wrap returns p with the fault appended to its Run step. The pass keeps
-// its name and OnSuccess hook, so a caught fault suppresses the pass's side
-// records exactly as a real pass bug would.
-func (in *Injector) Wrap(p pipeline.Pass) pipeline.Pass {
-	if in.Pass != "" && p.Name != in.Pass {
-		return p
-	}
-	inner := p.Run
-	p.Run = func(f *rtl.Fn) error {
-		if inner != nil {
-			if err := inner(f); err != nil {
-				return err
-			}
-		}
-		in.apply(f)
-		return nil
-	}
-	return p
-}
-
-// HookFlat returns the flat-pipeline counterpart of Hook.
-func (in *Injector) HookFlat() func(pipeline.FlatPass) pipeline.FlatPass {
+func (in *Injector) Hook() func(pipeline.FlatPass) pipeline.FlatPass {
 	return in.WrapFlat
 }
 
-// WrapFlat is Wrap for the flat pipeline: the same faults, expressed as
-// array mutations on the struct-of-arrays form, so the flat journal's
-// catch/rollback/attribute contract is provable under identical sabotage.
+// WrapFlat returns p with the fault appended to its Run step, expressed as
+// a mutation of the flat arrays. The pass keeps its name and OnSuccess hook,
+// so a caught fault suppresses the pass's side records exactly as a real
+// pass bug would.
 func (in *Injector) WrapFlat(p pipeline.FlatPass) pipeline.FlatPass {
 	if in.Pass != "" && p.Name != in.Pass {
 		return p
@@ -194,73 +170,6 @@ func (in *Injector) applyFlat(fp *rtl.FlatProgram, fi int) {
 		}
 		victim := cands[rng.Intn(len(cands))]
 		f.Op[victim] = flip[f.Op[victim]]
-		in.fired = true
-	}
-}
-
-// apply corrupts f (or panics) according to the injector's kind.
-func (in *Injector) apply(f *rtl.Fn) {
-	rng := rand.New(rand.NewSource(in.Seed))
-	switch in.Kind {
-	case Panic:
-		in.fired = true
-		panic(fmt.Sprintf("faultinject: injected panic in %s", f.Name))
-	case ClobberReg:
-		var cands []*rtl.Operand
-		for _, b := range f.Blocks {
-			for _, instr := range b.Instrs {
-				for _, o := range instr.SrcOperands() {
-					if _, ok := o.IsReg(); ok {
-						cands = append(cands, o)
-					}
-				}
-			}
-		}
-		if len(cands) == 0 {
-			return
-		}
-		cands[rng.Intn(len(cands))].Reg = rtl.Reg(f.NumRegs() + 7)
-		in.fired = true
-	case DropTerminator:
-		b := f.Blocks[rng.Intn(len(f.Blocks))]
-		if len(b.Instrs) == 0 {
-			return
-		}
-		b.Instrs = b.Instrs[:len(b.Instrs)-1]
-		in.fired = true
-	case RetargetBranch:
-		var cands []*rtl.Instr
-		for _, b := range f.Blocks {
-			for _, instr := range b.Instrs {
-				if instr.Op == rtl.Jump || instr.Op == rtl.Branch {
-					cands = append(cands, instr)
-				}
-			}
-		}
-		if len(cands) == 0 {
-			return
-		}
-		cands[rng.Intn(len(cands))].Target = &rtl.Block{Name: "phantom"}
-		in.fired = true
-	case FlipOp:
-		flip := map[rtl.Op]rtl.Op{
-			rtl.Add: rtl.Sub, rtl.Sub: rtl.Add,
-			rtl.SetLT: rtl.SetGE, rtl.SetGE: rtl.SetLT,
-			rtl.SetEQ: rtl.SetNE, rtl.SetNE: rtl.SetEQ,
-		}
-		var cands []*rtl.Instr
-		for _, b := range f.Blocks {
-			for _, instr := range b.Instrs {
-				if _, ok := flip[instr.Op]; ok {
-					cands = append(cands, instr)
-				}
-			}
-		}
-		if len(cands) == 0 {
-			return
-		}
-		victim := cands[rng.Intn(len(cands))]
-		victim.Op = flip[victim.Op]
 		in.fired = true
 	}
 }

@@ -51,9 +51,11 @@ func behavior(t *testing.T, f *rtl.Fn) string {
 }
 
 // TestStructuralFaultsAreCaughtAndRolledBack injects every checkpoint-visible
-// fault into a pass and asserts the hardened pipeline's contract: the fault
-// is caught, the function rolls back to bit-identical simulator behaviour,
-// and the incident names the sabotaged pass.
+// fault through the Config.WrapPass hook into a pass over the second function
+// of a two-function program, and asserts the hardened pipeline's contract:
+// the fault is caught, the victim rolls back to a byte-identical image with
+// bit-identical behaviour, the incident names the sabotaged pass, and the
+// other function and the symbol table are left exactly as they were.
 func TestStructuralFaultsAreCaughtAndRolledBack(t *testing.T) {
 	kinds := []faultinject.Kind{
 		faultinject.Panic, faultinject.ClobberReg,
@@ -64,18 +66,29 @@ func TestStructuralFaultsAreCaughtAndRolledBack(t *testing.T) {
 			fired := 0
 			for seed := int64(0); seed < 20; seed++ {
 				f := genFn(t, seed)
+				f.Name = "victim"
 				if seed == 0 {
 					f = branchyFn() // every kind has a victim here
+					f.Name = "victim"
 				}
 				want := behavior(t, f)
-				orig := f.String()
-
-				inj := &faultinject.Injector{Pass: "victim", Kind: kind, Seed: seed}
-				diags := &pipeline.Diagnostics{}
-				passes := []pipeline.Pass{
-					inj.Wrap(pipeline.Pass{Name: "victim", Run: func(*rtl.Fn) error { return nil }}),
+				fp, err := rtl.Flatten(rtl.NewProgram(branchyFn(), f))
+				if err != nil {
+					t.Fatalf("seed %d: flatten: %v", seed, err)
 				}
-				if err := pipeline.Run(f, passes, pipeline.Options{Diags: diags}); err != nil {
+				before, err := fp.Unflatten()
+				if err != nil {
+					t.Fatalf("seed %d: unflatten: %v", seed, err)
+				}
+				nsyms := len(fp.Syms)
+
+				inj := &faultinject.Injector{Pass: "victim-pass", Kind: kind, Seed: seed}
+				diags := &pipeline.Diagnostics{}
+				passes := []pipeline.FlatPass{
+					inj.Hook()(pipeline.FlatPass{Name: "victim-pass",
+						Run: func(*rtl.FlatProgram, int) error { return nil }}),
+				}
+				if err := pipeline.RunFlat(fp, 1, passes, pipeline.Options{Diags: diags}); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 				if !inj.Fired() {
@@ -87,13 +100,18 @@ func TestStructuralFaultsAreCaughtAndRolledBack(t *testing.T) {
 					continue
 				}
 				fired++
-				if len(diags.Incidents) != 1 || diags.Incidents[0].Pass != "victim" {
+				if len(diags.Incidents) != 1 || diags.Incidents[0].Pass != "victim-pass" ||
+					diags.Incidents[0].Fn != "victim" {
 					t.Fatalf("seed %d: fault not caught/attributed: %+v", seed, diags.Incidents)
 				}
-				if f.String() != orig {
-					t.Fatalf("seed %d: function not rolled back", seed)
+				after, err := fp.Unflatten()
+				if err != nil {
+					t.Fatalf("seed %d: unflatten after rollback: %v", seed, err)
 				}
-				if behavior(t, f) != want {
+				if after.String() != before.String() || len(fp.Syms) != nsyms {
+					t.Fatalf("seed %d: program not rolled back", seed)
+				}
+				if behavior(t, after.Fns[1]) != want {
 					t.Fatalf("seed %d: behaviour not bit-identical after rollback", seed)
 				}
 			}
@@ -104,6 +122,17 @@ func TestStructuralFaultsAreCaughtAndRolledBack(t *testing.T) {
 	}
 }
 
+// victimPasses is a three-stage flat pipeline whose middle stage inj
+// sabotages.
+func victimPasses(inj *faultinject.Injector) []pipeline.FlatPass {
+	noop := func(*rtl.FlatProgram, int) error { return nil }
+	return []pipeline.FlatPass{
+		{Name: "pre", Run: noop},
+		inj.WrapFlat(pipeline.FlatPass{Name: "victim", Run: noop}),
+		{Name: "post", Run: noop},
+	}
+}
+
 // TestFlipOpIsSilentButBisectable: the semantic fault passes the verifier
 // (a silent miscompile), so the pipeline cannot catch it — but differential
 // bisection attributes it.
@@ -111,9 +140,9 @@ func TestFlipOpIsSilentButBisectable(t *testing.T) {
 	// Find a seed whose function has a flippable op that actually changes
 	// behaviour; the injection itself must stay checkpoint-invisible.
 	var (
-		orig, f *rtl.Fn
-		want    string
-		seed    int64
+		orig *rtl.Fn
+		want string
+		seed int64
 	)
 	for seed = 0; ; seed++ {
 		if seed == 30 {
@@ -121,20 +150,16 @@ func TestFlipOpIsSilentButBisectable(t *testing.T) {
 		}
 		orig = genFn(t, seed)
 		want = behavior(t, orig)
-		f = orig.Clone()
+		fp := flatten(t, orig)
 		inj := &faultinject.Injector{Pass: "victim", Kind: faultinject.FlipOp, Seed: seed}
 		diags := &pipeline.Diagnostics{}
-		passes := []pipeline.Pass{
-			{Name: "pre", Run: func(*rtl.Fn) error { return nil }},
-			inj.Wrap(pipeline.Pass{Name: "victim", Run: func(*rtl.Fn) error { return nil }}),
-			{Name: "post", Run: func(*rtl.Fn) error { return nil }},
-		}
-		if err := pipeline.Run(f, passes, pipeline.Options{Diags: diags}); err != nil {
+		if err := pipeline.RunFlat(fp, 0, victimPasses(inj), pipeline.Options{Diags: diags}); err != nil {
 			t.Fatal(err)
 		}
 		if diags.Degraded() {
 			t.Fatalf("seed %d: flip-op should evade the structural checkpoint, got %+v", seed, diags.Incidents)
 		}
+		f := fp.UnflattenFn(0)
 		if err := f.Verify(); err != nil {
 			t.Fatalf("seed %d: flip-op must keep the function verifiable: %v", seed, err)
 		}
@@ -146,18 +171,14 @@ func TestFlipOpIsSilentButBisectable(t *testing.T) {
 	// A fresh injector reproduces the same corruption during bisection and
 	// the differential predicate pins it on the sabotaged pass.
 	inj2 := &faultinject.Injector{Pass: "victim", Kind: faultinject.FlipOp, Seed: seed}
-	passes2 := []pipeline.Pass{
-		{Name: "pre", Run: func(*rtl.Fn) error { return nil }},
-		inj2.Wrap(pipeline.Pass{Name: "victim", Run: func(*rtl.Fn) error { return nil }}),
-		{Name: "post", Run: func(*rtl.Fn) error { return nil }},
-	}
 	bad := func(f *rtl.Fn) error {
 		if behavior(t, f) != want {
 			return errors.New("diverges from reference")
 		}
 		return nil
 	}
-	res, err := pipeline.Bisect(func() *rtl.Fn { return orig.Clone() }, passes2, bad)
+	fresh := func() (*rtl.FlatProgram, int) { return flatten(t, orig), 0 }
+	res, err := pipeline.Bisect(fresh, victimPasses(inj2), bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,10 +191,13 @@ func TestFlipOpIsSilentButBisectable(t *testing.T) {
 // reproduces exactly.
 func TestDeterminism(t *testing.T) {
 	corrupt := func() string {
-		f := genFn(t, 7)
+		fp := flatten(t, genFn(t, 7))
 		inj := &faultinject.Injector{Pass: "p", Kind: faultinject.ClobberReg, Seed: 42}
-		inj.Wrap(pipeline.Pass{Name: "p", Run: func(*rtl.Fn) error { return nil }}).Run(f)
-		return f.String()
+		inj.WrapFlat(pipeline.FlatPass{Name: "p", Run: func(*rtl.FlatProgram, int) error { return nil }}).Run(fp, 0)
+		if !inj.Fired() {
+			t.Fatal("clobber-reg found no victim")
+		}
+		return fp.UnflattenFn(0).String()
 	}
 	if corrupt() != corrupt() {
 		t.Error("same seed must inject the same corruption")
@@ -182,8 +206,8 @@ func TestDeterminism(t *testing.T) {
 
 func TestWrapLeavesOtherPassesAlone(t *testing.T) {
 	inj := &faultinject.Injector{Pass: "victim", Kind: faultinject.Panic}
-	p := pipeline.Pass{Name: "other", Run: func(*rtl.Fn) error { return nil }}
-	if err := inj.Wrap(p).Run(genFn(t, 0)); err != nil {
+	p := pipeline.FlatPass{Name: "other", Run: func(*rtl.FlatProgram, int) error { return nil }}
+	if err := inj.WrapFlat(p).Run(flatten(t, genFn(t, 0)), 0); err != nil {
 		t.Fatal(err)
 	}
 	if inj.Fired() {
@@ -213,11 +237,11 @@ func flatten(t *testing.T, f *rtl.Fn) *rtl.FlatProgram {
 	return fp
 }
 
-// TestFlatStructuralFaultsAreCaughtAndRolledBack is the flat-pipeline twin of
-// TestStructuralFaultsAreCaughtAndRolledBack: every checkpoint-visible fault,
-// injected as a direct mutation of the struct-of-arrays form, must be caught
-// by VerifyFn, rolled back by the flat snapshot journal to a byte-identical
-// image with bit-identical behaviour, and attributed to the sabotaged pass.
+// TestFlatStructuralFaultsAreCaughtAndRolledBack covers the single-function
+// case: every checkpoint-visible fault, injected as a direct mutation of the
+// struct-of-arrays form, must be caught by VerifyFn, rolled back by the flat
+// snapshot journal to a byte-identical image with bit-identical behaviour,
+// and attributed to the sabotaged pass.
 func TestFlatStructuralFaultsAreCaughtAndRolledBack(t *testing.T) {
 	kinds := []faultinject.Kind{
 		faultinject.Panic, faultinject.ClobberReg,
@@ -276,9 +300,9 @@ func TestFlatStructuralFaultsAreCaughtAndRolledBack(t *testing.T) {
 	}
 }
 
-// TestFlatFlipOpIsSilent: the semantic fault must evade the flat verifier
-// exactly as it evades the graph one — the pipeline keeps the corrupted
-// image, visible only to differential execution.
+// TestFlatFlipOpIsSilent: the semantic fault must evade the flat verifier —
+// the pipeline keeps the corrupted image, visible only to differential
+// execution.
 func TestFlatFlipOpIsSilent(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		f := genFn(t, seed)

@@ -12,10 +12,12 @@ import (
 // here is a line-for-line twin of its pointer-graph counterpart in this
 // package, operating on FlatFn's dense arrays through the flat editing
 // layer (in-place SetInstr rewrites, kill marks + one Compact sweep where
-// the graph pass rebuilds an instruction slice). The twins must stay
-// behaviorally identical — the differential tests pin flat-pipeline output
-// byte-identical to the graph pipeline — so any change to a graph pass in
-// opt.go/gdce.go/collapse.go/peephole.go/addrfold.go must land here too.
+// the graph pass rebuilds an instruction slice). The graph clean-up passes
+// remain for the bridged stages (licm, strength-reduce, unroll), so the twins
+// must stay behaviorally identical — TestFlatPassTwins pins each pair — and
+// any change to a graph pass in opt.go/gdce.go/collapse.go/peephole.go must
+// land here too. FlatThreadJumps and FlatNormalizeAddresses have no graph
+// twin.
 
 // FlatClean runs the full clean-up pipeline to a bounded fixpoint on the
 // flat form, mirroring Clean's exact pass order.
@@ -717,8 +719,9 @@ func flatIsSelfUpdate(f *rtl.FlatFn, i int32, r rtl.Reg) bool {
 	return pure
 }
 
-// FlatThreadJumps mirrors ThreadJumps: redirect edges through jump-only
-// trampolines, then drop what became unreachable.
+// FlatThreadJumps redirects edges that point at blocks containing only an
+// unconditional jump, then removes the now-unreachable trampolines. It keeps
+// loop headers intact (a self-jump is never threaded).
 func FlatThreadJumps(fp *rtl.FlatProgram, fi int) bool {
 	f := &fp.Fns[fi]
 	changed := false
@@ -766,7 +769,15 @@ func FlatThreadJumps(fp *rtl.FlatProgram, fi int) bool {
 	return changed
 }
 
-// FlatNormalizeAddresses mirrors NormalizeAddresses.
+// FlatNormalizeAddresses is the local pass behind the paper's
+// CalculateRelativeOffsets step. Within each block it tracks which
+// registers currently hold "entry value of register b plus constant k" and
+// uses that to (a) rewrite memory operands into base+displacement form off
+// the block-entry register and (b) turn copies of offset values into adds
+// off the base. After unrolling, the renamed induction chains
+// (p0 = p+2; p1 = p0+2; ...) feed loads at [p+0], [p+2], [p+4], ... and the
+// chain itself dies, leaving exactly the consecutive-displacement pattern
+// the coalescer partitions.
 func FlatNormalizeAddresses(fp *rtl.FlatProgram, fi int) bool {
 	f := &fp.Fns[fi]
 	changed := false
@@ -776,6 +787,11 @@ func FlatNormalizeAddresses(fp *rtl.FlatProgram, fi int) bool {
 		}
 	}
 	return changed
+}
+
+type affVal struct {
+	base rtl.Reg // register whose block-entry value anchors this
+	k    int64
 }
 
 func flatNormalizeBlock(f *rtl.FlatFn, bi int32) bool {
@@ -848,8 +864,10 @@ func flatNormalizeBlock(f *rtl.FlatFn, bi int32) bool {
 			}
 		}
 
-		// Canonicalize the instruction itself onto the entry anchor (see
-		// normalizeBlock for why).
+		// Canonicalize the instruction itself onto the entry anchor, which
+		// disconnects it from the renamed chain so the chain can die: e.g.
+		// "p3 = p2 + 2" where p2 = entry(p)+4 becomes "p3 = p + 6", and a
+		// mov-back "p = p3" becomes "p = p + 8".
 		if newVal != nil && !(newVal.base == d && newVal.k == 0) {
 			rewritten := rtl.MkInstr(rtl.Add)
 			rewritten.Dst = d
@@ -866,7 +884,10 @@ func flatNormalizeBlock(f *rtl.FlatFn, bi int32) bool {
 			}
 		}
 
-		// Record the redefinition (see normalizeBlock).
+		// Record the redefinition: d stops holding its entry value, and
+		// anything anchored on d's entry value must be dropped for future
+		// rewrites (the anchor is the value at block entry, which d no
+		// longer holds).
 		redefined[d] = true
 		delete(aff, d)
 		for r, v := range aff {

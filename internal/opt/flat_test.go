@@ -3,15 +3,25 @@ package opt_test
 import (
 	"testing"
 
+	"macc/internal/machine"
 	"macc/internal/opt"
+	"macc/internal/pipeline"
 	"macc/internal/rtl"
 	"macc/internal/rtlgen"
 )
 
-// runTwin applies graphPass to a pointer-graph copy and flatPass to a flat
-// copy of the same generated function and requires byte-identical printed
-// RTL afterwards — the unit-level pin behind the whole-pipeline
-// differentials: each flat pass must be indistinguishable from its twin.
+// behavior fingerprints a generated program's simulated behaviour.
+func behavior(prog *rtl.Program) (string, error) {
+	args := [][]int64{{0, 0, 0}, {1, 2, 3}, {255, 1023, -7}}
+	return pipeline.Behavior(prog, machine.M68030(), rtlgen.MemWindow*2, "f", args)
+}
+
+// runTwin applies flatPass to a flat copy of each generated function. When
+// the pass has a pointer-graph twin (still run by the bridged stages),
+// graphPass runs on a graph copy and the printed RTL must be byte-identical:
+// each flat pass must be indistinguishable from its twin. A pass without a
+// twin (graphPass nil) must instead preserve the function's simulated
+// behaviour.
 func runTwin(t *testing.T, name string, graphPass func(*rtl.Fn) bool, flatPass func(*rtl.FlatProgram, int) bool) {
 	t.Helper()
 	seeds := int64(120)
@@ -29,17 +39,32 @@ func runTwin(t *testing.T, name string, graphPass func(*rtl.Fn) bool, flatPass f
 			t.Fatalf("seed %d: flatten: %v", seed, err)
 		}
 
-		gChanged := graphPass(fn)
-		fChanged := flatPass(fp, 0)
-		if gChanged != fChanged {
-			t.Fatalf("%s seed %d: changed disagrees: graph=%v flat=%v", name, seed, gChanged, fChanged)
+		var before string
+		if graphPass == nil {
+			if before, err = behavior(prog); err != nil {
+				t.Fatalf("seed %d: behaviour: %v", seed, err)
+			}
 		}
+		fChanged := flatPass(fp, 0)
 		if err := fp.VerifyFn(0); err != nil {
 			t.Fatalf("%s seed %d: flat verify: %v", name, seed, err)
 		}
 		back, err := fp.Unflatten()
 		if err != nil {
 			t.Fatalf("%s seed %d: unflatten: %v", name, seed, err)
+		}
+		if graphPass == nil {
+			after, err := behavior(back)
+			if err != nil {
+				t.Fatalf("%s seed %d: behaviour after pass: %v", name, seed, err)
+			}
+			if after != before {
+				t.Fatalf("%s seed %d: flat pass changed behaviour:\n%s", name, seed, back)
+			}
+			continue
+		}
+		if gChanged := graphPass(fn); gChanged != fChanged {
+			t.Fatalf("%s seed %d: changed disagrees: graph=%v flat=%v", name, seed, gChanged, fChanged)
 		}
 		want, got := prog.String(), back.String()
 		if want != got {
@@ -64,13 +89,10 @@ func TestFlatPassTwins(t *testing.T) {
 		{"DeadCodeElim", opt.DeadCodeElim, opt.FlatDeadCodeElim},
 		{"GlobalDCE", opt.GlobalDCE, opt.FlatGlobalDCE},
 		{"EliminateDeadIVs", opt.EliminateDeadIVs, opt.FlatEliminateDeadIVs},
-		{"ThreadJumps", opt.ThreadJumps, opt.FlatThreadJumps},
-		{"NormalizeAddresses", opt.NormalizeAddresses, opt.FlatNormalizeAddresses},
+		{"ThreadJumps", nil, opt.FlatThreadJumps},
+		{"NormalizeAddresses", nil, opt.FlatNormalizeAddresses},
 		{"Clean", opt.Clean, opt.FlatClean},
-		{"Clean+ThreadJumps", func(f *rtl.Fn) bool {
-			c := opt.Clean(f)
-			return opt.ThreadJumps(f) || c
-		}, func(fp *rtl.FlatProgram, fi int) bool {
+		{"Clean+ThreadJumps", nil, func(fp *rtl.FlatProgram, fi int) bool {
 			c := opt.FlatClean(fp, fi)
 			return opt.FlatThreadJumps(fp, fi) || c
 		}},

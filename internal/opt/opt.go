@@ -369,51 +369,3 @@ func sideEffectFree(in *rtl.Instr) bool {
 	}
 	return true
 }
-
-// ThreadJumps redirects edges that point at blocks containing only an
-// unconditional jump, then removes the now-unreachable trampolines. It keeps
-// loop headers intact (a self-jump is never threaded).
-func ThreadJumps(f *rtl.Fn) bool {
-	changed := false
-	target := make(map[*rtl.Block]*rtl.Block)
-	for _, b := range f.Blocks {
-		if len(b.Instrs) == 1 {
-			if t := b.Term(); t != nil && t.Op == rtl.Jump && t.Target != b {
-				target[b] = t.Target
-			}
-		}
-	}
-	resolve := func(b *rtl.Block) *rtl.Block {
-		seen := map[*rtl.Block]bool{}
-		for {
-			t, ok := target[b]
-			if !ok || seen[b] {
-				return b
-			}
-			seen[b] = true
-			b = t
-		}
-	}
-	for _, b := range f.Blocks {
-		t := b.Term()
-		if t == nil {
-			continue
-		}
-		if t.Target != nil {
-			if r := resolve(t.Target); r != t.Target {
-				t.Target = r
-				changed = true
-			}
-		}
-		if t.Else != nil {
-			if r := resolve(t.Else); r != t.Else {
-				t.Else = r
-				changed = true
-			}
-		}
-	}
-	if changed {
-		RemoveUnreachable(f)
-	}
-	return changed
-}

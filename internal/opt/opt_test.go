@@ -16,6 +16,17 @@ func linear(nparams int, build func(f *rtl.Fn) []*rtl.Instr) *rtl.Fn {
 	return f
 }
 
+// runFlat applies a flat pass to f and returns the materialized result.
+func runFlat(t *testing.T, f *rtl.Fn, pass func(*rtl.FlatProgram, int) bool) *rtl.Fn {
+	t.Helper()
+	fp, err := rtl.Flatten(rtl.NewProgram(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass(fp, 0)
+	return fp.UnflattenFn(0)
+}
+
 func countOp(f *rtl.Fn, op rtl.Op) int {
 	n := 0
 	for _, b := range f.Blocks {
@@ -322,8 +333,8 @@ func TestThreadJumps(t *testing.T) {
 	f.Entry().Instrs = []*rtl.Instr{rtl.JumpI(tramp)}
 	tramp.Instrs = []*rtl.Instr{rtl.JumpI(final)}
 	final.Instrs = []*rtl.Instr{rtl.RetI(rtl.C(0))}
-	opt.ThreadJumps(f)
-	if f.Entry().Term().Target != final {
+	f = runFlat(t, f, opt.FlatThreadJumps)
+	if f.Entry().Term().Target.Name != "final" {
 		t.Error("jump not threaded through trampoline")
 	}
 	if len(f.Blocks) != 2 {
@@ -387,7 +398,7 @@ func TestNormalizeAddressesFoldsUnrolledChain(t *testing.T) {
 			rtl.RetI(rtl.R(s)),
 		}
 	})
-	opt.NormalizeAddresses(f)
+	f = runFlat(t, f, opt.FlatNormalizeAddresses)
 	ins := f.Entry().Instrs
 	// Second load must now be [p+2].
 	ld := ins[2]

@@ -37,21 +37,22 @@ func (r BisectResult) String() string {
 
 // Bisect binary-searches the pass list for the first pass whose inclusion
 // makes the predicate fail, in the style of LLVM's -opt-bisect-limit and
-// bugpoint. fresh must return an independent copy of the unoptimized
-// function for each probe; probes run their prefix fail-fast (a panic or
-// verifier rejection inside the prefix counts as a failure), then apply the
-// predicate. Bisection assumes the usual monotonicity: once the culprit has
-// run, longer prefixes stay bad.
+// bugpoint. fresh must return an independent flat copy of the unoptimized
+// program and the index of the function under test for each probe; probes
+// run their prefix with RunFlat fail-fast (a panic or verifier rejection
+// inside the prefix counts as a failure), then apply the predicate to the
+// materialized function. Bisection assumes the usual monotonicity: once the
+// culprit has run, longer prefixes stay bad.
 //
 // An error is returned only when bisection itself cannot proceed, i.e. the
 // predicate already fails on the unoptimized function.
-func Bisect(fresh func() *rtl.Fn, passes []Pass, bad Predicate) (BisectResult, error) {
+func Bisect(fresh func() (*rtl.FlatProgram, int), passes []FlatPass, bad Predicate) (BisectResult, error) {
 	probe := func(k int) error {
-		f := fresh()
-		if err := Run(f, passes[:k], Options{Strict: true}); err != nil {
+		fp, fi := fresh()
+		if err := RunFlat(fp, fi, passes[:k], Options{Strict: true}); err != nil {
 			return err
 		}
-		return bad(f)
+		return bad(fp.UnflattenFn(fi))
 	}
 	if err := probe(0); err != nil {
 		return BisectResult{Index: -1}, fmt.Errorf("bisect: predicate fails before any pass runs: %w", err)

@@ -39,6 +39,16 @@ func testFn() *rtl.Fn {
 	return f
 }
 
+// flatTestFn is testFn as a single-function flat program.
+func flatTestFn(t *testing.T) *rtl.FlatProgram {
+	t.Helper()
+	fp, err := rtl.Flatten(rtl.NewProgram(testFn()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fp
+}
+
 var testArgs = [][]int64{{0}, {1}, {-9}, {1024}}
 
 func behavior(t *testing.T, f *rtl.Fn) string {
@@ -50,8 +60,15 @@ func behavior(t *testing.T, f *rtl.Fn) string {
 	return fp
 }
 
-func noop(name string) pipeline.Pass {
-	return pipeline.Pass{Name: name, Run: func(*rtl.Fn) error { return nil }}
+func noop(name string) pipeline.FlatPass {
+	return pipeline.FlatPass{Name: name, Run: func(*rtl.FlatProgram, int) error { return nil }}
+}
+
+// wipeEntry deletes every instruction of the entry block.
+func wipeEntry(fp *rtl.FlatProgram, fi int) {
+	f := &fp.Fns[fi]
+	b := f.Blocks[0]
+	f.SpliceInstrs(0, 0, b.InstrEnd-b.InstrStart, nil)
 }
 
 // faultyPasses are the misbehaviours the recovery machinery must contain.
@@ -59,29 +76,31 @@ func noop(name string) pipeline.Pass {
 // verification checkpoint, so rollback is observable two ways.
 var faultyPasses = []struct {
 	name      string
-	pass      pipeline.Pass
+	pass      pipeline.FlatPass
 	wantPanic bool // incident should carry a recovered panic + stack
 }{
 	{
 		name: "panic-in-pass",
-		pass: pipeline.Pass{Name: "bad", Run: func(f *rtl.Fn) error {
-			f.Blocks[0].Instrs = nil // corrupt first, then die
+		pass: pipeline.FlatPass{Name: "bad", Run: func(fp *rtl.FlatProgram, fi int) error {
+			wipeEntry(fp, fi) // corrupt first, then die
 			panic("pass exploded")
 		}},
 		wantPanic: true,
 	},
 	{
 		name: "verifier-rejection",
-		pass: pipeline.Pass{Name: "bad", Run: func(f *rtl.Fn) error {
-			b := f.Blocks[len(f.Blocks)-1]
-			b.Instrs = b.Instrs[:len(b.Instrs)-1] // drop the terminator
+		pass: pipeline.FlatPass{Name: "bad", Run: func(fp *rtl.FlatProgram, fi int) error {
+			f := &fp.Fns[fi]
+			last := int32(len(f.Blocks) - 1)
+			b := f.Blocks[last]
+			f.SpliceInstrs(last, b.InstrEnd-b.InstrStart-1, 1, nil) // drop the terminator
 			return nil
 		}},
 	},
 	{
 		name: "pass-returned-error",
-		pass: pipeline.Pass{Name: "bad", Run: func(f *rtl.Fn) error {
-			f.Blocks[0].Instrs = nil
+		pass: pipeline.FlatPass{Name: "bad", Run: func(fp *rtl.FlatProgram, fi int) error {
+			wipeEntry(fp, fi)
 			return errors.New("resource exhausted")
 		}},
 	},
@@ -90,24 +109,25 @@ var faultyPasses = []struct {
 func TestRecoveryRollsBackAndContinues(t *testing.T) {
 	for _, tc := range faultyPasses {
 		t.Run(tc.name, func(t *testing.T) {
-			f := testFn()
-			orig := f.String()
-			wantFP := behavior(t, f)
+			fp := flatTestFn(t)
+			orig := fp.UnflattenFn(0).String()
+			wantFP := behavior(t, testFn())
 
 			var after int
 			diags := &pipeline.Diagnostics{}
-			passes := []pipeline.Pass{noop("pre"), tc.pass,
-				{Name: "post", Run: func(*rtl.Fn) error { after++; return nil }}}
-			if err := pipeline.Run(f, passes, pipeline.Options{Diags: diags}); err != nil {
-				t.Fatalf("non-strict Run returned %v", err)
+			passes := []pipeline.FlatPass{noop("pre"), tc.pass,
+				{Name: "post", Run: func(*rtl.FlatProgram, int) error { after++; return nil }}}
+			if err := pipeline.RunFlat(fp, 0, passes, pipeline.Options{Diags: diags}); err != nil {
+				t.Fatalf("non-strict RunFlat returned %v", err)
 			}
 			if after != 1 {
 				t.Errorf("degraded mode must still run the remaining passes; post ran %d times", after)
 			}
-			if got := f.String(); got != orig {
+			got := fp.UnflattenFn(0)
+			if got.String() != orig {
 				t.Errorf("function not rolled back:\n%s\nwant:\n%s", got, orig)
 			}
-			if got := behavior(t, f); got != wantFP {
+			if behavior(t, got) != wantFP {
 				t.Error("rollback did not preserve simulator behaviour")
 			}
 			if !diags.Degraded() || len(diags.Incidents) != 1 {
@@ -137,9 +157,9 @@ func TestRecoveryRollsBackAndContinues(t *testing.T) {
 func TestStrictModePropagatesPassError(t *testing.T) {
 	for _, tc := range faultyPasses {
 		t.Run(tc.name, func(t *testing.T) {
-			f := testFn()
-			orig := f.String()
-			err := pipeline.Run(f, []pipeline.Pass{noop("pre"), tc.pass, noop("post")},
+			fp := flatTestFn(t)
+			orig := fp.UnflattenFn(0).String()
+			err := pipeline.RunFlat(fp, 0, []pipeline.FlatPass{noop("pre"), tc.pass, noop("post")},
 				pipeline.Options{Strict: true})
 			var pe *pipeline.PassError
 			if !errors.As(err, &pe) {
@@ -151,7 +171,7 @@ func TestStrictModePropagatesPassError(t *testing.T) {
 			if tc.wantPanic != (pe.Recovered != nil) {
 				t.Errorf("Recovered = %v, wantPanic = %v", pe.Recovered, tc.wantPanic)
 			}
-			if got := f.String(); got != orig {
+			if got := fp.UnflattenFn(0).String(); got != orig {
 				t.Error("strict mode must still leave the function rolled back")
 			}
 		})
@@ -159,12 +179,12 @@ func TestStrictModePropagatesPassError(t *testing.T) {
 }
 
 func TestHooksFireOnlyOnSuccess(t *testing.T) {
-	f := testFn()
+	fp := flatTestFn(t)
 	var committed, observed []string
-	mk := func(name string, fail bool) pipeline.Pass {
-		return pipeline.Pass{
+	mk := func(name string, fail bool) pipeline.FlatPass {
+		return pipeline.FlatPass{
 			Name: name,
-			Run: func(f *rtl.Fn) error {
+			Run: func(*rtl.FlatProgram, int) error {
 				if fail {
 					panic(name)
 				}
@@ -173,8 +193,14 @@ func TestHooksFireOnlyOnSuccess(t *testing.T) {
 			OnSuccess: func() { committed = append(committed, name) },
 		}
 	}
-	err := pipeline.Run(f, []pipeline.Pass{mk("a", false), mk("b", true), mk("c", false)},
-		pipeline.Options{OnPass: func(name string, _ *rtl.Fn) { observed = append(observed, name) }})
+	onPass := func(name string, got *rtl.FlatProgram, fi int) {
+		if got != fp || fi != 0 {
+			t.Errorf("OnPass(%s) observed function %d of another program", name, fi)
+		}
+		observed = append(observed, name)
+	}
+	err := pipeline.RunFlat(fp, 0, []pipeline.FlatPass{mk("a", false), mk("b", true), mk("c", false)},
+		pipeline.Options{OnPass: onPass})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,31 +214,35 @@ func TestHooksFireOnlyOnSuccess(t *testing.T) {
 
 // flipPass silently miscompiles: it turns the then-arm's Add into a Sub,
 // which still verifies and is only visible to differential execution.
-func flipPass(name string) pipeline.Pass {
-	return pipeline.Pass{Name: name, Run: func(f *rtl.Fn) error {
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op == rtl.Add {
-					in.Op = rtl.Sub
-					return nil
-				}
+func flipPass(name string) pipeline.FlatPass {
+	return pipeline.FlatPass{Name: name, Run: func(fp *rtl.FlatProgram, fi int) error {
+		f := &fp.Fns[fi]
+		for i, op := range f.Op {
+			if op == rtl.Add {
+				f.Op[i] = rtl.Sub
+				return nil
 			}
 		}
 		return nil
 	}}
 }
 
+// fresh returns a probe source for pipeline.Bisect: a new flat copy of
+// testFn per probe.
+func fresh(t *testing.T) func() (*rtl.FlatProgram, int) {
+	return func() (*rtl.FlatProgram, int) { return flatTestFn(t), 0 }
+}
+
 func TestBisectFindsBehaviouralCulprit(t *testing.T) {
-	orig := testFn()
-	want := behavior(t, orig)
+	want := behavior(t, testFn())
 	bad := func(f *rtl.Fn) error {
 		if got := behavior(t, f); got != want {
 			return errors.New("diverges")
 		}
 		return nil
 	}
-	passes := []pipeline.Pass{noop("a"), flipPass("culprit"), noop("c"), noop("d")}
-	res, err := pipeline.Bisect(func() *rtl.Fn { return orig.Clone() }, passes, bad)
+	passes := []pipeline.FlatPass{noop("a"), flipPass("culprit"), noop("c"), noop("d")}
+	res, err := pipeline.Bisect(fresh(t), passes, bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +252,10 @@ func TestBisectFindsBehaviouralCulprit(t *testing.T) {
 }
 
 func TestBisectFindsStructuralCulprit(t *testing.T) {
-	orig := testFn()
 	healthy := func(*rtl.Fn) error { return nil }
-	passes := []pipeline.Pass{noop("a"), noop("b"),
-		{Name: "boom", Run: func(*rtl.Fn) error { panic("boom") }}, noop("d")}
-	res, err := pipeline.Bisect(func() *rtl.Fn { return orig.Clone() }, passes, healthy)
+	passes := []pipeline.FlatPass{noop("a"), noop("b"),
+		{Name: "boom", Run: func(*rtl.FlatProgram, int) error { panic("boom") }}, noop("d")}
+	res, err := pipeline.Bisect(fresh(t), passes, healthy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,9 +269,8 @@ func TestBisectFindsStructuralCulprit(t *testing.T) {
 }
 
 func TestBisectHealthyPipeline(t *testing.T) {
-	orig := testFn()
-	res, err := pipeline.Bisect(func() *rtl.Fn { return orig.Clone() },
-		[]pipeline.Pass{noop("a"), noop("b")}, func(*rtl.Fn) error { return nil })
+	res, err := pipeline.Bisect(fresh(t),
+		[]pipeline.FlatPass{noop("a"), noop("b")}, func(*rtl.Fn) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,9 +280,8 @@ func TestBisectHealthyPipeline(t *testing.T) {
 }
 
 func TestBisectRejectsBrokenBaseline(t *testing.T) {
-	orig := testFn()
-	_, err := pipeline.Bisect(func() *rtl.Fn { return orig.Clone() },
-		[]pipeline.Pass{noop("a")}, func(*rtl.Fn) error { return errors.New("always bad") })
+	_, err := pipeline.Bisect(fresh(t),
+		[]pipeline.FlatPass{noop("a")}, func(*rtl.Fn) error { return errors.New("always bad") })
 	if err == nil {
 		t.Fatal("a predicate failing before any pass must be reported as an error")
 	}

@@ -60,12 +60,35 @@ func behaviour(t *testing.T, f *rtl.Fn, m *machine.Machine) string {
 // programs.
 func checkPass(t *testing.T, name string, seeds int, transform func(*rtl.Fn)) {
 	t.Helper()
+	check(t, name, seeds, func(f *rtl.Fn) *rtl.Fn {
+		transform(f)
+		return f
+	})
+}
+
+// checkFlatPass is checkPass for a pass over the flat form: each generated
+// function is flattened, transformed, and materialized again.
+func checkFlatPass(t *testing.T, name string, seeds int, pass func(fp *rtl.FlatProgram, fi int)) {
+	t.Helper()
+	check(t, name, seeds, func(f *rtl.Fn) *rtl.Fn {
+		fp, err := rtl.Flatten(rtl.NewProgram(f))
+		if err != nil {
+			t.Fatalf("%s: flatten: %v", name, err)
+		}
+		pass(fp, 0)
+		return fp.UnflattenFn(0)
+	})
+}
+
+// check runs transform over a copy of each generated function and requires
+// valid output with unchanged behaviour.
+func check(t *testing.T, name string, seeds int, transform func(*rtl.Fn) *rtl.Fn) {
+	t.Helper()
 	m := machine.M68030() // tolerant of any alignment; timing irrelevant here
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		f := mustGen(t, seed)
 		want := behaviour(t, f, m)
-		f2 := f.Clone()
-		transform(f2)
+		f2 := transform(f.Clone())
 		if err := f2.Verify(); err != nil {
 			t.Fatalf("%s seed %d: invalid output: %v\n%s", name, seed, err, f2)
 		}
@@ -108,11 +131,11 @@ func TestEliminateDeadIVsPreservesBehaviour(t *testing.T) {
 }
 
 func TestNormalizeAddressesPreservesBehaviour(t *testing.T) {
-	checkPass(t, "NormalizeAddresses", seeds, func(f *rtl.Fn) { opt.NormalizeAddresses(f) })
+	checkFlatPass(t, "NormalizeAddresses", seeds, func(fp *rtl.FlatProgram, fi int) { opt.FlatNormalizeAddresses(fp, fi) })
 }
 
 func TestThreadJumpsPreservesBehaviour(t *testing.T) {
-	checkPass(t, "ThreadJumps", seeds, func(f *rtl.Fn) { opt.ThreadJumps(f) })
+	checkFlatPass(t, "ThreadJumps", seeds, func(fp *rtl.FlatProgram, fi int) { opt.FlatThreadJumps(fp, fi) })
 }
 
 func TestCleanPreservesBehaviour(t *testing.T) {
@@ -134,8 +157,8 @@ func TestHoistInvariantsPreservesBehaviour(t *testing.T) {
 
 func TestSchedulePreservesBehaviour(t *testing.T) {
 	for _, m := range machine.All() {
-		checkPass(t, "Schedule/"+m.Name, seeds/2, func(f *rtl.Fn) {
-			sched.ScheduleFn(f, m)
+		checkFlatPass(t, "Schedule/"+m.Name, seeds/2, func(fp *rtl.FlatProgram, fi int) {
+			sched.ScheduleFlatFn(fp, fi, m)
 		})
 	}
 }
@@ -150,8 +173,11 @@ func TestRegallocPreservesBehaviour(t *testing.T) {
 	}
 }
 
+// TestFullPipelinePreservesBehaviour strings the stages together the way the
+// pass manager runs them: the bridged loop-invariant hoisting on the graph,
+// then address normalization, clean-up, and scheduling on the flat form.
 func TestFullPipelinePreservesBehaviour(t *testing.T) {
-	checkPass(t, "pipeline", seeds, func(f *rtl.Fn) {
+	check(t, "pipeline", seeds, func(f *rtl.Fn) *rtl.Fn {
 		opt.Clean(f)
 		g := cfg.New(f)
 		loops := g.FindLoops()
@@ -162,9 +188,14 @@ func TestFullPipelinePreservesBehaviour(t *testing.T) {
 			opt.HoistInvariants(f, g, l)
 		}
 		opt.Clean(f)
-		opt.NormalizeAddresses(f)
-		opt.Clean(f)
-		sched.ScheduleFn(f, machine.Alpha())
+		fp, err := rtl.Flatten(rtl.NewProgram(f))
+		if err != nil {
+			t.Fatalf("pipeline: flatten: %v", err)
+		}
+		opt.FlatNormalizeAddresses(fp, 0)
+		opt.FlatClean(fp, 0)
+		sched.ScheduleFlatFn(fp, 0, machine.Alpha())
+		return fp.UnflattenFn(0)
 	})
 }
 

@@ -5,13 +5,11 @@ import (
 	"macc/internal/rtl"
 )
 
-// Flat entry points for the list scheduler. Rather than re-deriving the
-// dependence DAG over arrays (and risking a divergent schedule), a block
-// body is decoded into a reusable scratch slab of rtl.Instr values and fed
-// through the exact buildDAG/order/makespan used by the graph path — the
-// permutation is then scattered back into the dense arrays. Decode+scatter
-// is linear and allocation-free once the scratch is warm, and the resulting
-// schedules are identical to Schedule's by construction.
+// Entry points for the list scheduler over the flat form. A block body is
+// decoded into a reusable scratch slab of rtl.Instr values and fed through
+// buildDAG/order/makespan; the permutation is then scattered back into the
+// dense arrays. Decode+scatter is linear and allocation-free once the
+// scratch is warm.
 
 // FlatScratch holds reusable decode buffers for flat scheduling calls.
 type FlatScratch struct {
@@ -55,7 +53,8 @@ func (sc *FlatScratch) decodeBody(f *rtl.FlatFn, bi int32) ([]*rtl.Instr, int32)
 	return sc.views, ti
 }
 
-// EstimateFlat is Estimate for block bi of a flat function.
+// EstimateFlat returns the scheduled cycle count of block bi's body without
+// modifying it.
 func EstimateFlat(f *rtl.FlatFn, bi int32, m *machine.Machine, sc *FlatScratch) int {
 	body, ti := sc.decodeBody(f, bi)
 	nodes := buildDAG(body, &m.Sched)
@@ -69,8 +68,8 @@ func EstimateFlat(f *rtl.FlatFn, bi int32, m *machine.Machine, sc *FlatScratch) 
 	return cycles
 }
 
-// ScheduleFlat is Schedule for block bi: the body is reordered in place in
-// the dense arrays according to the list schedule.
+// ScheduleFlat reorders block bi's body in place in the dense arrays
+// according to the list schedule and returns the estimated cycle count.
 func ScheduleFlat(f *rtl.FlatFn, bi int32, m *machine.Machine, sc *FlatScratch) int {
 	body, ti := sc.decodeBody(f, bi)
 	nodes := buildDAG(body, &m.Sched)

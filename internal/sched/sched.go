@@ -1,6 +1,6 @@
 // Package sched implements the dependence-DAG list scheduler vpo applies to
 // basic blocks. The coalescer's profitability analysis (Figure 3 of the
-// paper) calls Estimate on the original loop body and on the coalesced
+// paper) calls EstimateFlat on the original loop body and on the coalesced
 // copy and keeps whichever needs fewer cycles, so the scheduler's cost
 // model is the machine's Sched table — what the compiler believes, which on
 // the 68030 deliberately diverges from what the simulator delivers.
@@ -207,43 +207,4 @@ func makespan(nodes []*node, ord []int, costs *machine.Costs, pipelined bool) in
 	}
 	// Account for the block's terminator/branch overhead.
 	return clock
-}
-
-// Estimate returns the scheduled cycle count of the block body without
-// modifying it.
-func Estimate(b *rtl.Block, m *machine.Machine) int {
-	body := b.Body()
-	nodes := buildDAG(body, &m.Sched)
-	ord := order(nodes)
-	cycles := makespan(nodes, ord, &m.Sched, m.Pipelined)
-	if t := b.Term(); t != nil {
-		cycles += m.Sched.Of(t)
-	}
-	return cycles
-}
-
-// Schedule reorders the block body in place according to the list schedule
-// and returns the estimated cycle count.
-func Schedule(b *rtl.Block, m *machine.Machine) int {
-	body := b.Body()
-	nodes := buildDAG(body, &m.Sched)
-	ord := order(nodes)
-	cycles := makespan(nodes, ord, &m.Sched, m.Pipelined)
-	newBody := make([]*rtl.Instr, 0, len(body))
-	for _, i := range ord {
-		newBody = append(newBody, nodes[i].in)
-	}
-	if t := b.Term(); t != nil {
-		newBody = append(newBody, t)
-		cycles += m.Sched.Of(t)
-	}
-	b.Instrs = newBody
-	return cycles
-}
-
-// ScheduleFn schedules every block of the function.
-func ScheduleFn(f *rtl.Fn, m *machine.Machine) {
-	for _, b := range f.Blocks {
-		Schedule(b, m)
-	}
 }

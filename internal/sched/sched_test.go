@@ -8,19 +8,51 @@ import (
 	"macc/internal/sched"
 )
 
-func block(f *rtl.Fn, ins ...*rtl.Instr) *rtl.Block {
-	b := f.Entry()
-	b.Instrs = ins
-	return b
+func block(f *rtl.Fn, ins ...*rtl.Instr) {
+	f.Entry().Instrs = ins
 }
 
-// order returns the position of each instruction after scheduling.
-func positions(b *rtl.Block) map[*rtl.Instr]int {
-	m := make(map[*rtl.Instr]int)
-	for i, in := range b.Instrs {
-		m[in] = i
+// flatten turns f into a one-function flat program.
+func flatten(t *testing.T, f *rtl.Fn) *rtl.FlatProgram {
+	t.Helper()
+	fp, err := rtl.Flatten(rtl.NewProgram(f))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return m
+	return fp
+}
+
+// schedule list-schedules f's entry block on the flat form and returns the
+// scheduled block plus the estimated cycle count.
+func schedule(t *testing.T, f *rtl.Fn, m *machine.Machine) (*rtl.Block, int) {
+	t.Helper()
+	fp := flatten(t, f)
+	var sc sched.FlatScratch
+	cycles := sched.ScheduleFlat(&fp.Fns[0], 0, m, &sc)
+	return fp.UnflattenFn(0).Entry(), cycles
+}
+
+// estimate is the scheduled cycle count of f's entry block.
+func estimate(t *testing.T, f *rtl.Fn, m *machine.Machine) int {
+	t.Helper()
+	var sc sched.FlatScratch
+	return sched.EstimateFlat(&flatten(t, f).Fns[0], 0, m, &sc)
+}
+
+// positions maps each instruction (by its printed form, unique in these
+// tests) to its position in the block.
+func positions(t *testing.T, b *rtl.Block) func(*rtl.Instr) int {
+	m := make(map[string]int)
+	for i, in := range b.Instrs {
+		m[in.String()] = i
+	}
+	return func(in *rtl.Instr) int {
+		i, ok := m[in.String()]
+		if !ok {
+			t.Fatalf("%s missing from the scheduled block %v", in, b.Instrs)
+		}
+		return i
+	}
 }
 
 func TestScheduleKeepsDataDependences(t *testing.T) {
@@ -30,10 +62,10 @@ func TestScheduleKeepsDataDependences(t *testing.T) {
 	i1 := rtl.BinI(rtl.Add, t1, rtl.R(a), rtl.R(b))
 	i2 := rtl.BinI(rtl.Mul, t2, rtl.R(t1), rtl.C(3))
 	i3 := rtl.BinI(rtl.Add, t3, rtl.R(t2), rtl.C(1))
-	bb := block(f, i1, i2, i3, rtl.RetI(rtl.R(t3)))
-	sched.Schedule(bb, machine.Alpha())
-	pos := positions(bb)
-	if !(pos[i1] < pos[i2] && pos[i2] < pos[i3]) {
+	block(f, i1, i2, i3, rtl.RetI(rtl.R(t3)))
+	bb, _ := schedule(t, f, machine.Alpha())
+	pos := positions(t, bb)
+	if !(pos(i1) < pos(i2) && pos(i2) < pos(i3)) {
 		t.Errorf("RAW chain reordered: %v", bb.Instrs)
 	}
 	if bb.Term().Op != rtl.Ret {
@@ -52,10 +84,9 @@ func TestScheduleHoistsLoadsAboveIndependentWork(t *testing.T) {
 	a2 := rtl.BinI(rtl.Add, t2, rtl.R(t1), rtl.C(1))
 	ld := rtl.LoadI(v, rtl.R(p), 0, rtl.W8, false)
 	use := rtl.BinI(rtl.Add, s, rtl.R(v), rtl.R(t2))
-	bb := block(f, a1, a2, ld, use, rtl.RetI(rtl.R(s)))
-	cycles := sched.Schedule(bb, machine.Alpha())
-	pos := positions(bb)
-	if pos[ld] != 0 {
+	block(f, a1, a2, ld, use, rtl.RetI(rtl.R(s)))
+	bb, cycles := schedule(t, f, machine.Alpha())
+	if positions(t, bb)(ld) != 0 {
 		t.Errorf("load not hoisted to front: %v", bb.Instrs)
 	}
 	if cycles <= 0 {
@@ -70,10 +101,10 @@ func TestScheduleRespectsMemoryOrder(t *testing.T) {
 	v := f.NewReg()
 	st := rtl.StoreI(rtl.R(p), 0, rtl.C(1), rtl.W4)
 	ld := rtl.LoadI(v, rtl.R(q), 0, rtl.W4, true)
-	bb := block(f, st, ld, rtl.RetI(rtl.R(v)))
-	sched.Schedule(bb, machine.Alpha())
-	pos := positions(bb)
-	if pos[st] > pos[ld] {
+	block(f, st, ld, rtl.RetI(rtl.R(v)))
+	bb, _ := schedule(t, f, machine.Alpha())
+	pos := positions(t, bb)
+	if pos(st) > pos(ld) {
 		t.Error("aliasing store/load reordered")
 	}
 }
@@ -90,10 +121,10 @@ func TestScheduleDisambiguatesSameBase(t *testing.T) {
 	ld := rtl.LoadI(v, rtl.R(p), 8, rtl.W4, true)
 	use1 := rtl.BinI(rtl.Mul, u1, rtl.R(v), rtl.R(v))
 	use2 := rtl.BinI(rtl.Add, u2, rtl.R(u1), rtl.C(1))
-	bb := block(f, slow, st, ld, use1, use2, rtl.RetI(rtl.R(u2)))
-	sched.Schedule(bb, machine.Alpha())
-	pos := positions(bb)
-	if pos[ld] > pos[st] {
+	block(f, slow, st, ld, use1, use2, rtl.RetI(rtl.R(u2)))
+	bb, _ := schedule(t, f, machine.Alpha())
+	pos := positions(t, bb)
+	if pos(ld) > pos(st) {
 		t.Errorf("provably disjoint load stuck behind store: %v", bb.Instrs)
 	}
 	// Sanity: with an overlapping displacement the order must hold.
@@ -105,10 +136,10 @@ func TestScheduleDisambiguatesSameBase(t *testing.T) {
 	ld2 := rtl.LoadI(v2, rtl.R(p2), 2, rtl.W4, true) // overlaps [0,4)
 	useA := rtl.BinI(rtl.Mul, w1, rtl.R(v2), rtl.R(v2))
 	useB := rtl.BinI(rtl.Add, w2, rtl.R(w1), rtl.C(1))
-	bb2 := block(f2, slow2, st2, ld2, useA, useB, rtl.RetI(rtl.R(w2)))
-	sched.Schedule(bb2, machine.Alpha())
-	pos2 := positions(bb2)
-	if pos2[ld2] < pos2[st2] {
+	block(f2, slow2, st2, ld2, useA, useB, rtl.RetI(rtl.R(w2)))
+	bb2, _ := schedule(t, f2, machine.Alpha())
+	pos2 := positions(t, bb2)
+	if pos2(ld2) < pos2(st2) {
 		t.Errorf("overlapping load hoisted above store: %v", bb2.Instrs)
 	}
 }
@@ -122,10 +153,10 @@ func TestScheduleKeepsOrderWhenBaseChanges(t *testing.T) {
 	st := rtl.StoreI(rtl.R(p), 0, rtl.C(7), rtl.W4)
 	bump := rtl.BinI(rtl.Add, p, rtl.R(p), rtl.C(8))
 	ld := rtl.LoadI(v, rtl.R(p), 0, rtl.W4, true)
-	bb := block(f, st, bump, ld, rtl.RetI(rtl.R(v)))
-	sched.Schedule(bb, machine.Alpha())
-	pos := positions(bb)
-	if !(pos[st] < pos[bump] && pos[bump] < pos[ld]) {
+	block(f, st, bump, ld, rtl.RetI(rtl.R(v)))
+	bb, _ := schedule(t, f, machine.Alpha())
+	pos := positions(t, bb)
+	if !(pos(st) < pos(bump) && pos(bump) < pos(ld)) {
 		t.Errorf("reordered across base update: %v", bb.Instrs)
 	}
 }
@@ -138,10 +169,10 @@ func TestCallIsBarrier(t *testing.T) {
 	st := rtl.StoreI(rtl.R(p), 0, rtl.C(1), rtl.W4)
 	call := rtl.CallI(d, "g")
 	ld := rtl.LoadI(v, rtl.R(p), 0, rtl.W4, true)
-	bb := block(f, st, call, ld, rtl.RetI(rtl.R(v)))
-	sched.Schedule(bb, machine.Alpha())
-	pos := positions(bb)
-	if !(pos[st] < pos[call] && pos[call] < pos[ld]) {
+	block(f, st, call, ld, rtl.RetI(rtl.R(v)))
+	bb, _ := schedule(t, f, machine.Alpha())
+	pos := positions(t, bb)
+	if !(pos(st) < pos(call) && pos(call) < pos(ld)) {
 		t.Errorf("memory moved across call: %v", bb.Instrs)
 	}
 }
@@ -152,17 +183,17 @@ func TestEstimateDoesNotMutate(t *testing.T) {
 	t1, t2 := f.NewReg(), f.NewReg()
 	i1 := rtl.BinI(rtl.Mul, t1, rtl.R(a), rtl.R(b))
 	i2 := rtl.BinI(rtl.Add, t2, rtl.R(a), rtl.C(1))
-	bb := block(f, i1, i2, rtl.RetI(rtl.R(t2)))
-	before := append([]*rtl.Instr(nil), bb.Instrs...)
-	c1 := sched.Estimate(bb, machine.Alpha())
-	for i := range before {
-		if bb.Instrs[i] != before[i] {
-			t.Fatal("Estimate reordered the block")
-		}
+	block(f, i1, i2, rtl.RetI(rtl.R(t2)))
+	fp := flatten(t, f)
+	before := fp.UnflattenFn(0).String()
+	var sc sched.FlatScratch
+	c1 := sched.EstimateFlat(&fp.Fns[0], 0, machine.Alpha(), &sc)
+	if fp.UnflattenFn(0).String() != before {
+		t.Fatal("EstimateFlat reordered the block")
 	}
-	c2 := sched.Schedule(bb, machine.Alpha())
+	c2 := sched.ScheduleFlat(&fp.Fns[0], 0, machine.Alpha(), &sc)
 	if c1 != c2 {
-		t.Errorf("Estimate (%d) and Schedule (%d) disagree", c1, c2)
+		t.Errorf("EstimateFlat (%d) and ScheduleFlat (%d) disagree", c1, c2)
 	}
 }
 
@@ -172,9 +203,9 @@ func TestUnpipelinedCostIsSumOfCosts(t *testing.T) {
 	t1, t2 := f.NewReg(), f.NewReg()
 	i1 := rtl.BinI(rtl.Add, t1, rtl.R(a), rtl.R(b))
 	i2 := rtl.BinI(rtl.Add, t2, rtl.R(a), rtl.R(b))
-	bb := block(f, i1, i2, rtl.RetI(rtl.R(t2)))
+	block(f, i1, i2, rtl.RetI(rtl.R(t2)))
 	m := machine.M68030()
-	got := sched.Estimate(bb, m)
+	got := estimate(t, f, m)
 	want := 2*m.Sched.Alu + m.Sched.Branch
 	if got != want {
 		t.Errorf("unpipelined estimate = %d, want %d", got, want)
@@ -194,12 +225,12 @@ func TestSchedulingReducesEstimatedCycles(t *testing.T) {
 		rtl.BinI(rtl.Add, s3, rtl.R(s1), rtl.R(s2)),
 		rtl.RetI(rtl.R(s3)),
 	}
-	bb := block(f, ins...)
+	block(f, ins...)
 	// Cost of the original order, simulated naively: load latency stalls
 	// both adds. After scheduling the loads should lead.
-	after := sched.Schedule(bb, machine.Alpha())
-	pos := positions(bb)
-	if pos[ins[2]] > pos[ins[1]] {
+	bb, after := schedule(t, f, machine.Alpha())
+	pos := positions(t, bb)
+	if pos(ins[2]) > pos(ins[1]) {
 		t.Errorf("independent load not hoisted: %v", bb.Instrs)
 	}
 	if after <= 0 {

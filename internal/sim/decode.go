@@ -16,8 +16,8 @@ import (
 )
 
 // opBadBlock is the sentinel appended after a block that does not end in a
-// terminator: executing past the block's last instruction traps, exactly as
-// the object-graph interpreter did, without consuming fuel or statistics.
+// terminator: executing past the block's last instruction traps, without
+// consuming fuel or statistics.
 const opBadBlock rtl.Op = 0xFF
 
 // Operand slot register sentinels.
@@ -59,8 +59,7 @@ type dInstr struct {
 
 // dBlock ties a decoded block to its code range, plus the name and length
 // the profiler reports. The decoded image carries everything the profiler
-// needs, so profiling works identically whether the Sim was built from the
-// pointer graph (New) or from a flat image (NewFlat).
+// needs, so profiling needs no pointer back to the source program.
 type dBlock struct {
 	name   string
 	start  int32 // index of the block's first instruction in dFn.code
@@ -96,105 +95,12 @@ func decodeOperand(o rtl.Operand) dOp {
 	}
 }
 
-// decode compiles the program against the simulator's machine model. Static
-// instruction addresses are assigned in the same function-by-function,
-// block-by-block order the interpreter used (sentinels get no address), so
-// instruction-cache behaviour is bit-identical with the previous core.
-func (s *Sim) decode(prog *rtl.Program) *image {
-	img := &image{byName: make(map[string]*dFn, len(prog.Fns))}
-	for _, f := range prog.Fns {
-		df := &dFn{
-			name:       f.Name,
-			nregs:      f.NumRegs(),
-			frameBytes: int64(f.FrameBytes),
-			frameReg:   int32(f.FrameReg),
-		}
-		for _, p := range f.Params {
-			df.params = append(df.params, int32(p))
-		}
-		img.fns = append(img.fns, df)
-		img.byName[f.Name] = df
-	}
-	costs := &s.mach.Exec
-	nsets := int64(len(s.icache))
-	addr := int64(0)
-	for fi, f := range prog.Fns {
-		df := img.fns[fi]
-		blockIdx := make(map[*rtl.Block]int32, len(f.Blocks))
-		for bi, b := range f.Blocks {
-			blockIdx[b] = int32(bi)
-			df.blocks = append(df.blocks, dBlock{name: b.Name, ninstr: int32(len(b.Instrs))})
-		}
-		// Index len(f.Blocks) is the phantom block: an edge that leaves the
-		// function (a malformed program) lands here and traps on the next
-		// step, after the branch itself executed — the same accounting the
-		// object-graph interpreter had.
-		phantom := int32(len(f.Blocks))
-		target := func(b *rtl.Block) int32 {
-			if idx, ok := blockIdx[b]; ok {
-				return idx
-			}
-			return phantom
-		}
-		for bi, b := range f.Blocks {
-			df.blocks[bi].start = int32(len(df.code))
-			for _, in := range b.Instrs {
-				line := addr / icacheLineBytes
-				d := dInstr{
-					op:     in.Op,
-					width:  in.Width,
-					signed: in.Signed,
-					dst:    int32(in.Dst),
-					a:      decodeOperand(in.A),
-					b:      decodeOperand(in.B),
-					c:      decodeOperand(in.C),
-					disp:   in.Disp,
-					lat:    int64(costs.Of(in)),
-					occ:    int64(costs.OccOf(in)),
-					iline:  line,
-					iset:   int32(line % nsets),
-				}
-				addr += int64(s.mach.BytesPerInstr)
-				for _, o := range in.SrcOperands() {
-					if r, ok := o.IsReg(); ok && in.Op != rtl.Call {
-						d.srcs[d.nsrc] = int32(r)
-						d.nsrc++
-					}
-				}
-				if in.Target != nil {
-					d.target = target(in.Target)
-				}
-				if in.Else != nil {
-					d.els = target(in.Else)
-				}
-				if in.Op == rtl.Call {
-					d.calleeName = in.Callee
-					d.callee = img.byName[in.Callee] // nil traps at execution
-					for _, a := range in.Args {
-						d.args = append(d.args, decodeOperand(a))
-					}
-				}
-				df.code = append(df.code, d)
-			}
-			// Sentinel: running past the last instruction of the block (no
-			// terminator, or an empty block) traps.
-			df.code = append(df.code, dInstr{op: opBadBlock})
-		}
-		df.blocks = append(df.blocks, dBlock{start: int32(len(df.code))})
-		df.code = append(df.code, dInstr{op: opBadBlock})
-	}
-	return img
-}
-
-// decodeFlat compiles a flat program image directly against the machine
-// model, without materializing the pointer graph. Static addresses are
-// assigned in the same function-by-function, block-by-block, instruction-by-
-// instruction order as decode (sentinels get no address), and flat blocks
-// tile the instruction arrays in exactly that order, so the decoded image —
-// including instruction-cache geometry — is bit-identical to decoding the
-// unflattened program. Flatten rejects edges that leave the function, so
-// only the phantom slot appended per function mirrors decode's layout; no
-// flat edge can reach it.
+// decodeFlat compiles a flat program image against the machine model.
+// Static instruction addresses are assigned function by function, block by
+// block, instruction by instruction (sentinels get no address), which fixes
+// the instruction-cache geometry. Each function's block table ends with a
+// phantom entry whose code is one sentinel; Flatten rejects edges that leave
+// the function, so no flat edge reaches it.
 func (s *Sim) decodeFlat(fp *rtl.FlatProgram) *image {
 	img := &image{byName: make(map[string]*dFn, len(fp.Fns))}
 	for i := range fp.Fns {
@@ -226,8 +132,7 @@ func (s *Sim) decodeFlat(fp *rtl.FlatProgram) *image {
 			})
 			for i := fb.InstrStart; i < fb.InstrEnd; i++ {
 				// Reconstruct one instruction record so the machine's cost
-				// table and the operand-source rules are shared verbatim
-				// with the graph decoder.
+				// table and the operand-source rules apply unchanged.
 				in := &rtl.Instr{
 					Op:     f.Op[i],
 					Dst:    f.Dst[i],
@@ -286,8 +191,7 @@ func (s *Sim) decodeFlat(fp *rtl.FlatProgram) *image {
 	return img
 }
 
-// exec is the hot loop: it interprets one decoded function, mirroring the
-// cycle accounting of the object-graph interpreter exactly (issue when
+// exec is the hot loop: it interprets one decoded function (issue when
 // operands are ready, occupancy vs latency on pipelined machines, cache
 // stalls added to both clock and result-ready time for loads).
 func (s *Sim) exec(df *dFn, args []int64, depth int) (ret int64, cycles int64, err error) {

@@ -16,9 +16,8 @@ type BlockProfile struct {
 
 // EnableProfile turns on per-block execution counting for subsequent Run
 // calls (small overhead; off by default). Counters live in the decoded
-// image, indexed by block number, so profiling works the same whether the
-// Sim was built from the pointer graph or from a flat image. Calling
-// EnableProfile again resets the counters.
+// image, indexed by block number. Calling EnableProfile again resets the
+// counters.
 func (s *Sim) EnableProfile() {
 	s.profiling = true
 	for _, df := range s.img.fns {

@@ -6,7 +6,7 @@
 // (the Alpha), the coalescer's run-time alignment checks are genuinely load
 // bearing: removing them makes misaligned workloads trap.
 //
-// The execution core is predecoded: sim.New compiles each function into a
+// The execution core is predecoded: sim.NewFlat compiles each function into a
 // dense instruction array with resolved operand slots, costs, and block
 // indices (see decode.go), and the decoded image is reused across Reset and
 // every Run. Memory is tracked with a dirty-range watermark so Reset zeroes
@@ -137,14 +137,17 @@ type Sim struct {
 	// against miscompiled infinite loops in tests). Zero means default.
 	Fuel int64
 
-	img      *image        // predecoded program, built once in New/NewFlat
-	globals  []*rtl.Global // static data materialized at the start of each Run
-	icache   []int64       // per-set tag, -1 invalid
-	dcache   []int64 // per-set tag, -1 invalid; nil when disabled
-	fuel     int64
-	stats    *Stats
-	stackTop int64 // grows down from the top of memory for spill frames
-	frames   frameCache
+	img *image // predecoded program, built once in NewFlat
+	// badProgram, when non-nil, is why New could not load the program;
+	// every Run traps with it.
+	badProgram error
+	globals    []*rtl.Global // static data materialized at the start of each Run
+	icache     []int64       // per-set tag, -1 invalid
+	dcache     []int64       // per-set tag, -1 invalid; nil when disabled
+	fuel       int64
+	stats      *Stats
+	stackTop   int64 // grows down from the top of memory for spill frames
+	frames     frameCache
 
 	// Dirty-range watermark over Mem: every tracked write widens
 	// [dirtyLo, dirtyHi). Reset and Release zero only this range.
@@ -157,7 +160,7 @@ type Sim struct {
 
 	// Profiling state (see profile.go): when set, per-block execution
 	// counters live in each dFn's execs array, indexed by block number, so
-	// profiling needs no pointer back to the source graph.
+	// profiling needs no pointer back to the source program.
 	profiling bool
 
 	// metrics, when non-nil, receives each Run's dynamic memory-traffic
@@ -249,21 +252,26 @@ func newSim(mach *machine.Machine, memBytes int) *Sim {
 	return s
 }
 
-// New builds a simulator for prog on mach with memBytes of RAM. The program
-// is predecoded here, once; Reset and repeated Runs reuse the decoded image.
+// New builds a simulator for prog on mach with memBytes of RAM: the program
+// is flattened and predecoded here, once (see NewFlat); Reset and repeated
+// Runs reuse the decoded image. A program Flatten rejects (an edge leaving
+// its function, say) yields a Sim whose every Run returns a TrapBadProgram
+// trap carrying the flatten error.
 func New(prog *rtl.Program, mach *machine.Machine, memBytes int) *Sim {
-	s := newSim(mach, memBytes)
-	s.globals = prog.Globals
-	s.img = s.decode(prog)
-	return s
+	fp, err := rtl.Flatten(prog)
+	if err != nil {
+		s := newSim(mach, memBytes)
+		s.img = &image{}
+		s.badProgram = err
+		return s
+	}
+	return NewFlat(fp, mach, memBytes)
 }
 
-// NewFlat builds a simulator directly from a flat program image, skipping
-// the pointer-graph walk entirely: the predecoder reads the SoA instruction
-// arrays in place, so a cache hit that decoded into flat form never has to
-// materialize *rtl.Program to be executed. The decoded image — addresses,
-// icache geometry, costs, operand slots — is bit-identical to
-// New(fp.Unflatten(), ...).
+// NewFlat builds a simulator directly from a flat program image: the
+// predecoder reads the SoA instruction arrays in place, so a cache hit that
+// decoded into flat form never has to materialize *rtl.Program to be
+// executed.
 func NewFlat(fp *rtl.FlatProgram, mach *machine.Machine, memBytes int) *Sim {
 	s := newSim(mach, memBytes)
 	for i := range fp.Globals {
@@ -331,6 +339,9 @@ func (s *Sim) Reset() {
 // Run calls the named function with the given arguments and returns its
 // result and execution statistics.
 func (s *Sim) Run(fnName string, args ...int64) (Result, error) {
+	if s.badProgram != nil {
+		return Result{}, &Trap{Kind: TrapBadProgram, Fn: fnName, Msg: s.badProgram.Error()}
+	}
 	df, ok := s.img.byName[fnName]
 	if !ok {
 		return Result{}, &Trap{Kind: TrapBadProgram, Fn: fnName, Msg: "no such function"}

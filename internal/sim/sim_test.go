@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"strings"
 	"testing"
 
 	"macc/internal/machine"
@@ -166,6 +167,25 @@ func TestFuelTrap(t *testing.T) {
 	s.Fuel = 1000
 	if _, err := s.Run("f"); !sim.IsTrap(err, sim.TrapFuel) {
 		t.Errorf("expected fuel trap, got %v", err)
+	}
+}
+
+// TestUnflattenableProgramTraps: a program Flatten rejects — here a branch
+// to a block that belongs to no function — must load into a Sim whose Run
+// traps as a malformed program, carrying the flatten error, not panic.
+func TestUnflattenableProgramTraps(t *testing.T) {
+	f := rtl.NewFn("f", 1)
+	stray := &rtl.Block{Name: "stray"}
+	ret := f.NewBlock("ret")
+	ret.Instrs = append(ret.Instrs, rtl.RetI(rtl.C(0)))
+	f.Entry().Instrs = append(f.Entry().Instrs, rtl.BranchI(rtl.R(f.Params[0]), ret, stray))
+	s := sim.New(rtl.NewProgram(f), machine.Alpha(), 4096)
+	_, err := s.Run("f", 1)
+	if !sim.IsTrap(err, sim.TrapBadProgram) {
+		t.Fatalf("expected a malformed-program trap, got %v", err)
+	}
+	if !strings.Contains(err.Error(), "dangling edge") {
+		t.Errorf("trap does not carry the flatten error: %v", err)
 	}
 }
 

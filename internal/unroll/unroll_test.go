@@ -57,6 +57,19 @@ func shape(t *testing.T, f *rtl.Fn) (*cfg.Graph, *cfg.Loop, unroll.Canonical, *i
 	return g, l, c, iv.Analyze(g, l, du)
 }
 
+// normalize finishes an unroll the way the pass pipeline does — address
+// normalization and a clean sweep on the flat form — and returns the result.
+func normalize(t *testing.T, f *rtl.Fn) *rtl.Fn {
+	t.Helper()
+	fp, err := rtl.Flatten(rtl.NewProgram(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.FlatNormalizeAddresses(fp, 0)
+	opt.FlatClean(fp, 0)
+	return fp.UnflattenFn(0)
+}
+
 func TestShapeRecognition(t *testing.T) {
 	f, _ := buildSumLoop()
 	_, _, c, _ := shape(t, f)
@@ -80,8 +93,7 @@ func TestUnrollSemantics(t *testing.T) {
 			if u.Factor != factor {
 				t.Errorf("factor = %d", u.Factor)
 			}
-			opt.NormalizeAddresses(f)
-			opt.Clean(f)
+			f = normalize(t, f)
 			if err := f.Verify(); err != nil {
 				t.Fatalf("factor %d: %v", factor, err)
 			}
@@ -111,10 +123,18 @@ func TestUnrollProducesDisplacements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.NormalizeAddresses(f)
-	opt.Clean(f)
+	f = normalize(t, f)
+	var body *rtl.Block
+	for _, b := range f.Blocks {
+		if b.Name == u.Body.Name {
+			body = b
+		}
+	}
+	if body == nil {
+		t.Fatalf("unrolled body %s vanished:\n%s", u.Body.Name, f)
+	}
 	var disps []int64
-	for _, in := range u.Body.Instrs {
+	for _, in := range body.Instrs {
 		if in.Op == rtl.Load {
 			disps = append(disps, in.Disp)
 		}
@@ -130,7 +150,7 @@ func TestUnrollProducesDisplacements(t *testing.T) {
 	}
 	// The pointer must advance once by 8.
 	bump := 0
-	for _, in := range u.Body.Instrs {
+	for _, in := range body.Instrs {
 		if in.Op == rtl.Add {
 			if r, ok := in.A.IsReg(); ok {
 				if d, okd := in.Def(); okd && d == r {
