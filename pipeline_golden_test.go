@@ -4,9 +4,11 @@ package macc_test
 // recorded from the pointer-graph pass manager before that second pipeline
 // was retired, and the flat pass pipeline — the only one that remains — must
 // reproduce it exactly: the SHA-256 of the printed RTL, the coalescer's loop
-// reports, the unroll factors, and the simulated return value, cycle count,
-// and memory-reference count, for every paper kernel under every config
-// variant and for 200 generated programs.
+// reports, the unroll factors, every pass's optimization remarks, and the
+// simulated return value, cycle count, and memory-reference count, for every
+// paper kernel under every config variant and for 200 generated programs
+// compiled with an unbounded register file and with 16 and 8 registers (the
+// last forces spills).
 
 import (
 	"crypto/sha256"
@@ -23,6 +25,7 @@ import (
 	"macc/internal/machine"
 	"macc/internal/rtl"
 	"macc/internal/rtlgen"
+	"macc/internal/telemetry"
 )
 
 const goldenPath = "testdata/pipeline_golden.json"
@@ -41,14 +44,21 @@ type goldenCase struct {
 	Reports  []core.LoopReport `json:"reports,omitempty"`
 	Unrolled map[string]int    `json:"unrolled,omitempty"`
 	Runs     []goldenRun       `json:"runs,omitempty"`
+	// Remarks is the compile's full remark stream, one line per remark in
+	// emission order (kind, pass, fn, loop, name, reason, args).
+	Remarks []string `json:"remarks,omitempty"`
 }
 
-// goldenFile is the layout of testdata/pipeline_golden.json. Corpus holds
+// goldenFile is the layout of testdata/pipeline_golden.json. The Seeds
+// sections compile the generated programs under DefaultConfig with an
+// unbounded register file, 16 registers, and 8 registers. Corpus holds
 // printed-RTL digests only; internal/bench's corpus test checks it.
 type goldenFile struct {
-	Kernels []goldenCase `json:"kernels"`
-	Seeds   []goldenCase `json:"seeds"`
-	Corpus  []goldenCase `json:"corpus"`
+	Kernels     []goldenCase `json:"kernels"`
+	Seeds       []goldenCase `json:"seeds"`
+	SeedsRegs16 []goldenCase `json:"seeds_regs16"`
+	SeedsRegs8  []goldenCase `json:"seeds_regs8"`
+	Corpus      []goldenCase `json:"corpus"`
 }
 
 // goldenSeeds is the number of generated programs the golden file covers.
@@ -71,9 +81,20 @@ func digest(s string) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// compileTraced compiles through compile with a fresh telemetry recorder
+// attached, so the case can pin the remark stream.
+func compileTraced(cfg macc.Config, compile func(macc.Config) (*macc.Program, error)) (*macc.Program, error) {
+	cfg.Telemetry = telemetry.NewRecorder()
+	return compile(cfg)
+}
+
 func goldenOf(name string, p *macc.Program, runs []goldenRun) goldenCase {
+	var remarks []string
+	for _, r := range p.Telemetry.Remarks() {
+		remarks = append(remarks, r.String())
+	}
 	return goldenCase{Name: name, RTL: digest(p.RTL.String()),
-		Reports: p.Reports, Unrolled: p.Unrolled, Runs: runs}
+		Reports: p.Reports, Unrolled: p.Unrolled, Runs: runs, Remarks: remarks}
 }
 
 // recordKernels compiles every paper kernel under every named config, in
@@ -88,7 +109,9 @@ func recordKernels(t *testing.T, cfgs map[string]macc.Config) []goldenCase {
 	var out []goldenCase
 	for _, name := range names {
 		for _, bm := range append(bench.Benchmarks(), bench.DotProduct()) {
-			p, err := macc.Compile(bm.Src, cfgs[name])
+			p, err := compileTraced(cfgs[name], func(cfg macc.Config) (*macc.Program, error) {
+				return macc.Compile(bm.Src, cfg)
+			})
 			if err != nil {
 				t.Fatalf("%s/%s: compile: %v", name, bm.Entry, err)
 			}
@@ -110,7 +133,9 @@ func recordSeeds(t *testing.T, cfg macc.Config, n int64) []goldenCase {
 		if err != nil {
 			t.Fatalf("seed %d: generate: %v", seed, err)
 		}
-		p, err := macc.CompileRTL(&rtl.Program{Fns: []*rtl.Fn{fn}}, cfg)
+		p, err := compileTraced(cfg, func(cfg macc.Config) (*macc.Program, error) {
+			return macc.CompileRTL(&rtl.Program{Fns: []*rtl.Fn{fn}}, cfg)
+		})
 		if err != nil {
 			t.Fatalf("seed %d: compile: %v", seed, err)
 		}
@@ -162,6 +187,27 @@ func TestPipelineGolden(t *testing.T) {
 	if testing.Short() {
 		seeds = 25
 	}
-	cfg := macc.DefaultConfig()
-	compareGolden(t, "seeds", recordSeeds(t, cfg, seeds), golden.Seeds)
+	for _, sec := range goldenSeedSections(&golden) {
+		compareGolden(t, sec.name, recordSeeds(t, sec.cfg, seeds), *sec.cases)
+	}
+}
+
+// goldenSeedSection names one seeds section and the config it compiles with.
+type goldenSeedSection struct {
+	name  string
+	cfg   macc.Config
+	cases *[]goldenCase
+}
+
+func goldenSeedSections(g *goldenFile) []goldenSeedSection {
+	regs := func(k int) macc.Config {
+		cfg := macc.DefaultConfig()
+		cfg.Registers = k
+		return cfg
+	}
+	return []goldenSeedSection{
+		{"seeds", macc.DefaultConfig(), &g.Seeds},
+		{"seeds_regs16", regs(16), &g.SeedsRegs16},
+		{"seeds_regs8", regs(8), &g.SeedsRegs8},
+	}
 }
