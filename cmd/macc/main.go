@@ -66,9 +66,8 @@
 //	macc -in=bin -run 'f(4096,100)' prog.bin
 //
 // -in=bin -reopt re-runs the optimization pipeline over the decoded image.
-// The passes execute natively on the flat form (stages not yet ported bridge
-// one function at a time), so the image is never materialized back to the
-// pointer graph as a whole:
+// Every pass executes natively on the flat form, so the image is
+// materialized back to the pointer graph only once, for printing:
 //
 //	macc -in=bin -reopt -print prog.bin
 //

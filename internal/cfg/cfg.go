@@ -12,35 +12,74 @@ import (
 	"macc/internal/rtl"
 )
 
-// Graph caches derived control-flow structure for one function. It becomes
-// stale when the function's blocks or terminators change; recompute with New.
-type Graph struct {
-	Fn    *rtl.Fn
-	Preds map[*rtl.Block][]*rtl.Block
+// FlatGraph caches derived control-flow structure for one function of a
+// flat program: a depth-first traversal from the entry, reverse postorder,
+// Cooper–Harvey–Kennedy dominators, and natural-loop discovery, computed
+// over the FlatFn's dense arrays with block indices naming blocks.
+// Successors are read straight from the terminators' Target/Else fields, so
+// the graph never depends on the (possibly stale) Succs/Preds edge tables.
+// It becomes stale when the function's blocks or terminators change;
+// recompute with NewFlat. Existing block indices stay valid across the
+// edits passes make (appended blocks, spliced instructions), so a stale
+// graph may still be queried about the blocks it was built over — the
+// passes rely on that to visit loops and insert preheaders in a fixed,
+// reproducible order.
+type FlatGraph struct {
+	P  *rtl.FlatProgram
+	F  *rtl.FlatFn
+	Fi int
+	// Preds lists each block's predecessors in DFS discovery order.
+	Preds [][]int32
 	// RPO is the reverse postorder over reachable blocks.
-	RPO []*rtl.Block
-	// rpoIndex maps a block to its position in RPO (-1 when unreachable).
-	rpoIndex map[*rtl.Block]int
-	// idom maps each reachable block to its immediate dominator; the entry
-	// maps to itself.
-	idom map[*rtl.Block]*rtl.Block
+	RPO []int32
+	// rpoIndex maps a block index to its position in RPO (-1 unreachable).
+	rpoIndex []int32
+	// idom maps each reachable block to its immediate dominator (-1 when
+	// not computed; the entry maps to itself).
+	idom []int32
 }
 
-// New computes predecessors, reverse postorder, and dominators for f.
-func New(f *rtl.Fn) *Graph {
-	g := &Graph{
-		Fn:       f,
-		Preds:    make(map[*rtl.Block][]*rtl.Block),
-		rpoIndex: make(map[*rtl.Block]int),
-		idom:     make(map[*rtl.Block]*rtl.Block),
+// FlatSuccs appends block bi's successor indices to buf, in terminator
+// order (Jump: Target; Branch: Target then Else), the order Block.Succs
+// reports on a materialized function.
+func FlatSuccs(f *rtl.FlatFn, bi int32, buf []int32) []int32 {
+	ti, op, ok := f.TermIdx(bi)
+	if !ok {
+		return buf
 	}
-	// Depth-first postorder from the entry.
-	seen := make(map[*rtl.Block]bool)
-	var post []*rtl.Block
-	var dfs func(b *rtl.Block)
-	dfs = func(b *rtl.Block) {
+	switch op {
+	case rtl.Jump:
+		buf = append(buf, f.Target[ti])
+	case rtl.Branch:
+		buf = append(buf, f.Target[ti], f.Else[ti])
+	}
+	return buf
+}
+
+// NewFlat computes predecessors, reverse postorder, and dominators for
+// function fi of fp.
+func NewFlat(fp *rtl.FlatProgram, fi int) *FlatGraph {
+	f := &fp.Fns[fi]
+	nb := len(f.Blocks)
+	g := &FlatGraph{
+		P: fp, F: f, Fi: fi,
+		Preds:    make([][]int32, nb),
+		rpoIndex: make([]int32, nb),
+		idom:     make([]int32, nb),
+	}
+	for i := range g.rpoIndex {
+		g.rpoIndex[i] = -1
+		g.idom[i] = -1
+	}
+	seen := make([]bool, nb)
+	post := make([]int32, 0, nb)
+	var dfs func(b int32)
+	dfs = func(b int32) {
 		seen[b] = true
-		for _, s := range b.Succs() {
+		// Per-frame successor buffer: the recursion below would clobber a
+		// shared one before the second successor is visited.
+		var sbuf [2]int32
+		for _, s := range FlatSuccs(f, b, sbuf[:0]) {
 			g.Preds[s] = append(g.Preds[s], b)
 			if !seen[s] {
 				dfs(s)
@@ -48,41 +87,44 @@ func New(f *rtl.Fn) *Graph {
 		}
 		post = append(post, b)
 	}
-	dfs(f.Entry())
+	if nb > 0 {
+		dfs(0)
+	}
+	g.RPO = make([]int32, 0, len(post))
 	for i := len(post) - 1; i >= 0; i-- {
-		g.rpoIndex[post[i]] = len(g.RPO)
+		g.rpoIndex[post[i]] = int32(len(g.RPO))
 		g.RPO = append(g.RPO, post[i])
 	}
 	g.computeDominators()
 	return g
 }
 
-// Reachable reports whether b is reachable from the entry.
-func (g *Graph) Reachable(b *rtl.Block) bool {
-	_, ok := g.rpoIndex[b]
-	return ok
-}
+// Reachable reports whether block bi is reachable from the entry.
+func (g *FlatGraph) Reachable(bi int32) bool { return g.rpoIndex[bi] >= 0 }
 
 // computeDominators runs the Cooper–Harvey–Kennedy iterative algorithm.
-func (g *Graph) computeDominators() {
-	entry := g.Fn.Entry()
+func (g *FlatGraph) computeDominators() {
+	if len(g.RPO) == 0 {
+		return
+	}
+	entry := g.RPO[0]
 	g.idom[entry] = entry
 	changed := true
 	for changed {
 		changed = false
 		for _, b := range g.RPO[1:] {
-			var newIdom *rtl.Block
+			newIdom := int32(-1)
 			for _, p := range g.Preds[b] {
-				if _, ok := g.idom[p]; !ok {
+				if g.idom[p] < 0 {
 					continue // predecessor not yet processed
 				}
-				if newIdom == nil {
+				if newIdom < 0 {
 					newIdom = p
 				} else {
 					newIdom = g.intersect(p, newIdom)
 				}
 			}
-			if newIdom != nil && g.idom[b] != newIdom {
+			if newIdom >= 0 && g.idom[b] != newIdom {
 				g.idom[b] = newIdom
 				changed = true
 			}
@@ -90,7 +132,7 @@ func (g *Graph) computeDominators() {
 	}
 }
 
-func (g *Graph) intersect(a, b *rtl.Block) *rtl.Block {
+func (g *FlatGraph) intersect(a, b int32) int32 {
 	for a != b {
 		for g.rpoIndex[a] > g.rpoIndex[b] {
 			a = g.idom[a]
@@ -102,11 +144,12 @@ func (g *Graph) intersect(a, b *rtl.Block) *rtl.Block {
 	return a
 }
 
-// Idom returns b's immediate dominator (the entry dominates itself).
-func (g *Graph) Idom(b *rtl.Block) *rtl.Block { return g.idom[b] }
+// Idom returns block bi's immediate dominator (the entry dominates itself),
+// or -1 for an unreachable block.
+func (g *FlatGraph) Idom(bi int32) int32 { return g.idom[bi] }
 
-// Dominates reports whether a dominates b (reflexively).
-func (g *Graph) Dominates(a, b *rtl.Block) bool {
+// Dominates reports whether block a dominates block b (reflexively).
+func (g *FlatGraph) Dominates(a, b int32) bool {
 	if !g.Reachable(a) || !g.Reachable(b) {
 		return false
 	}
@@ -122,51 +165,57 @@ func (g *Graph) Dominates(a, b *rtl.Block) bool {
 	}
 }
 
-// Loop is a natural loop: a back edge latch->header plus the set of blocks
-// that can reach the latch without passing through the header.
-type Loop struct {
-	Header *rtl.Block
-	Latch  *rtl.Block // source of the back edge; with multiple back edges, one representative
-	Blocks []*rtl.Block
-	// Preheader is the unique out-of-loop predecessor of the header, once
-	// EnsurePreheader has run.
-	Preheader *rtl.Block
+// FlatLoop is a natural loop: a back edge latch->header plus the set of
+// blocks that can reach the latch without passing through the header.
+type FlatLoop struct {
+	Header int32
+	Latch  int32 // source of the back edge; with multiple back edges, one representative
+	Blocks []int32
+	// Preheader is the unique out-of-loop predecessor of the header once
+	// EnsurePreheader has run; -1 before that.
+	Preheader int32
 	// Exits are the blocks outside the loop targeted from inside it.
-	Exits []*rtl.Block
+	Exits []int32
 
-	inLoop map[*rtl.Block]bool
+	inLoop []bool
 }
 
-// Contains reports whether b belongs to the loop.
-func (l *Loop) Contains(b *rtl.Block) bool { return l.inLoop[b] }
+// Contains reports whether block bi belongs to the loop.
+func (l *FlatLoop) Contains(bi int32) bool {
+	return bi >= 0 && int(bi) < len(l.inLoop) && l.inLoop[bi]
+}
 
 // FindLoops discovers all natural loops, merging loops that share a header.
-// The result is sorted innermost-first (fewer blocks first) so the coalescer
-// visits inner loops before enclosing ones.
-func (g *Graph) FindLoops() []*Loop {
-	byHeader := make(map[*rtl.Block]*Loop)
+// The result is sorted innermost-first (fewer blocks, then header RPO
+// position) so the coalescer visits inner loops before enclosing ones.
+func (g *FlatGraph) FindLoops() []*FlatLoop {
+	byHeader := make(map[int32]*FlatLoop)
+	var sbuf [2]int32
 	for _, b := range g.RPO {
-		for _, s := range b.Succs() {
+		for _, s := range FlatSuccs(g.F, b, sbuf[:0]) {
 			if g.Dominates(s, b) {
 				// back edge b -> s
 				l := byHeader[s]
 				if l == nil {
-					l = &Loop{Header: s, Latch: b, inLoop: map[*rtl.Block]bool{s: true}}
+					l = &FlatLoop{Header: s, Latch: b, Preheader: -1, inLoop: make([]bool, len(g.F.Blocks))}
+					l.inLoop[s] = true
 					byHeader[s] = l
 				}
 				l.collect(g, b)
 			}
 		}
 	}
-	var loops []*Loop
+	var loops []*FlatLoop
 	for _, l := range byHeader {
 		for b := range l.inLoop {
-			l.Blocks = append(l.Blocks, b)
+			if l.inLoop[b] {
+				l.Blocks = append(l.Blocks, int32(b))
+			}
 		}
 		sort.Slice(l.Blocks, func(i, j int) bool {
 			return g.rpoIndex[l.Blocks[i]] < g.rpoIndex[l.Blocks[j]]
 		})
-		l.findExits()
+		l.findExits(g)
 		loops = append(loops, l)
 	}
 	sort.Slice(loops, func(i, j int) bool {
@@ -178,8 +227,8 @@ func (g *Graph) FindLoops() []*Loop {
 	return loops
 }
 
-func (l *Loop) collect(g *Graph, latch *rtl.Block) {
-	stack := []*rtl.Block{latch}
+func (l *FlatLoop) collect(g *FlatGraph, latch int32) {
+	stack := []int32{latch}
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -195,11 +244,12 @@ func (l *Loop) collect(g *Graph, latch *rtl.Block) {
 	}
 }
 
-func (l *Loop) findExits() {
-	seen := make(map[*rtl.Block]bool)
+func (l *FlatLoop) findExits(g *FlatGraph) {
+	seen := make(map[int32]bool)
 	l.Exits = nil
+	var sbuf [2]int32
 	for _, b := range l.Blocks {
-		for _, s := range b.Succs() {
+		for _, s := range FlatSuccs(g.F, b, sbuf[:0]) {
 			if !l.inLoop[s] && !seen[s] {
 				seen[s] = true
 				l.Exits = append(l.Exits, s)
@@ -209,36 +259,46 @@ func (l *Loop) findExits() {
 }
 
 // EnsurePreheader guarantees the loop header has exactly one predecessor
-// outside the loop, inserting a fresh forwarding block when needed, and
-// records it in l.Preheader. It returns the (possibly new) preheader. The
-// Graph is stale afterwards if a block was inserted.
-func (g *Graph) EnsurePreheader(l *Loop) *rtl.Block {
-	var outside []*rtl.Block
+// outside the loop and records it in l.Preheader: a lone outside
+// predecessor that only falls into the header serves directly; otherwise a
+// fresh forwarding block labelled "<header>.preheader" is appended and the
+// outside predecessors' terminators are retargeted to it. It returns the
+// (possibly new) preheader. Block indices of existing blocks are stable;
+// the FlatGraph is stale afterwards if a block was inserted.
+func (g *FlatGraph) EnsurePreheader(l *FlatLoop) int32 {
+	var outside []int32
 	for _, p := range g.Preds[l.Header] {
 		if !l.Contains(p) {
 			outside = append(outside, p)
 		}
 	}
 	if len(outside) == 1 {
-		// A lone outside predecessor that only falls into the header can
-		// serve as the preheader directly.
 		p := outside[0]
-		if succs := p.Succs(); len(succs) == 1 && succs[0] == l.Header {
+		var sbuf [2]int32
+		if succs := FlatSuccs(g.F, p, sbuf[:0]); len(succs) == 1 && succs[0] == l.Header {
 			l.Preheader = p
 			return p
 		}
 	}
-	ph := g.Fn.NewBlock(l.Header.Name + ".preheader")
-	ph.Instrs = append(ph.Instrs, rtl.JumpI(l.Header))
+	name := g.P.Intern(g.P.Syms[g.F.Blocks[l.Header].Name] + ".preheader")
+	ph := g.F.NewBlock(name)
+	jmp := rtl.MkInstr(rtl.Jump)
+	jmp.Target = l.Header
+	g.F.SpliceInstrs(ph, 0, 0, []rtl.FlatInstr{jmp})
 	for _, p := range outside {
-		t := p.Term()
-		if t.Target == l.Header {
-			t.Target = ph
+		ti, _, ok := g.F.TermIdx(p)
+		if !ok {
+			continue
 		}
-		if t.Else == l.Header {
-			t.Else = ph
+		if g.F.Target[ti] == l.Header {
+			g.F.Target[ti] = ph
+		}
+		if g.F.Else[ti] == l.Header {
+			g.F.Else[ti] = ph
 		}
 	}
+	// The new block grew the block table; keep the membership set sized.
+	l.inLoop = append(l.inLoop, false)
 	l.Preheader = ph
 	return ph
 }

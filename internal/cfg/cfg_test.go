@@ -35,33 +35,53 @@ func buildLoopFn() (*rtl.Fn, map[string]*rtl.Block) {
 	}
 }
 
+// flatGraph flattens f and builds its FlatGraph, returning a lookup from
+// block label to block index.
+func flatGraph(t *testing.T, f *rtl.Fn) (*cfg.FlatGraph, func(b *rtl.Block) int32) {
+	t.Helper()
+	fp, err := rtl.Flatten(rtl.NewProgram(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := cfg.NewFlat(fp, 0)
+	return g, func(b *rtl.Block) int32 {
+		for bi, fb := range g.F.Blocks {
+			if fp.Syms[fb.Name] == b.Name {
+				return int32(bi)
+			}
+		}
+		t.Fatalf("no block %s", b.Name)
+		return -1
+	}
+}
+
 func TestPredsAndReachability(t *testing.T) {
 	f, bs := buildLoopFn()
-	g := cfg.New(f)
-	if len(g.Preds[bs["header"]]) != 2 {
-		t.Errorf("header preds = %d, want 2", len(g.Preds[bs["header"]]))
+	g, at := flatGraph(t, f)
+	if len(g.Preds[at(bs["header"])]) != 2 {
+		t.Errorf("header preds = %d, want 2", len(g.Preds[at(bs["header"])]))
 	}
 	for name, b := range bs {
-		if !g.Reachable(b) {
+		if !g.Reachable(at(b)) {
 			t.Errorf("%s should be reachable", name)
 		}
 	}
 	dead := f.NewBlock("dead")
 	dead.Instrs = []*rtl.Instr{rtl.RetI(rtl.C(0))}
-	g = cfg.New(f)
-	if g.Reachable(dead) {
+	g, at = flatGraph(t, f)
+	if g.Reachable(at(dead)) {
 		t.Error("dead block reported reachable")
 	}
 }
 
 func TestDominators(t *testing.T) {
 	f, bs := buildLoopFn()
-	g := cfg.New(f)
+	g, at := flatGraph(t, f)
 	entry, header, body, latch, exit :=
-		bs["entry"], bs["header"], bs["body"], bs["latch"], bs["exit"]
+		at(bs["entry"]), at(bs["header"]), at(bs["body"]), at(bs["latch"]), at(bs["exit"])
 
 	cases := []struct {
-		a, b *rtl.Block
+		a, b int32
 		want bool
 	}{
 		{entry, exit, true},
@@ -75,11 +95,11 @@ func TestDominators(t *testing.T) {
 	}
 	for _, c := range cases {
 		if got := g.Dominates(c.a, c.b); got != c.want {
-			t.Errorf("Dominates(%s,%s) = %v, want %v", c.a, c.b, got, c.want)
+			t.Errorf("Dominates(%d,%d) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 	if g.Idom(body) != header {
-		t.Errorf("idom(body) = %v, want header", g.Idom(body))
+		t.Errorf("idom(body) = %d, want header", g.Idom(body))
 	}
 	if g.Idom(entry) != entry {
 		t.Error("entry must be its own idom")
@@ -96,33 +116,33 @@ func TestDominatorsDiamond(t *testing.T) {
 	b.Instrs = []*rtl.Instr{rtl.JumpI(d)}
 	c.Instrs = []*rtl.Instr{rtl.JumpI(d)}
 	d.Instrs = []*rtl.Instr{rtl.RetI(rtl.C(0))}
-	g := cfg.New(f)
-	if g.Idom(d) != a {
-		t.Errorf("idom(join) = %v, want entry", g.Idom(d))
+	g, at := flatGraph(t, f)
+	if g.Idom(at(d)) != at(a) {
+		t.Errorf("idom(join) = %d, want entry", g.Idom(at(d)))
 	}
-	if g.Dominates(b, d) || g.Dominates(c, d) {
+	if g.Dominates(at(b), at(d)) || g.Dominates(at(c), at(d)) {
 		t.Error("diamond arms must not dominate the join")
 	}
 }
 
 func TestFindLoops(t *testing.T) {
 	f, bs := buildLoopFn()
-	g := cfg.New(f)
+	g, at := flatGraph(t, f)
 	loops := g.FindLoops()
 	if len(loops) != 1 {
 		t.Fatalf("found %d loops, want 1", len(loops))
 	}
 	l := loops[0]
-	if l.Header != bs["header"] || l.Latch != bs["latch"] {
+	if l.Header != at(bs["header"]) || l.Latch != at(bs["latch"]) {
 		t.Errorf("wrong header/latch: %v/%v", l.Header, l.Latch)
 	}
 	if len(l.Blocks) != 3 {
 		t.Errorf("loop has %d blocks, want 3 (header, body, latch)", len(l.Blocks))
 	}
-	if l.Contains(bs["exit"]) || l.Contains(bs["entry"]) {
+	if l.Contains(at(bs["exit"])) || l.Contains(at(bs["entry"])) {
 		t.Error("loop contains out-of-loop blocks")
 	}
-	if len(l.Exits) != 1 || l.Exits[0] != bs["exit"] {
+	if len(l.Exits) != 1 || l.Exits[0] != at(bs["exit"]) {
 		t.Errorf("exits = %v", l.Exits)
 	}
 }
@@ -144,28 +164,28 @@ func TestNestedLoopsInnermostFirst(t *testing.T) {
 	ol.Instrs = []*rtl.Instr{rtl.JumpI(oh)}
 	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.C(0))}
 
-	g := cfg.New(f)
+	g, at := flatGraph(t, f)
 	loops := g.FindLoops()
 	if len(loops) != 2 {
 		t.Fatalf("found %d loops, want 2", len(loops))
 	}
-	if loops[0].Header != ih {
+	if loops[0].Header != at(ih) {
 		t.Error("innermost loop must come first")
 	}
-	if loops[1].Header != oh {
+	if loops[1].Header != at(oh) {
 		t.Error("outer loop second")
 	}
-	if !loops[1].Contains(ih) || !loops[1].Contains(ib) {
+	if !loops[1].Contains(at(ih)) || !loops[1].Contains(at(ib)) {
 		t.Error("outer loop must contain the inner loop's blocks")
 	}
 }
 
 func TestEnsurePreheaderReusesLonePred(t *testing.T) {
 	f, bs := buildLoopFn()
-	g := cfg.New(f)
+	g, at := flatGraph(t, f)
 	l := g.FindLoops()[0]
 	ph := g.EnsurePreheader(l)
-	if ph != bs["entry"] {
+	if ph != at(bs["entry"]) {
 		t.Errorf("expected the entry block to serve as preheader, got %v", ph)
 	}
 	if l.Preheader != ph {
@@ -187,33 +207,41 @@ func TestEnsurePreheaderInsertsBlock(t *testing.T) {
 		rtl.MovI(cond, rtl.C(1)),
 		rtl.BranchI(rtl.R(cond), extra, bs["header"]),
 	}
-	g := cfg.New(f)
-	var l *cfg.Loop
+	g, at := flatGraph(t, f)
+	var l *cfg.FlatLoop
 	for _, cand := range g.FindLoops() {
-		if cand.Header == bs["header"] {
+		if cand.Header == at(bs["header"]) {
 			l = cand
 		}
 	}
 	if l == nil {
 		t.Fatal("loop not found")
 	}
-	before := len(f.Blocks)
+	ff := g.F
+	before := len(ff.Blocks)
 	ph := g.EnsurePreheader(l)
-	if len(f.Blocks) != before+1 {
+	if len(ff.Blocks) != before+1 {
 		t.Fatal("no forwarding block inserted")
 	}
-	if ph.Term().Op != rtl.Jump || ph.Term().Target != bs["header"] {
+	term := func(bi int32) int32 {
+		ti, _, ok := ff.TermIdx(bi)
+		if !ok {
+			t.Fatalf("block %d has no terminator", bi)
+		}
+		return ti
+	}
+	if pt := term(ph); ff.Op[pt] != rtl.Jump || ff.Target[pt] != at(bs["header"]) {
 		t.Error("preheader must jump to the header")
 	}
 	// Both outside edges now route through the preheader.
-	if bs["entry"].Term().Else != ph || extra.Term().Target != ph {
+	if ff.Else[term(at(bs["entry"]))] != ph || ff.Target[term(at(extra))] != ph {
 		t.Error("outside edges not rerouted through preheader")
 	}
 	// The back edge must NOT be rerouted.
-	if bs["latch"].Term().Target != bs["header"] {
+	if ff.Target[term(at(bs["latch"]))] != at(bs["header"]) {
 		t.Error("back edge must still target the header")
 	}
-	if err := f.Verify(); err != nil {
+	if err := g.P.VerifyFn(0); err != nil {
 		t.Errorf("function invalid after preheader insertion: %v", err)
 	}
 }

@@ -81,9 +81,20 @@ func TestBitSetQuick(t *testing.T) {
 	}
 }
 
+// flatten returns the flat image of the single-function program f.
+func flatten(t *testing.T, f *rtl.Fn) *rtl.FlatProgram {
+	t.Helper()
+	fp, err := rtl.Flatten(rtl.NewProgram(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fp
+}
+
 // buildLivenessFn: a loop where acc and i are live around the back edge and
-// tmp is local to the body.
-func buildLivenessFn() (*rtl.Fn, *rtl.Block, *rtl.Block, rtl.Reg, rtl.Reg, rtl.Reg) {
+// tmp is local to the body. The header and body are returned as block
+// indices (blocks are laid out in creation order).
+func buildLivenessFn() (*rtl.Fn, int32, int32, rtl.Reg, rtl.Reg, rtl.Reg) {
 	f := rtl.NewFn("lv", 1)
 	n := f.Params[0]
 	entry := f.Entry()
@@ -105,40 +116,30 @@ func buildLivenessFn() (*rtl.Fn, *rtl.Block, *rtl.Block, rtl.Reg, rtl.Reg, rtl.R
 		rtl.JumpI(header),
 	}
 	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.R(acc))}
-	return f, header, body, i, acc, tmp
+	return f, 1, 2, i, acc, tmp
 }
 
 func TestLiveness(t *testing.T) {
 	f, header, body, i, acc, tmp := buildLivenessFn()
-	g := cfg.New(f)
-	lv := dataflow.ComputeLiveness(g)
+	lv := dataflow.ComputeFlatLiveness(cfg.NewFlat(flatten(t, f), 0))
+	liveIn := func(b int32, r rtl.Reg) bool { return lv.LiveInSet(b).Has(int(r)) }
+	liveOut := func(b int32, r rtl.Reg) bool { return lv.LiveOutSet(b).Has(int(r)) }
 
-	if !lv.LiveIn(header, i) || !lv.LiveIn(header, acc) {
+	if !liveIn(header, i) || !liveIn(header, acc) {
 		t.Error("i and acc must be live into the header")
 	}
-	if lv.LiveIn(header, tmp) {
+	if liveIn(header, tmp) {
 		t.Error("tmp must not be live into the header")
 	}
-	if !lv.LiveOut(body, i) || !lv.LiveOut(body, acc) {
+	if !liveOut(body, i) || !liveOut(body, acc) {
 		t.Error("loop-carried registers must be live out of the body")
 	}
-	if lv.LiveOut(body, tmp) {
+	if liveOut(body, tmp) {
 		t.Error("tmp dies inside the body")
 	}
 	// acc is live out of the loop (returned).
-	if !lv.LiveOut(header, acc) {
+	if !liveOut(header, acc) {
 		t.Error("acc must be live out of the header (used at exit)")
-	}
-}
-
-func TestMaxPressure(t *testing.T) {
-	f, _, body, _, _, _ := buildLivenessFn()
-	g := cfg.New(f)
-	lv := dataflow.ComputeLiveness(g)
-	p := lv.MaxPressure(body)
-	// i, acc, tmp, n(unused in body; not live) -> at least 3 live at once.
-	if p < 3 {
-		t.Errorf("pressure = %d, want >= 3", p)
 	}
 }
 
@@ -153,7 +154,7 @@ func TestDefUse(t *testing.T) {
 		rtl.BinI(rtl.Add, t2, rtl.R(t2), rtl.C(1)),
 		rtl.RetI(rtl.R(t2)),
 	}
-	du := dataflow.ComputeDefUse(f)
+	du := dataflow.ComputeFlatDefUse(&flatten(t, f).Fns[0])
 	if du.DefCount(t1) != 1 || du.UseCount(t1) != 2 {
 		t.Errorf("t1 def/use = %d/%d, want 1/2", du.DefCount(t1), du.UseCount(t1))
 	}
@@ -164,7 +165,7 @@ func TestDefUse(t *testing.T) {
 		t.Error("param classification wrong")
 	}
 	site, ok := du.SingleDef(t1)
-	if !ok || site.Instr != entry.Instrs[0] {
+	if !ok || site.Block != 0 || site.Index != 0 || site.Instr != 0 {
 		t.Error("single def site wrong")
 	}
 	if _, ok := du.SingleDef(t2); ok {
@@ -185,7 +186,7 @@ func TestDefUse(t *testing.T) {
 		rtl.BinI(rtl.Add, f2.Params[0], rtl.R(f2.Params[0]), rtl.C(1)),
 		rtl.RetI(rtl.R(f2.Params[0])),
 	}
-	du2 := dataflow.ComputeDefUse(f2)
+	du2 := dataflow.ComputeFlatDefUse(&flatten(t, f2).Fns[0])
 	if du2.Immutable(f2.Params[0]) {
 		t.Error("reassigned param must not be immutable")
 	}

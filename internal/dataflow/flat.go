@@ -14,8 +14,9 @@ type FlatDefSite struct {
 	Instr int32
 }
 
-// FlatDefUse is DefUse over a FlatFn, tabulated in one dense-array scan
-// with no per-instruction allocation.
+// FlatDefUse summarises definition and use counts across a flat function,
+// tabulated in one dense-array scan with no per-instruction allocation. It
+// treats function parameters as implicit definitions at entry.
 type FlatDefUse struct {
 	defCount []int32
 	useCount []int32
@@ -23,7 +24,9 @@ type FlatDefUse struct {
 	isParam  []bool
 }
 
-// ComputeFlatDefUse mirrors ComputeDefUse on the flat form.
+// ComputeFlatDefUse scans the function once and tabulates, for each
+// register, how many instructions define it, how many operand slots read
+// it, and (for single-definition registers) where that definition lives.
 func ComputeFlatDefUse(f *rtl.FlatFn) *FlatDefUse {
 	n := f.NumRegs()
 	du := &FlatDefUse{
@@ -72,18 +75,21 @@ func (du *FlatDefUse) SingleDef(r rtl.Reg) (FlatDefSite, bool) {
 	return du.single[r], true
 }
 
-// Immutable reports whether r is never redefined after its initial value.
+// Immutable reports whether r is never redefined after its initial value:
+// either a parameter with no further definitions, or a register with
+// exactly one definition. Such registers can be propagated without kill
+// analysis.
 func (du *FlatDefUse) Immutable(r rtl.Reg) bool { return du.defCount[r] == 1 }
 
-// FlatLiveness holds per-block live-in/live-out sets for a flat function,
-// indexed by block position instead of block pointer.
+// FlatLiveness holds per-block live-in/live-out register sets for a flat
+// function, indexed by block.
 type FlatLiveness struct {
 	liveIn  []BitSet
 	liveOut []BitSet
 }
 
-// ComputeFlatLiveness runs the same iterative backward liveness as
-// ComputeLiveness, over a FlatGraph.
+// ComputeFlatLiveness runs iterative backward liveness over the function,
+// visiting blocks in reverse RPO for fast convergence.
 func ComputeFlatLiveness(g *cfg.FlatGraph) *FlatLiveness {
 	f := g.F
 	n := f.NumRegs()

@@ -6,6 +6,9 @@
 // function test replacement, which lets EliminateInductionVariables remove
 // the integer counter entirely, as in the paper's Figure 1b where the loop
 // ends by comparing the array pointer against a precomputed limit.
+//
+// The analysis runs over one natural loop of a flat (struct-of-arrays)
+// function; instructions are identified by absolute index.
 package iv
 
 import (
@@ -18,18 +21,18 @@ import (
 	"macc/internal/telemetry"
 )
 
-// BasicIV is a register whose only in-loop definitions add a constant.
-type BasicIV struct {
+// FlatBasicIV is a register whose only in-loop definitions add a constant.
+type FlatBasicIV struct {
 	Reg  rtl.Reg
-	Step int64 // net change per iteration
-	Incs []*rtl.Instr
+	Step int64   // net change per iteration
+	Incs []int32 // the increments' instruction indices
 }
 
-// Control describes the loop's header exit test, normalized so the loop
+// FlatControl describes the loop's header exit test, normalized so the loop
 // continues while "IV cmp Bound" holds.
-type Control struct {
-	Cmp    *rtl.Instr // the Set* compare in the header
-	Branch *rtl.Instr // the header terminator
+type FlatControl struct {
+	Cmp    int32 // the Set* compare in the header
+	Branch int32 // the header terminator
 	IV     rtl.Reg
 	Bound  rtl.Operand // loop invariant
 	// Op is SetLT/SetLE (counting up) or SetGT/SetGE (counting down) with
@@ -38,34 +41,35 @@ type Control struct {
 	Signed bool
 }
 
-// Info is the result of analyzing one natural loop.
-type Info struct {
-	Loop     *cfg.Loop
-	Graph    *cfg.Graph
-	BasicIVs map[rtl.Reg]*BasicIV
-	Control  *Control
+// FlatInfo is the result of analyzing one natural loop. The instruction
+// indices it records (increments, the control compare and branch) stay
+// valid across the instructions StrengthReduce and ReplaceTest insert; any
+// other edit of the function makes the analysis stale.
+type FlatInfo struct {
+	Loop     *cfg.FlatLoop
+	Graph    *cfg.FlatGraph
+	BasicIVs map[rtl.Reg]*FlatBasicIV
+	Control  *FlatControl
 
 	defsInLoop map[rtl.Reg]int
-	du         *dataflow.DefUse
-	instrLoop  map[*rtl.Instr]*rtl.Block
+	du         *dataflow.FlatDefUse // computed by StrengthReduce
 }
 
-// Analyze inspects a natural loop and finds its invariant registers, basic
-// induction variables, and controlling test. It never fails; absent
+// AnalyzeFlat inspects a natural loop and finds its invariant registers,
+// basic induction variables, and controlling test. It never fails; absent
 // features are simply nil/empty.
-func Analyze(g *cfg.Graph, l *cfg.Loop, du *dataflow.DefUse) *Info {
-	info := &Info{
+func AnalyzeFlat(g *cfg.FlatGraph, l *cfg.FlatLoop) *FlatInfo {
+	info := &FlatInfo{
 		Loop:       l,
 		Graph:      g,
-		BasicIVs:   make(map[rtl.Reg]*BasicIV),
+		BasicIVs:   make(map[rtl.Reg]*FlatBasicIV),
 		defsInLoop: make(map[rtl.Reg]int),
-		du:         du,
-		instrLoop:  make(map[*rtl.Instr]*rtl.Block),
 	}
-	for _, b := range l.Blocks {
-		for _, in := range b.Instrs {
-			info.instrLoop[in] = b
-			if d, ok := in.Def(); ok {
+	f := g.F
+	for _, bi := range l.Blocks {
+		b := &f.Blocks[bi]
+		for i := b.InstrStart; i < b.InstrEnd; i++ {
+			if d, ok := f.Def(i); ok {
 				info.defsInLoop[d]++
 			}
 		}
@@ -76,34 +80,35 @@ func Analyze(g *cfg.Graph, l *cfg.Loop, du *dataflow.DefUse) *Info {
 }
 
 // Invariant reports whether register r has no definition inside the loop.
-func (info *Info) Invariant(r rtl.Reg) bool { return info.defsInLoop[r] == 0 }
+func (info *FlatInfo) Invariant(r rtl.Reg) bool { return info.defsInLoop[r] == 0 }
 
 // InvariantOperand reports whether operand o is a constant or an invariant
 // register.
-func (info *Info) InvariantOperand(o rtl.Operand) bool {
+func (info *FlatInfo) InvariantOperand(o rtl.Operand) bool {
 	if r, ok := o.IsReg(); ok {
 		return info.Invariant(r)
 	}
 	return o.Kind == rtl.KindConst
 }
 
-// ivStep recognizes "r = r ± const" and returns the signed step.
-func ivStep(in *rtl.Instr, r rtl.Reg) (int64, bool) {
-	switch in.Op {
+// flatIVStep recognizes "r = r ± const" at instruction i and returns the
+// signed step.
+func flatIVStep(f *rtl.FlatFn, i int32, r rtl.Reg) (int64, bool) {
+	switch f.Op[i] {
 	case rtl.Add:
-		if ar, ok := in.A.IsReg(); ok && ar == r {
-			if c, ok := in.B.IsConst(); ok {
+		if ar, ok := f.A[i].IsReg(); ok && ar == r {
+			if c, ok := f.B[i].IsConst(); ok {
 				return c, true
 			}
 		}
-		if br, ok := in.B.IsReg(); ok && br == r {
-			if c, ok := in.A.IsConst(); ok {
+		if br, ok := f.B[i].IsReg(); ok && br == r {
+			if c, ok := f.A[i].IsConst(); ok {
 				return c, true
 			}
 		}
 	case rtl.Sub:
-		if ar, ok := in.A.IsReg(); ok && ar == r {
-			if c, ok := in.B.IsConst(); ok {
+		if ar, ok := f.A[i].IsReg(); ok && ar == r {
+			if c, ok := f.B[i].IsConst(); ok {
 				return -c, true
 			}
 		}
@@ -111,31 +116,33 @@ func ivStep(in *rtl.Instr, r rtl.Reg) (int64, bool) {
 	return 0, false
 }
 
-func (info *Info) findBasicIVs() {
+func (info *FlatInfo) findBasicIVs() {
 	l, g := info.Loop, info.Graph
-	cand := make(map[rtl.Reg]*BasicIV)
+	f := g.F
+	cand := make(map[rtl.Reg]*FlatBasicIV)
 	bad := make(map[rtl.Reg]bool)
-	for _, b := range l.Blocks {
-		for _, in := range b.Instrs {
-			d, ok := in.Def()
+	for _, bi := range l.Blocks {
+		b := &f.Blocks[bi]
+		for i := b.InstrStart; i < b.InstrEnd; i++ {
+			d, ok := f.Def(i)
 			if !ok || bad[d] {
 				continue
 			}
-			step, isInc := ivStep(in, d)
+			step, isInc := flatIVStep(f, i, d)
 			// Every in-loop definition must be an increment executed once
 			// per iteration (its block dominates the latch).
-			if !isInc || !g.Dominates(b, l.Latch) {
+			if !isInc || !g.Dominates(bi, l.Latch) {
 				bad[d] = true
 				delete(cand, d)
 				continue
 			}
 			iv := cand[d]
 			if iv == nil {
-				iv = &BasicIV{Reg: d}
+				iv = &FlatBasicIV{Reg: d}
 				cand[d] = iv
 			}
 			iv.Step += step
-			iv.Incs = append(iv.Incs, in)
+			iv.Incs = append(iv.Incs, i)
 		}
 	}
 	for r, iv := range cand {
@@ -145,33 +152,35 @@ func (info *Info) findBasicIVs() {
 	}
 }
 
-func (info *Info) findControl() {
+func (info *FlatInfo) findControl() {
 	l := info.Loop
-	term := l.Header.Term()
-	if term == nil || term.Op != rtl.Branch {
+	f := info.Graph.F
+	ti, top, ok := f.TermIdx(l.Header)
+	if !ok || top != rtl.Branch {
 		return
 	}
-	condReg, ok := term.A.IsReg()
+	condReg, ok := f.A[ti].IsReg()
 	if !ok {
 		return
 	}
 	// The compare must be the header's definition of the branch condition.
-	var cmp *rtl.Instr
-	for _, in := range l.Header.Body() {
-		if d, ok := in.Def(); ok && d == condReg {
-			cmp = in
+	cmp := int32(-1)
+	hb := &f.Blocks[l.Header]
+	for i := hb.InstrStart; i < ti; i++ {
+		if d, ok := f.Def(i); ok && d == condReg {
+			cmp = i
 		}
 	}
-	if cmp == nil || !cmp.Op.IsCompare() {
+	if cmp < 0 || !f.Op[cmp].IsCompare() {
 		return
 	}
-	continueOnTrue := l.Contains(term.Target) && !l.Contains(term.Else)
-	continueOnFalse := l.Contains(term.Else) && !l.Contains(term.Target)
+	continueOnTrue := l.Contains(f.Target[ti]) && !l.Contains(f.Else[ti])
+	continueOnFalse := l.Contains(f.Else[ti]) && !l.Contains(f.Target[ti])
 	if !continueOnTrue && !continueOnFalse {
 		return
 	}
-	op := cmp.Op
-	a, b := cmp.A, cmp.B
+	op := f.Op[cmp]
+	a, b := f.A[cmp], f.B[cmp]
 	if continueOnFalse {
 		op = negateCmp(op)
 	}
@@ -186,21 +195,22 @@ func (info *Info) findControl() {
 		if info.defsInLoop[r] != 1 {
 			return rtl.NoReg, false
 		}
-		for _, b := range l.Blocks {
-			for _, in := range b.Instrs {
-				d, ok := in.Def()
+		for _, bi := range l.Blocks {
+			blk := &f.Blocks[bi]
+			for i := blk.InstrStart; i < blk.InstrEnd; i++ {
+				d, ok := f.Def(i)
 				if !ok || d != r {
 					continue
 				}
-				if in.Op == rtl.Add || in.Op == rtl.Sub {
-					if base, ok := in.A.IsReg(); ok && info.BasicIVs[base] != nil {
-						if _, isC := in.B.IsConst(); isC {
+				if f.Op[i] == rtl.Add || f.Op[i] == rtl.Sub {
+					if base, ok := f.A[i].IsReg(); ok && info.BasicIVs[base] != nil {
+						if _, isC := f.B[i].IsConst(); isC {
 							return base, true
 						}
 					}
-					if in.Op == rtl.Add {
-						if base, ok := in.B.IsReg(); ok && info.BasicIVs[base] != nil {
-							if _, isC := in.A.IsConst(); isC {
+					if f.Op[i] == rtl.Add {
+						if base, ok := f.B[i].IsReg(); ok && info.BasicIVs[base] != nil {
+							if _, isC := f.A[i].IsConst(); isC {
 								return base, true
 							}
 						}
@@ -237,8 +247,8 @@ func (info *Info) findControl() {
 		default:
 			return false
 		}
-		info.Control = &Control{
-			Cmp: cmp, Branch: term, IV: r, Bound: other, Op: o, Signed: cmp.Signed,
+		info.Control = &FlatControl{
+			Cmp: cmp, Branch: ti, IV: r, Bound: other, Op: o, Signed: f.Signed[cmp],
 		}
 		return true
 	}
@@ -324,7 +334,7 @@ const maxDecomposeDepth = 24
 // temporaries must be defined inside the loop by pure single-definition
 // instructions; IV increments must live in the latch so every in-body use
 // sees the iteration-start value.
-func (info *Info) decompose(r rtl.Reg, depth int) (affine, bool) {
+func (info *FlatInfo) decompose(r rtl.Reg, depth int) (affine, bool) {
 	if depth > maxDecomposeDepth {
 		return affine{}, false
 	}
@@ -335,11 +345,11 @@ func (info *Info) decompose(r rtl.Reg, depth int) (affine, bool) {
 	if !ok {
 		return affine{}, false
 	}
-	if info.instrLoop[site.Instr] == nil {
+	if !info.Loop.Contains(site.Block) {
 		// Defined once but outside this loop: invariant after all.
 		return affine{terms: map[rtl.Reg]int64{r: 1}}, true
 	}
-	in := site.Instr
+	f, i := info.Graph.F, site.Instr
 	dec := func(o rtl.Operand) (affine, bool) {
 		if c, ok := o.IsConst(); ok {
 			return affine{terms: map[rtl.Reg]int64{}, c: c}, true
@@ -347,35 +357,36 @@ func (info *Info) decompose(r rtl.Reg, depth int) (affine, bool) {
 		or, _ := o.IsReg()
 		return info.decompose(or, depth+1)
 	}
-	switch in.Op {
+	a, b := f.A[i], f.B[i]
+	switch f.Op[i] {
 	case rtl.Mov:
-		return dec(in.A)
+		return dec(a)
 	case rtl.Add:
-		x, ok1 := dec(in.A)
-		y, ok2 := dec(in.B)
+		x, ok1 := dec(a)
+		y, ok2 := dec(b)
 		if ok1 && ok2 {
 			return x.addScaled(y, 1), true
 		}
 	case rtl.Sub:
-		x, ok1 := dec(in.A)
-		y, ok2 := dec(in.B)
+		x, ok1 := dec(a)
+		y, ok2 := dec(b)
 		if ok1 && ok2 {
 			return x.addScaled(y, -1), true
 		}
 	case rtl.Shl:
-		if sh, ok := in.B.IsConst(); ok && sh >= 0 && sh < 32 {
-			if x, okx := dec(in.A); okx {
+		if sh, ok := b.IsConst(); ok && sh >= 0 && sh < 32 {
+			if x, okx := dec(a); okx {
 				return x.scale(1 << uint(sh)), true
 			}
 		}
 	case rtl.Mul:
-		if k, ok := in.B.IsConst(); ok {
-			if x, okx := dec(in.A); okx {
+		if k, ok := b.IsConst(); ok {
+			if x, okx := dec(a); okx {
 				return x.scale(k), true
 			}
 		}
-		if k, ok := in.A.IsConst(); ok {
-			if x, okx := dec(in.B); okx {
+		if k, ok := a.IsConst(); ok {
+			if x, okx := dec(b); okx {
 				return x.scale(k), true
 			}
 		}
@@ -385,7 +396,7 @@ func (info *Info) decompose(r rtl.Reg, depth int) (affine, bool) {
 
 // splitIV separates an affine form into (single basic IV, its coefficient,
 // invariant remainder). It fails when zero or multiple IVs appear.
-func (info *Info) splitIV(a affine) (ivReg rtl.Reg, scale int64, rest affine, ok bool) {
+func (info *FlatInfo) splitIV(a affine) (ivReg rtl.Reg, scale int64, rest affine, ok bool) {
 	rest = affine{terms: make(map[rtl.Reg]int64), c: a.c}
 	ivReg = rtl.NoReg
 	for r, co := range a.terms {
@@ -438,31 +449,36 @@ type PtrIV struct {
 // preheader, the pointer advances by a constant in the latch, and the
 // memory reference becomes base+displacement. Returns the pointer IVs
 // created. The loop must have a preheader.
-func (info *Info) StrengthReduce(f *rtl.Fn) []*PtrIV {
+func (info *FlatInfo) StrengthReduce() []*PtrIV {
 	l := info.Loop
-	if l.Preheader == nil || len(info.BasicIVs) == 0 {
+	if l.Preheader < 0 || len(info.BasicIVs) == 0 {
 		return nil
 	}
+	f := info.Graph.F
+	info.du = dataflow.ComputeFlatDefUse(f)
 	// Collect rewritable references grouped by affine key.
 	type ref struct {
-		in   *rtl.Instr
+		i    int32
 		disp int64 // decomposed constant part
 	}
-	groups := make(map[string][]ref)
-	meta := make(map[string]struct {
+	type group struct {
 		ivReg rtl.Reg
 		scale int64
 		rest  affine
-	})
-	for _, b := range l.Blocks {
-		if b == l.Latch {
+		refs  []ref
+	}
+	groups := make(map[string]*group)
+	lb := &f.Blocks[l.Latch]
+	for _, bi := range l.Blocks {
+		if bi == l.Latch {
 			continue // latch runs after the increments; iteration-start values don't apply
 		}
-		for _, in := range b.Instrs {
-			if !in.IsMem() {
+		b := &f.Blocks[bi]
+		for i := b.InstrStart; i < b.InstrEnd; i++ {
+			if !f.IsMem(i) {
 				continue
 			}
-			base, ok := in.A.IsReg()
+			base, ok := f.A[i].IsReg()
 			if !ok {
 				continue
 			}
@@ -481,7 +497,7 @@ func (info *Info) StrengthReduce(f *rtl.Fn) []*PtrIV {
 			// ("value at iteration start") is valid at this use.
 			valid := true
 			for _, inc := range info.BasicIVs[ivReg].Incs {
-				if info.instrLoop[inc] != l.Latch {
+				if inc < lb.InstrStart || inc >= lb.InstrEnd {
 					valid = false
 					break
 				}
@@ -490,12 +506,13 @@ func (info *Info) StrengthReduce(f *rtl.Fn) []*PtrIV {
 				continue
 			}
 			k := keyOf(ivReg, scale, rest)
-			groups[k] = append(groups[k], ref{in: in, disp: rest.c})
-			meta[k] = struct {
-				ivReg rtl.Reg
-				scale int64
-				rest  affine
-			}{ivReg, scale, rest}
+			g := groups[k]
+			if g == nil {
+				g = &group{}
+				groups[k] = g
+			}
+			g.ivReg, g.scale, g.rest = ivReg, scale, rest
+			g.refs = append(g.refs, ref{i: i, disp: rest.c})
 		}
 	}
 	if len(groups) == 0 {
@@ -506,33 +523,61 @@ func (info *Info) StrengthReduce(f *rtl.Fn) []*PtrIV {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	var pre, latch []rtl.FlatInstr
 	var ptrs []*PtrIV
 	for _, k := range keys {
-		m := meta[k]
-		refs := groups[k]
-		iv := info.BasicIVs[m.ivReg]
+		g := groups[k]
+		iv := info.BasicIVs[g.ivReg]
 		// Preheader: p = sum(coeff*term) + scale*iv  (constant folded out;
 		// it rides in each reference's displacement).
 		p := f.NewReg()
-		emit := func(in *rtl.Instr) { l.Preheader.Append(in) }
-		acc := info.emitAffineSum(f, emit, m.rest, m.ivReg, m.scale)
-		emit(rtl.MovI(p, acc))
+		acc := emitAffineSum(f, &pre, g.rest, g.ivReg, g.scale)
+		pre = append(pre, rtl.FlatOp(rtl.Mov, p, acc, rtl.Operand{}))
 		// Latch: p += scale*step.
-		step := m.scale * iv.Step
-		l.Latch.Append(rtl.BinI(rtl.Add, p, rtl.R(p), rtl.C(step)))
-		for _, r := range refs {
-			r.in.A = rtl.R(p)
-			r.in.Disp += r.disp
+		step := g.scale * iv.Step
+		latch = append(latch, rtl.FlatOp(rtl.Add, p, rtl.R(p), rtl.C(step)))
+		for _, r := range g.refs {
+			f.A[r.i] = rtl.R(p)
+			f.Disp[r.i] += r.disp
 		}
-		ptrs = append(ptrs, &PtrIV{Reg: p, Basis: m.ivReg, Scale: m.scale, Step: step, Init: p})
+		ptrs = append(ptrs, &PtrIV{Reg: p, Basis: g.ivReg, Scale: g.scale, Step: step, Init: p})
 	}
+	info.appendInstrs(l.Preheader, pre)
+	info.appendInstrs(l.Latch, latch)
 	return ptrs
 }
 
-// emitAffineSum materializes sum(coeff*term) + ivScale*iv into a register
-// via the emit callback (without the constant part) and returns an operand
+// appendInstrs inserts ins before block bi's terminator and shifts the
+// instruction indices the analysis recorded past the insertion point.
+func (info *FlatInfo) appendInstrs(bi int32, ins []rtl.FlatInstr) {
+	f := info.Graph.F
+	b := &f.Blocks[bi]
+	at := b.InstrEnd
+	if _, _, ok := f.TermIdx(bi); ok {
+		at--
+	}
+	f.SpliceInstrs(bi, at-b.InstrStart, 0, ins)
+	n := int32(len(ins))
+	shift := func(i *int32) {
+		if *i >= at {
+			*i += n
+		}
+	}
+	for _, iv := range info.BasicIVs {
+		for k := range iv.Incs {
+			shift(&iv.Incs[k])
+		}
+	}
+	if c := info.Control; c != nil {
+		shift(&c.Cmp)
+		shift(&c.Branch)
+	}
+}
+
+// emitAffineSum materializes sum(coeff*term) + ivScale*iv (without the
+// constant part) by appending instructions to out, and returns an operand
 // holding the value.
-func (info *Info) emitAffineSum(f *rtl.Fn, emit func(*rtl.Instr), rest affine, ivReg rtl.Reg, ivScale int64) rtl.Operand {
+func emitAffineSum(f *rtl.FlatFn, out *[]rtl.FlatInstr, rest affine, ivReg rtl.Reg, ivScale int64) rtl.Operand {
 	type kv struct {
 		r rtl.Reg
 		c int64
@@ -551,14 +596,14 @@ func (info *Info) emitAffineSum(f *rtl.Fn, emit func(*rtl.Instr), rest affine, i
 			term = rtl.R(e.r)
 		} else {
 			t := f.NewReg()
-			emit(rtl.BinI(rtl.Mul, t, rtl.R(e.r), rtl.C(e.c)))
+			*out = append(*out, rtl.FlatOp(rtl.Mul, t, rtl.R(e.r), rtl.C(e.c)))
 			term = rtl.R(t)
 		}
 		if acc.Kind == rtl.KindNone {
 			acc = term
 		} else {
 			t := f.NewReg()
-			emit(rtl.BinI(rtl.Add, t, acc, term))
+			*out = append(*out, rtl.FlatOp(rtl.Add, t, acc, term))
 			acc = rtl.R(t)
 		}
 	}
@@ -571,10 +616,10 @@ func (info *Info) emitAffineSum(f *rtl.Fn, emit func(*rtl.Instr), rest affine, i
 // the preheader. This is what frees EliminateInductionVariables (dead-IV
 // removal in the opt package) to delete the counter. Reports whether the
 // test was replaced.
-func (info *Info) ReplaceTest(f *rtl.Fn, ptrs []*PtrIV) bool {
+func (info *FlatInfo) ReplaceTest(ptrs []*PtrIV) bool {
 	ctl := info.Control
 	l := info.Loop
-	if ctl == nil || l.Preheader == nil || len(ptrs) == 0 {
+	if ctl == nil || l.Preheader < 0 || len(ptrs) == 0 {
 		return false
 	}
 	// Pick a pointer IV based on the controlled basic IV.
@@ -592,14 +637,16 @@ func (info *Info) ReplaceTest(f *rtl.Fn, ptrs []*PtrIV) bool {
 	if ctl.Op != rtl.SetLT && ctl.Op != rtl.SetGT {
 		return false
 	}
-	emit := func(in *rtl.Instr) { l.Preheader.Append(in) }
+	f := info.Graph.F
 	// pend = p_init + scale*(bound - iv_entry)
 	diff := f.NewReg()
-	emit(rtl.BinI(rtl.Sub, diff, ctl.Bound, rtl.R(ctl.IV)))
 	scaled := f.NewReg()
-	emit(rtl.BinI(rtl.Mul, scaled, rtl.R(diff), rtl.C(p.Scale)))
 	pend := f.NewReg()
-	emit(rtl.BinI(rtl.Add, pend, rtl.R(p.Init), rtl.R(scaled)))
+	info.appendInstrs(l.Preheader, []rtl.FlatInstr{
+		rtl.FlatOp(rtl.Sub, diff, ctl.Bound, rtl.R(ctl.IV)),
+		rtl.FlatOp(rtl.Mul, scaled, rtl.R(diff), rtl.C(p.Scale)),
+		rtl.FlatOp(rtl.Add, pend, rtl.R(p.Init), rtl.R(scaled)),
+	})
 
 	op := ctl.Op
 	if p.Scale < 0 {
@@ -608,15 +655,15 @@ func (info *Info) ReplaceTest(f *rtl.Fn, ptrs []*PtrIV) bool {
 	// Rewrite the compare in place: cond = p OP pend (continue form). When
 	// the original continued on false, negate back.
 	newOp := op
-	if !l.Contains(ctl.Branch.Target) {
+	if !l.Contains(f.Target[ctl.Branch]) {
 		newOp = negateCmp(op)
 	}
-	ctl.Cmp.Op = newOp
-	ctl.Cmp.A = rtl.R(p.Reg)
-	ctl.Cmp.B = rtl.R(pend)
-	ctl.Cmp.Signed = true
+	f.Op[ctl.Cmp] = newOp
+	f.A[ctl.Cmp] = rtl.R(p.Reg)
+	f.B[ctl.Cmp] = rtl.R(pend)
+	f.Signed[ctl.Cmp] = true
 	// Update control info to reflect the pointer-based test.
-	info.Control = &Control{
+	info.Control = &FlatControl{
 		Cmp: ctl.Cmp, Branch: ctl.Branch, IV: p.Reg, Bound: rtl.R(pend),
 		Op: op, Signed: true,
 	}
@@ -628,7 +675,7 @@ func (info *Info) ReplaceTest(f *rtl.Fn, ptrs []*PtrIV) bool {
 // trip test was recognized, and the control IV's step. Passes emit it so
 // every downstream accept/reject (unrolling, coalescing) can be read
 // against the analysis facts it depended on.
-func (info *Info) Remark(pass, fn string) telemetry.Remark {
+func (info *FlatInfo) Remark(pass, fn string) telemetry.Remark {
 	rem := telemetry.Remark{
 		Kind: telemetry.Analysis,
 		Pass: pass,
@@ -636,8 +683,9 @@ func (info *Info) Remark(pass, fn string) telemetry.Remark {
 		Name: "LoopAnalysis",
 		Args: map[string]int64{"basic_ivs": int64(len(info.BasicIVs))},
 	}
-	if info.Loop != nil && info.Loop.Header != nil {
-		rem.Loop = info.Loop.Header.Name
+	if l := info.Loop; l != nil && l.Header >= 0 {
+		g := info.Graph
+		rem.Loop = g.P.SymName(g.F.Blocks[l.Header].Name)
 	}
 	if info.Control != nil {
 		rem.Reason = "control:recognized"

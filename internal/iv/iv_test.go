@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"macc/internal/cfg"
-	"macc/internal/dataflow"
 	"macc/internal/iv"
 	"macc/internal/opt"
 	"macc/internal/rtl"
@@ -42,17 +41,43 @@ func buildArrayLoop() (f *rtl.Fn, iReg, accReg rtl.Reg, body *rtl.Block) {
 	return f, i, acc, body
 }
 
-func analyze(f *rtl.Fn) (*cfg.Graph, *cfg.Loop, *iv.Info) {
-	g := cfg.New(f)
+// analyze flattens f, gives its first loop a preheader, and analyzes it.
+func analyze(t *testing.T, f *rtl.Fn) (*rtl.FlatProgram, *cfg.FlatLoop, *iv.FlatInfo) {
+	t.Helper()
+	fp, err := rtl.Flatten(rtl.NewProgram(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := cfg.NewFlat(fp, 0)
 	l := g.FindLoops()[0]
 	g.EnsurePreheader(l)
-	du := dataflow.ComputeDefUse(f)
-	return g, l, iv.Analyze(g, l, du)
+	return fp, l, iv.AnalyzeFlat(g, l)
+}
+
+// materialize verifies the flat function and returns it as a pointer graph.
+func materialize(t *testing.T, fp *rtl.FlatProgram) *rtl.Fn {
+	t.Helper()
+	if err := fp.VerifyFn(0); err != nil {
+		t.Fatal(err)
+	}
+	return fp.UnflattenFn(0)
+}
+
+// blockNamed returns f's block labelled name.
+func blockNamed(t *testing.T, f *rtl.Fn, name string) *rtl.Block {
+	t.Helper()
+	for _, b := range f.Blocks {
+		if b.Name == name {
+			return b
+		}
+	}
+	t.Fatalf("no block %s", name)
+	return nil
 }
 
 func TestBasicIVDetection(t *testing.T) {
 	f, i, acc, _ := buildArrayLoop()
-	_, _, info := analyze(f)
+	_, _, info := analyze(t, f)
 	biv := info.BasicIVs[i]
 	if biv == nil {
 		t.Fatal("i not detected as basic IV")
@@ -81,7 +106,7 @@ func TestNegativeStepIV(t *testing.T) {
 	body.Instrs = []*rtl.Instr{rtl.JumpI(latch)}
 	latch.Instrs = []*rtl.Instr{rtl.BinI(rtl.Sub, i, rtl.R(i), rtl.C(2)), rtl.JumpI(header)}
 	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.R(i))}
-	_, _, info := analyze(f)
+	_, _, info := analyze(t, f)
 	biv := info.BasicIVs[i]
 	if biv == nil || biv.Step != -2 {
 		t.Fatalf("descending IV not detected: %+v", biv)
@@ -93,7 +118,7 @@ func TestNegativeStepIV(t *testing.T) {
 
 func TestControlRecognition(t *testing.T) {
 	f, i, _, _ := buildArrayLoop()
-	_, _, info := analyze(f)
+	_, _, info := analyze(t, f)
 	ctl := info.Control
 	if ctl == nil {
 		t.Fatal("control test not recognized")
@@ -122,7 +147,7 @@ func TestControlThroughOffset(t *testing.T) {
 	}
 	body.Instrs = []*rtl.Instr{rtl.BinI(rtl.Add, i, rtl.R(i), rtl.C(8)), rtl.JumpI(header)}
 	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.R(i))}
-	_, _, info := analyze(f)
+	_, _, info := analyze(t, f)
 	if info.Control == nil || info.Control.IV != i {
 		t.Fatalf("offset control not seen through: %+v", info.Control)
 	}
@@ -130,7 +155,7 @@ func TestControlThroughOffset(t *testing.T) {
 
 func TestInvariantClassification(t *testing.T) {
 	f, i, acc, _ := buildArrayLoop()
-	_, _, info := analyze(f)
+	_, _, info := analyze(t, f)
 	if !info.Invariant(f.Params[0]) || !info.Invariant(f.Params[1]) {
 		t.Error("parameters must be invariant")
 	}
@@ -141,18 +166,19 @@ func TestInvariantClassification(t *testing.T) {
 
 func TestStrengthReduceCreatesPointerIV(t *testing.T) {
 	f, _, _, body := buildArrayLoop()
-	_, l, info := analyze(f)
-	ptrs := info.StrengthReduce(f)
+	fp, l, info := analyze(t, f)
+	ptrs := info.StrengthReduce()
 	if len(ptrs) != 1 {
 		t.Fatalf("got %d pointer IVs, want 1", len(ptrs))
 	}
+	out := materialize(t, fp)
 	p := ptrs[0]
 	if p.Scale != 2 || p.Step != 2 {
 		t.Errorf("scale/step = %d/%d, want 2/2", p.Scale, p.Step)
 	}
 	// The load must now use the pointer directly.
 	var load *rtl.Instr
-	for _, in := range body.Instrs {
+	for _, in := range blockNamed(t, out, body.Name).Instrs {
 		if in.Op == rtl.Load {
 			load = in
 		}
@@ -162,7 +188,7 @@ func TestStrengthReduceCreatesPointerIV(t *testing.T) {
 	}
 	// The latch must advance the pointer.
 	foundStep := false
-	for _, in := range l.Latch.Instrs {
+	for _, in := range out.Blocks[l.Latch].Instrs {
 		if d, ok := in.Def(); ok && d == p.Reg && in.Op == rtl.Add {
 			if c, _ := in.B.IsConst(); c == 2 {
 				foundStep = true
@@ -171,9 +197,6 @@ func TestStrengthReduceCreatesPointerIV(t *testing.T) {
 	}
 	if !foundStep {
 		t.Error("pointer step not in latch")
-	}
-	if err := f.Verify(); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -210,13 +233,13 @@ func TestStrengthReduceSharesGroups(t *testing.T) {
 	latch.Instrs = []*rtl.Instr{rtl.BinI(rtl.Add, i, rtl.R(i), rtl.C(1)), rtl.JumpI(header)}
 	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.R(acc))}
 
-	_, _, info := analyze(f)
-	ptrs := info.StrengthReduce(f)
+	fp, _, info := analyze(t, f)
+	ptrs := info.StrengthReduce()
 	if len(ptrs) != 1 {
 		t.Fatalf("expected one shared pointer IV, got %d", len(ptrs))
 	}
 	var disps []int64
-	for _, in := range body.Instrs {
+	for _, in := range blockNamed(t, materialize(t, fp), body.Name).Instrs {
 		if in.Op == rtl.Load {
 			disps = append(disps, in.Disp)
 		}
@@ -228,45 +251,44 @@ func TestStrengthReduceSharesGroups(t *testing.T) {
 
 func TestReplaceTestEliminatesCounter(t *testing.T) {
 	f, i, _, _ := buildArrayLoop()
-	_, l, info := analyze(f)
-	ptrs := info.StrengthReduce(f)
-	if !info.ReplaceTest(f, ptrs) {
+	fp, l, info := analyze(t, f)
+	ptrs := info.StrengthReduce()
+	if !info.ReplaceTest(ptrs) {
 		t.Fatal("test not replaced")
 	}
 	// The header compare now tests the pointer.
-	cmp := info.Control.Cmp
+	cmp := fp.Fns[0].Instr(info.Control.Cmp)
 	if r, ok := cmp.A.IsReg(); !ok || r != ptrs[0].Reg {
 		t.Errorf("compare A = %v, want pointer", cmp.A)
 	}
 	// After dead-IV elimination the counter disappears entirely.
-	opt.EliminateDeadIVs(f)
-	opt.Clean(f)
-	for _, b := range f.Blocks {
-		if b == l.Preheader {
+	opt.FlatEliminateDeadIVs(fp, 0)
+	opt.FlatClean(fp, 0)
+	out := materialize(t, fp)
+	preheader := fp.Syms[fp.Fns[0].Blocks[l.Preheader].Name]
+	for _, b := range out.Blocks {
+		if b.Name == preheader {
 			continue // the preheader may still read i's initial value
 		}
 		for _, in := range b.Instrs {
 			if d, ok := in.Def(); ok && d == i {
 				t.Errorf("counter definition survives in %s: %s", b, in)
 			}
-			if in.UsesReg(i) && b != l.Preheader {
+			if in.UsesReg(i) {
 				t.Errorf("counter use survives in %s: %s", b, in)
 			}
 		}
-	}
-	if err := f.Verify(); err != nil {
-		t.Error(err)
 	}
 }
 
 func TestReplaceTestDeclinesNonStrict(t *testing.T) {
 	f, _, _, _ := buildArrayLoop()
-	_, _, info := analyze(f)
+	_, _, info := analyze(t, f)
 	// Force the control op to <=: replacement must refuse (inexact under
 	// scaling).
 	info.Control.Op = rtl.SetLE
-	ptrs := info.StrengthReduce(f)
-	if info.ReplaceTest(f, ptrs) {
+	ptrs := info.StrengthReduce()
+	if info.ReplaceTest(ptrs) {
 		t.Error("non-strict test must not be replaced")
 	}
 }
@@ -296,8 +318,8 @@ func TestDecomposeRejectsNonAffine(t *testing.T) {
 	latch.Instrs = []*rtl.Instr{rtl.BinI(rtl.Add, i, rtl.R(i), rtl.C(1)), rtl.JumpI(header)}
 	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.R(acc))}
 
-	_, _, info := analyze(f)
-	if ptrs := info.StrengthReduce(f); len(ptrs) != 0 {
+	_, _, info := analyze(t, f)
+	if ptrs := info.StrengthReduce(); len(ptrs) != 0 {
 		t.Errorf("non-affine address strength-reduced: %d IVs", len(ptrs))
 	}
 }
@@ -330,8 +352,8 @@ func TestStrengthReduceNegativeScale(t *testing.T) {
 	latch.Instrs = []*rtl.Instr{rtl.BinI(rtl.Add, i, rtl.R(i), rtl.C(1)), rtl.JumpI(header)}
 	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.R(acc))}
 
-	_, _, info := analyze(f)
-	ptrs := info.StrengthReduce(f)
+	fp, _, info := analyze(t, f)
+	ptrs := info.StrengthReduce()
 	if len(ptrs) != 1 {
 		t.Fatalf("pointer IVs = %d, want 1", len(ptrs))
 	}
@@ -339,13 +361,11 @@ func TestStrengthReduceNegativeScale(t *testing.T) {
 		t.Errorf("scale/step = %d/%d, want -1/-1", ptrs[0].Scale, ptrs[0].Step)
 	}
 	// LFTR must flip the comparison direction for the descending pointer.
-	if !info.ReplaceTest(f, ptrs) {
+	if !info.ReplaceTest(ptrs) {
 		t.Fatal("test not replaced")
 	}
 	if info.Control.Op != rtl.SetGT {
 		t.Errorf("descending control op = %s, want >", info.Control.Op)
 	}
-	if err := f.Verify(); err != nil {
-		t.Error(err)
-	}
+	materialize(t, fp)
 }

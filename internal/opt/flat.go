@@ -8,19 +8,12 @@ import (
 	"macc/internal/rtl"
 )
 
-// This file is the native flat-form port of the clean-up suite: every pass
-// here is a line-for-line twin of its pointer-graph counterpart in this
-// package, operating on FlatFn's dense arrays through the flat editing
-// layer (in-place SetInstr rewrites, kill marks + one Compact sweep where
-// the graph pass rebuilds an instruction slice). The graph clean-up passes
-// remain for the bridged stages (licm, strength-reduce, unroll), so the twins
-// must stay behaviorally identical — TestFlatPassTwins pins each pair — and
-// any change to a graph pass in opt.go/gdce.go/collapse.go/peephole.go must
-// land here too. FlatThreadJumps and FlatNormalizeAddresses have no graph
-// twin.
+// Every pass here works on FlatFn's dense arrays through the flat editing
+// layer: in-place SetInstr rewrites for per-instruction transforms, and kill
+// marks plus one Compact sweep for deletions.
 
-// FlatClean runs the full clean-up pipeline to a bounded fixpoint on the
-// flat form, mirroring Clean's exact pass order.
+// FlatClean runs the full clean-up pipeline to a fixpoint (bounded) and reports
+// whether anything changed.
 func FlatClean(fp *rtl.FlatProgram, fi int) bool {
 	changedEver := false
 	for i := 0; i < 8; i++ {
@@ -43,7 +36,7 @@ func FlatClean(fp *rtl.FlatProgram, fi int) bool {
 	return changedEver
 }
 
-// FlatRemoveUnreachable drops blocks unreachable from the entry.
+// FlatRemoveUnreachable drops blocks that cannot be reached from the entry.
 func FlatRemoveUnreachable(fp *rtl.FlatProgram, fi int) bool {
 	f := &fp.Fns[fi]
 	g := cfg.NewFlat(fp, fi)
@@ -62,7 +55,8 @@ func FlatRemoveUnreachable(fp *rtl.FlatProgram, fi int) bool {
 	return true
 }
 
-// FlatFoldConstants mirrors FoldConstants.
+// FlatFoldConstants evaluates instructions whose operands are constants and
+// simplifies algebraic identities (x+0, x*1, x*0, x<<0, branch-on-constant).
 func FlatFoldConstants(fp *rtl.FlatProgram, fi int) bool {
 	f := &fp.Fns[fi]
 	changed := false
@@ -188,7 +182,9 @@ func flatFoldInstr(f *rtl.FlatFn, i int32) bool {
 	return false
 }
 
-// FlatPropagateLocal mirrors PropagateLocal.
+// FlatPropagateLocal forwards constants and copies within each block, tracking
+// kills precisely, so chains like "t=2; u=t; v=a+u" collapse without any
+// global analysis.
 func FlatPropagateLocal(fp *rtl.FlatProgram, fi int) bool {
 	f := &fp.Fns[fi]
 	changed := false
@@ -225,7 +221,10 @@ func FlatPropagateLocal(fp *rtl.FlatProgram, fi int) bool {
 	return changed
 }
 
-// FlatPropagateImmutable mirrors PropagateImmutable.
+// FlatPropagateImmutable performs global constant/copy propagation restricted to
+// registers with a single definition: if r is defined exactly once as a
+// constant, or as a copy of another immutable register, its uses dominated
+// by the definition are rewritten.
 func FlatPropagateImmutable(fp *rtl.FlatProgram, fi int) bool {
 	f := &fp.Fns[fi]
 	du := dataflow.ComputeFlatDefUse(f)
@@ -273,11 +272,13 @@ func flatDominatesUse(g *cfg.FlatGraph, site dataflow.FlatDefSite, useBlock, use
 	return g.Dominates(site.Block, useBlock)
 }
 
-// FlatLocalCSE mirrors LocalCSE. Availability is tracked with a
-// register-indexed kill list instead of a full map sweep per definition:
-// killing a register visits only the entries that mention it, which turns
-// the graph pass's O(defs x available) behaviour into O(defs + mentions)
-// without changing which expressions are considered available.
+// FlatLocalCSE removes redundant pure computations within a block using value
+// numbering keyed on (op, operands, width, signedness). Loads are reused
+// until a store or call intervenes.
+//
+// Availability is tracked with a register-indexed kill list: killing a
+// register visits only the entries that mention it, so a definition costs
+// O(mentions) rather than a sweep of every available expression.
 func FlatLocalCSE(fp *rtl.FlatProgram, fi int) bool {
 	f := &fp.Fns[fi]
 	type key struct {
@@ -380,9 +381,12 @@ func FlatLocalCSE(fp *rtl.FlatProgram, fi int) bool {
 	return changed
 }
 
-// FlatCollapseMovChains mirrors CollapseMovChains: the fused temporary is
-// overwritten with a Nop kill-mark exactly as the graph pass does, and one
-// Compact sweep at the end drops the marks the graph pass filters per block.
+// FlatCollapseMovChains rewrites "t = x op y; ...; v = t" (t defined and used
+// exactly once, both in the same block) into "...; v = x op y", deleting the
+// temporary. Front-end output assigns every expression to a fresh register
+// and then moves it into the variable's home register, which hides
+// induction updates ("i = i + 1" arrives as "t = i + 1; i = t") from the
+// loop analyses; this pass restores the canonical form.
 func FlatCollapseMovChains(fp *rtl.FlatProgram, fi int) bool {
 	f := &fp.Fns[fi]
 	defCount := make([]int, f.NumRegs())
@@ -441,7 +445,8 @@ func FlatCollapseMovChains(fp *rtl.FlatProgram, fi int) bool {
 	return changed
 }
 
-// flatFusable mirrors fusable for the instruction at index i.
+// flatFusable reports whether instruction i is a pure computation whose
+// destination can be renamed.
 func flatFusable(f *rtl.FlatFn, i int32) bool {
 	switch f.Op[i] {
 	case rtl.Mov, rtl.Neg, rtl.Not, rtl.Extract, rtl.Insert:
@@ -450,7 +455,9 @@ func flatFusable(f *rtl.FlatFn, i int32) bool {
 	return f.Op[i].IsBinary()
 }
 
-// flatMovable mirrors movable over absolute indices di..j in one block.
+// flatMovable reports whether the definition at di can be retargeted to v at
+// j (same block): nothing in between redefines v or the definition's
+// sources, or reads v.
 func flatMovable(f *rtl.FlatFn, di, j int32, v rtl.Reg) bool {
 	var srcs []rtl.Reg
 	f.SrcSlots(di, func(o *rtl.Operand) {
@@ -476,7 +483,17 @@ func flatMovable(f *rtl.FlatFn, di, j int32, v rtl.Reg) bool {
 	return true
 }
 
-// FlatPeephole mirrors Peephole.
+// FlatPeephole applies machine-independent strength reductions and branch
+// simplifications:
+//
+//   - multiply by a power-of-two constant becomes a shift;
+//   - unsigned divide/remainder by a power of two becomes a shift/mask;
+//   - a branch on "x != 0" branches on x directly;
+//   - a branch on "cmp == 0" branches on the inverted comparison.
+//
+// These mirror vpo's peephole stage; they also keep the scheduler's latency
+// estimates honest, since multiplies are the slowest ALU operation on all
+// three machine models.
 func FlatPeephole(fp *rtl.FlatProgram, fi int) bool {
 	f := &fp.Fns[fi]
 	changed := false
@@ -586,7 +603,8 @@ func flatSimplifyBranches(f *rtl.FlatFn) bool {
 	return changed
 }
 
-// FlatDeadCodeElim mirrors DeadCodeElim.
+// FlatDeadCodeElim removes pure instructions whose results are never used,
+// iterating so chains of dead temporaries disappear.
 func FlatDeadCodeElim(fp *rtl.FlatProgram, fi int) bool {
 	f := &fp.Fns[fi]
 	changedEver := false
@@ -623,8 +641,13 @@ func flatSideEffectFree(op rtl.Op) bool {
 	return true
 }
 
-// FlatGlobalDCE mirrors GlobalDCE: liveness-based removal, iterated to a
-// fixpoint, skipping unreachable blocks.
+// FlatGlobalDCE removes pure instructions whose destination is dead at the
+// definition point, using liveness rather than use counts. The distinction
+// matters after loop replication: the unroller's mov-backs restore
+// loop-carried names for the *other* loop version, so every register has
+// textual uses somewhere, but inside one version many of those values are
+// never live — use-count DCE keeps them, liveness kills them. Iterates to a
+// fixpoint since removing one dead definition can kill the chain feeding it.
 func FlatGlobalDCE(fp *rtl.FlatProgram, fi int) bool {
 	f := &fp.Fns[fi]
 	changedEver := false
@@ -664,7 +687,12 @@ func FlatGlobalDCE(fp *rtl.FlatProgram, fi int) bool {
 	}
 }
 
-// FlatEliminateDeadIVs mirrors EliminateDeadIVs.
+// FlatEliminateDeadIVs removes induction-variable updates whose value feeds
+// nothing but themselves: after linear function test replacement the
+// original counter's only remaining uses are its own "i = i + 1"
+// definitions, which plain dead-code elimination cannot see because the
+// use count never reaches zero. This is the paper's
+// EliminateInductionVariables step.
 func FlatEliminateDeadIVs(fp *rtl.FlatProgram, fi int) bool {
 	f := &fp.Fns[fi]
 	n := f.NumRegs()

@@ -5,126 +5,70 @@ import (
 	"macc/internal/rtl"
 )
 
-// HoistInvariants performs loop-invariant code motion for one loop: pure
-// instructions whose operands are loop invariant and that are the sole
-// definition of their register move to the preheader. Divisions are hoisted
-// only when the divisor is a non-zero constant, since hoisting may execute
-// them speculatively. The loop must already have a preheader.
-func HoistInvariants(f *rtl.Fn, g *cfg.Graph, l *cfg.Loop) bool {
-	if l.Preheader == nil {
+// FlatHoistInvariants performs loop-invariant code motion for loop l of
+// function fi: pure instructions whose operands are loop invariant and that
+// are the sole definition of their register move to the preheader, in the
+// order they are met. Divisions are hoisted only when the divisor is a
+// non-zero constant, since hoisting may execute them speculatively. The
+// loop must already have a preheader.
+func FlatHoistInvariants(fp *rtl.FlatProgram, fi int, l *cfg.FlatLoop) bool {
+	if l.Preheader < 0 {
 		return false
 	}
+	f := &fp.Fns[fi]
 	defsInLoop := make(map[rtl.Reg]int)
-	for _, b := range l.Blocks {
-		for _, in := range b.Instrs {
-			if d, ok := in.Def(); ok {
+	for _, bi := range l.Blocks {
+		b := &f.Blocks[bi]
+		for i := b.InstrStart; i < b.InstrEnd; i++ {
+			if d, ok := f.Def(i); ok {
 				defsInLoop[d]++
 			}
 		}
 	}
-	invariantOp := func(o rtl.Operand) bool {
-		if r, ok := o.IsReg(); ok {
-			return defsInLoop[r] == 0
-		}
-		return true
-	}
-	hoistable := func(in *rtl.Instr) bool {
-		switch in.Op {
+	hoistable := func(i int32) bool {
+		switch op := f.Op[i]; op {
 		case rtl.Mov, rtl.Neg, rtl.Not, rtl.Extract, rtl.Insert:
 		case rtl.Div, rtl.Rem:
-			if c, ok := in.B.IsConst(); !ok || c == 0 {
+			if c, ok := f.B[i].IsConst(); !ok || c == 0 {
 				return false
 			}
 		default:
-			if !in.Op.IsBinary() {
+			if !op.IsBinary() {
 				return false
 			}
 		}
-		for _, o := range in.SrcOperands() {
-			if !invariantOp(*o) {
-				return false
+		invariant := true
+		f.SrcSlots(i, func(o *rtl.Operand) {
+			if r, ok := o.IsReg(); ok && defsInLoop[r] != 0 {
+				invariant = false
 			}
-		}
-		return true
+		})
+		return invariant
 	}
 	changed := false
 	for {
-		moved := false
-		for _, b := range l.Blocks {
-			kept := b.Instrs[:0]
-			for _, in := range b.Instrs {
-				d, hasDef := in.Def()
-				if hasDef && defsInLoop[d] == 1 && hoistable(in) {
-					l.Preheader.Append(in)
+		// One sweep marks every hoistable instruction; the loop body is
+		// compacted once and the movers land in the preheader together.
+		var moved []rtl.FlatInstr
+		var kill []bool
+		for _, bi := range l.Blocks {
+			b := &f.Blocks[bi]
+			for i := b.InstrStart; i < b.InstrEnd; i++ {
+				if d, ok := f.Def(i); ok && defsInLoop[d] == 1 && hoistable(i) {
+					if kill == nil {
+						kill = make([]bool, len(f.Op))
+					}
+					kill[i] = true
+					moved = append(moved, f.Instr(i))
 					defsInLoop[d] = 0
-					moved = true
-					changed = true
-					continue
 				}
-				kept = append(kept, in)
 			}
-			b.Instrs = kept
 		}
-		if !moved {
+		if len(moved) == 0 {
 			return changed
 		}
+		f.Compact(kill)
+		f.AppendInstr(l.Preheader, moved...)
+		changed = true
 	}
-}
-
-// EliminateDeadIVs removes induction-variable updates whose value feeds
-// nothing but themselves: after linear function test replacement the
-// original counter's only remaining uses are its own "i = i + 1"
-// definitions, which plain dead-code elimination cannot see because the
-// use count never reaches zero. This is the paper's
-// EliminateInductionVariables step.
-func EliminateDeadIVs(f *rtl.Fn) bool {
-	n := f.NumRegs()
-	selfOnly := make([]bool, n) // candidate: all uses are self-updates
-	for i := range selfOnly {
-		selfOnly[i] = true
-	}
-	var regs []rtl.Reg
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			d, hasDef := in.Def()
-			regs = in.Uses(regs[:0])
-			for _, r := range regs {
-				// A use is harmless only if this instruction redefines the
-				// same register as a pure self-update.
-				if !(hasDef && d == r && isSelfUpdate(in, r)) {
-					selfOnly[r] = false
-				}
-			}
-		}
-	}
-	changed := false
-	for _, b := range f.Blocks {
-		kept := b.Instrs[:0]
-		for _, in := range b.Instrs {
-			if d, ok := in.Def(); ok && selfOnly[d] && isSelfUpdate(in, d) {
-				changed = true
-				continue
-			}
-			kept = append(kept, in)
-		}
-		b.Instrs = kept
-	}
-	return changed
-}
-
-func isSelfUpdate(in *rtl.Instr, r rtl.Reg) bool {
-	if in.Op != rtl.Add && in.Op != rtl.Sub && in.Op != rtl.Mov {
-		return false
-	}
-	d, ok := in.Def()
-	if !ok || d != r {
-		return false
-	}
-	// Every register operand must be r itself.
-	for _, o := range in.SrcOperands() {
-		if or, ok := o.IsReg(); ok && or != r {
-			return false
-		}
-	}
-	return true
 }

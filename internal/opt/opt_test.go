@@ -16,15 +16,31 @@ func linear(nparams int, build func(f *rtl.Fn) []*rtl.Instr) *rtl.Fn {
 	return f
 }
 
-// runFlat applies a flat pass to f and returns the materialized result.
-func runFlat(t *testing.T, f *rtl.Fn, pass func(*rtl.FlatProgram, int) bool) *rtl.Fn {
+// runFlat applies a flat pass to f and returns the verified, materialized
+// result and whether the pass reported a change.
+func runFlat(t *testing.T, f *rtl.Fn, pass func(*rtl.FlatProgram, int) bool) (*rtl.Fn, bool) {
 	t.Helper()
 	fp, err := rtl.Flatten(rtl.NewProgram(f))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pass(fp, 0)
-	return fp.UnflattenFn(0)
+	changed := pass(fp, 0)
+	if err := fp.VerifyFn(0); err != nil {
+		t.Fatalf("invalid output: %v", err)
+	}
+	return fp.UnflattenFn(0), changed
+}
+
+// block returns f's block labelled name.
+func block(t *testing.T, f *rtl.Fn, name string) *rtl.Block {
+	t.Helper()
+	for _, b := range f.Blocks {
+		if b.Name == name {
+			return b
+		}
+	}
+	t.Fatalf("no block %s", name)
+	return nil
 }
 
 func countOp(f *rtl.Fn, op rtl.Op) int {
@@ -49,7 +65,7 @@ func TestFoldConstantsArithmetic(t *testing.T) {
 			rtl.RetI(rtl.R(r3)),
 		}
 	})
-	opt.FoldConstants(f)
+	f, _ = runFlat(t, f, opt.FlatFoldConstants)
 	for i, want := range []int64{5, 20, 1} {
 		in := f.Entry().Instrs[i]
 		if in.Op != rtl.Mov {
@@ -75,7 +91,7 @@ func TestFoldIdentities(t *testing.T) {
 			rtl.RetI(rtl.R(r5)),
 		}
 	})
-	opt.FoldConstants(f)
+	f, _ = runFlat(t, f, opt.FlatFoldConstants)
 	ins := f.Entry().Instrs
 	for _, i := range []int{0, 1, 4} {
 		if ins[i].Op != rtl.Mov {
@@ -99,12 +115,12 @@ func TestFoldBranchOnConstant(t *testing.T) {
 	f.Entry().Instrs = []*rtl.Instr{rtl.BranchI(rtl.C(0), b1, b2)}
 	b1.Instrs = []*rtl.Instr{rtl.RetI(rtl.C(1))}
 	b2.Instrs = []*rtl.Instr{rtl.RetI(rtl.C(2))}
-	opt.FoldConstants(f)
+	f, _ = runFlat(t, f, opt.FlatFoldConstants)
 	term := f.Entry().Term()
-	if term.Op != rtl.Jump || term.Target != b2 {
+	if term.Op != rtl.Jump || term.Target.Name != b2.Name {
 		t.Errorf("branch on 0 should become jump to else: %s", term)
 	}
-	opt.RemoveUnreachable(f)
+	f, _ = runFlat(t, f, opt.FlatRemoveUnreachable)
 	if len(f.Blocks) != 2 {
 		t.Errorf("unreachable then-block not removed: %d blocks", len(f.Blocks))
 	}
@@ -118,7 +134,7 @@ func TestDivByZeroNotFolded(t *testing.T) {
 			rtl.RetI(rtl.R(r)),
 		}
 	})
-	opt.FoldConstants(f)
+	f, _ = runFlat(t, f, opt.FlatFoldConstants)
 	if f.Entry().Instrs[0].Op != rtl.Div {
 		t.Error("division by zero must stay a runtime trap")
 	}
@@ -135,7 +151,7 @@ func TestPropagateLocalChains(t *testing.T) {
 			rtl.RetI(rtl.R(t3)),
 		}
 	})
-	opt.PropagateLocal(f)
+	f, _ = runFlat(t, f, opt.FlatPropagateLocal)
 	add := f.Entry().Instrs[2]
 	if v, ok := add.A.IsConst(); !ok || v != 7 {
 		t.Errorf("constant not propagated through copy chain: %s", add)
@@ -153,7 +169,7 @@ func TestPropagateLocalRespectsKills(t *testing.T) {
 			rtl.RetI(rtl.R(t2)),
 		}
 	})
-	opt.PropagateLocal(f)
+	f, _ = runFlat(t, f, opt.FlatPropagateLocal)
 	mv := f.Entry().Instrs[2]
 	if r, ok := mv.A.IsReg(); !ok || r != f.Entry().Instrs[0].Dst {
 		t.Errorf("stale copy propagated across kill: %s", mv)
@@ -171,7 +187,7 @@ func TestLocalCSE(t *testing.T) {
 			rtl.RetI(rtl.R(t3)),
 		}
 	})
-	opt.LocalCSE(f)
+	f, _ = runFlat(t, f, opt.FlatLocalCSE)
 	second := f.Entry().Instrs[1]
 	if second.Op != rtl.Mov {
 		t.Errorf("redundant add not CSEd: %s", second)
@@ -189,7 +205,7 @@ func TestLocalCSEKilledByOperandRedef(t *testing.T) {
 			rtl.RetI(rtl.R(t2)),
 		}
 	})
-	opt.LocalCSE(f)
+	f, _ = runFlat(t, f, opt.FlatLocalCSE)
 	third := f.Entry().Instrs[2]
 	if third.Op != rtl.Add {
 		t.Errorf("CSE across operand redefinition: %s", third)
@@ -207,7 +223,7 @@ func TestLocalCSELoadsKilledByStore(t *testing.T) {
 			rtl.RetI(rtl.R(t2)),
 		}
 	})
-	opt.LocalCSE(f)
+	f, _ = runFlat(t, f, opt.FlatLocalCSE)
 	if f.Entry().Instrs[2].Op != rtl.Load {
 		t.Error("load reused across a potentially aliasing store")
 	}
@@ -224,7 +240,7 @@ func TestLocalCSELoadsReusedWithoutStore(t *testing.T) {
 			rtl.RetI(rtl.R(t3)),
 		}
 	})
-	opt.LocalCSE(f)
+	f, _ = runFlat(t, f, opt.FlatLocalCSE)
 	if f.Entry().Instrs[1].Op != rtl.Mov {
 		t.Error("identical load not reused")
 	}
@@ -241,7 +257,7 @@ func TestDeadCodeElimChains(t *testing.T) {
 			rtl.RetI(rtl.R(live)),
 		}
 	})
-	opt.DeadCodeElim(f)
+	f, _ = runFlat(t, f, opt.FlatDeadCodeElim)
 	if n := len(f.Entry().Instrs); n != 2 {
 		t.Errorf("dead chain not removed: %d instrs", n)
 	}
@@ -257,7 +273,7 @@ func TestDeadCodeKeepsSideEffects(t *testing.T) {
 			rtl.RetI(rtl.C(0)),
 		}
 	})
-	opt.DeadCodeElim(f)
+	f, _ = runFlat(t, f, opt.FlatDeadCodeElim)
 	if countOp(f, rtl.Store) != 1 || countOp(f, rtl.Call) != 1 {
 		t.Error("side-effecting instructions removed")
 	}
@@ -274,8 +290,8 @@ func TestCollapseMovChains(t *testing.T) {
 			rtl.RetI(rtl.R(i)),
 		}
 	})
-	opt.CollapseMovChains(f)
-	opt.DeadCodeElim(f)
+	f, _ = runFlat(t, f, opt.FlatCollapseMovChains)
+	f, _ = runFlat(t, f, opt.FlatDeadCodeElim)
 	// The add should now target i directly: i = i + 1.
 	found := false
 	for _, in := range f.Entry().Instrs {
@@ -307,7 +323,7 @@ func TestCollapseRefusesWhenUnsafe(t *testing.T) {
 		}
 	})
 	before := f.String()
-	opt.CollapseMovChains(f)
+	f, _ = runFlat(t, f, opt.FlatCollapseMovChains)
 	// The mul must still read the OLD v; verify v=tm mov either stayed or
 	// the rewrite kept the read-before-write ordering. Simplest check: the
 	// mul still precedes any redefinition of v.
@@ -333,7 +349,7 @@ func TestThreadJumps(t *testing.T) {
 	f.Entry().Instrs = []*rtl.Instr{rtl.JumpI(tramp)}
 	tramp.Instrs = []*rtl.Instr{rtl.JumpI(final)}
 	final.Instrs = []*rtl.Instr{rtl.RetI(rtl.C(0))}
-	f = runFlat(t, f, opt.FlatThreadJumps)
+	f, _ = runFlat(t, f, opt.FlatThreadJumps)
 	if f.Entry().Term().Target.Name != "final" {
 		t.Error("jump not threaded through trampoline")
 	}
@@ -365,7 +381,8 @@ func TestEliminateDeadIVs(t *testing.T) {
 	}
 	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.R(v))}
 
-	if !opt.EliminateDeadIVs(f) {
+	f, changed := runFlat(t, f, opt.FlatEliminateDeadIVs)
+	if !changed {
 		t.Fatal("dead IV not found")
 	}
 	for _, b := range f.Blocks {
@@ -398,7 +415,7 @@ func TestNormalizeAddressesFoldsUnrolledChain(t *testing.T) {
 			rtl.RetI(rtl.R(s)),
 		}
 	})
-	f = runFlat(t, f, opt.FlatNormalizeAddresses)
+	f, _ = runFlat(t, f, opt.FlatNormalizeAddresses)
 	ins := f.Entry().Instrs
 	// Second load must now be [p+2].
 	ld := ins[2]
@@ -413,7 +430,7 @@ func TestNormalizeAddressesFoldsUnrolledChain(t *testing.T) {
 	if c, _ := mv.B.IsConst(); c != 4 {
 		t.Errorf("mov-back folded to wrong constant: %s", mv)
 	}
-	opt.DeadCodeElim(f)
+	f, _ = runFlat(t, f, opt.FlatDeadCodeElim)
 	if countOp(f, rtl.Add) != 2 { // p update + the live sum
 		t.Errorf("chain not dead after rebasing:\n%s", f)
 	}
@@ -441,22 +458,20 @@ func TestHoistInvariants(t *testing.T) {
 	latch.Instrs = []*rtl.Instr{rtl.BinI(rtl.Add, i, rtl.R(i), rtl.C(1)), rtl.JumpI(header)}
 	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.R(acc))}
 
-	g := cfg.New(f)
-	l := g.FindLoops()[0]
-	g.EnsurePreheader(l)
-	if !opt.HoistInvariants(f, g, l) {
+	f, ph, changed := hoist(t, f)
+	if !changed {
 		t.Fatal("nothing hoisted")
 	}
 	if countOp(f, rtl.Mul) != 1 {
 		t.Fatal("multiply lost")
 	}
-	for _, in := range body.Instrs {
+	for _, in := range block(t, f, body.Name).Instrs {
 		if in.Op == rtl.Mul {
 			t.Error("invariant multiply still in loop body")
 		}
 	}
 	found := false
-	for _, in := range l.Preheader.Instrs {
+	for _, in := range ph.Instrs {
 		if in.Op == rtl.Mul {
 			found = true
 		}
@@ -464,9 +479,21 @@ func TestHoistInvariants(t *testing.T) {
 	if !found {
 		t.Error("multiply not in preheader")
 	}
-	if err := f.Verify(); err != nil {
-		t.Error(err)
-	}
+}
+
+// hoist runs FlatHoistInvariants on f's first loop (after giving it a
+// preheader) and returns the verified result, its preheader, and whether
+// anything moved.
+func hoist(t *testing.T, f *rtl.Fn) (*rtl.Fn, *rtl.Block, bool) {
+	t.Helper()
+	var ph int32
+	out, changed := runFlat(t, f, func(fp *rtl.FlatProgram, fi int) bool {
+		g := cfg.NewFlat(fp, fi)
+		l := g.FindLoops()[0]
+		ph = g.EnsurePreheader(l)
+		return opt.FlatHoistInvariants(fp, fi, l)
+	})
+	return out, out.Blocks[ph], changed
 }
 
 func TestHoistRefusesVariantAndDivision(t *testing.T) {
@@ -493,11 +520,8 @@ func TestHoistRefusesVariantAndDivision(t *testing.T) {
 	latch.Instrs = []*rtl.Instr{rtl.BinI(rtl.Add, i, rtl.R(i), rtl.C(1)), rtl.JumpI(header)}
 	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.R(acc))}
 
-	g := cfg.New(f)
-	l := g.FindLoops()[0]
-	g.EnsurePreheader(l)
-	opt.HoistInvariants(f, g, l)
-	for _, in := range l.Preheader.Instrs {
+	_, ph, _ := hoist(t, f)
+	for _, in := range ph.Instrs {
 		if in.Op == rtl.Mul || in.Op == rtl.Div {
 			t.Errorf("unsafe hoist: %s", in)
 		}
@@ -528,7 +552,8 @@ func TestGlobalDCERemovesVersionLocalDeadCode(t *testing.T) {
 		rtl.JumpI(join),
 	}
 	join.Instrs = []*rtl.Instr{rtl.RetI(rtl.C(42))}
-	if !opt.GlobalDCE(f) {
+	f, changed := runFlat(t, f, opt.FlatGlobalDCE)
+	if !changed {
 		t.Fatal("nothing removed")
 	}
 	if countOp(f, rtl.Mul) != 0 || countOp(f, rtl.Add) != 0 {
@@ -555,7 +580,7 @@ func TestGlobalDCEKeepsLoopCarried(t *testing.T) {
 		rtl.JumpI(header),
 	}
 	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.R(i))}
-	opt.GlobalDCE(f)
+	f, _ = runFlat(t, f, opt.FlatGlobalDCE)
 	if countOp(f, rtl.Add) != 1 {
 		t.Error("loop-carried increment removed")
 	}

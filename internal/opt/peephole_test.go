@@ -18,7 +18,7 @@ func TestPeepholeMulToShift(t *testing.T) {
 			rtl.RetI(rtl.R(r3)),
 		}
 	})
-	opt.Peephole(f)
+	f, _ = runFlat(t, f, opt.FlatPeephole)
 	ins := f.Entry().Instrs
 	if ins[0].Op != rtl.Shl || ins[0].B.Const != 3 {
 		t.Errorf("mul by 8 not reduced: %s", ins[0])
@@ -42,7 +42,7 @@ func TestPeepholeUnsignedDivRem(t *testing.T) {
 			rtl.RetI(rtl.R(r3)),
 		}
 	})
-	opt.Peephole(f)
+	f, _ = runFlat(t, f, opt.FlatPeephole)
 	ins := f.Entry().Instrs
 	if ins[0].Op != rtl.Shr || ins[0].Signed {
 		t.Errorf("unsigned div by 4 not reduced: %s", ins[0])
@@ -66,12 +66,12 @@ func TestPeepholeBranchOnSetNE(t *testing.T) {
 	}
 	thenB.Instrs = []*rtl.Instr{rtl.RetI(rtl.C(1))}
 	elseB.Instrs = []*rtl.Instr{rtl.RetI(rtl.C(2))}
-	opt.Peephole(f)
+	f, _ = runFlat(t, f, opt.FlatPeephole)
 	term := f.Entry().Term()
 	if r, ok := term.A.IsReg(); !ok || r != f.Params[0] {
 		t.Errorf("branch not folded onto the tested value: %s", term)
 	}
-	if term.Target != thenB {
+	if term.Target.Name != thenB.Name {
 		t.Error("SetNE fold must not swap targets")
 	}
 	if len(f.Entry().Instrs) != 1 {
@@ -90,9 +90,9 @@ func TestPeepholeBranchOnSetEQInverts(t *testing.T) {
 	}
 	thenB.Instrs = []*rtl.Instr{rtl.RetI(rtl.C(1))}
 	elseB.Instrs = []*rtl.Instr{rtl.RetI(rtl.C(2))}
-	opt.Peephole(f)
+	f, _ = runFlat(t, f, opt.FlatPeephole)
 	term := f.Entry().Term()
-	if term.Target != elseB || term.Else != thenB {
+	if term.Target.Name != elseB.Name || term.Else.Name != thenB.Name {
 		t.Errorf("SetEQ fold must swap targets: %s", term)
 	}
 }
@@ -108,7 +108,7 @@ func TestPeepholeBranchKeepsMultiUseCompare(t *testing.T) {
 	}
 	thenB.Instrs = []*rtl.Instr{rtl.RetI(rtl.R(cond))} // second use
 	elseB.Instrs = []*rtl.Instr{rtl.RetI(rtl.C(2))}
-	opt.Peephole(f)
+	f, _ = runFlat(t, f, opt.FlatPeephole)
 	if f.Entry().Instrs[0].Op != rtl.SetNE {
 		t.Error("compare with other uses must be kept")
 	}

@@ -5,14 +5,14 @@
 // allocator makes that pressure measurable (the ablation benchmarks sweep
 // the register file size and watch spill traffic erase the coalescing win).
 //
-// Conventions after Run(f, k):
+// Conventions after Run(fp, fi, k):
 //
 //   - the function uses physical registers 0..k-1 only;
 //   - parameters arrive in physical registers 0..len(params)-1, matching
 //     the simulator's calling convention;
-//   - register k-1 is the frame pointer when spills exist (Fn.FrameReg);
-//     spill slots live at [FP+0, FP+8, ...] and Fn.FrameBytes reports the
-//     frame size the simulator must reserve;
+//   - register k-1 is the frame pointer when spills exist (FlatFn.FrameReg);
+//     spill slots live at [FP+0, FP+8, ...] and FlatFn.FrameBytes reports
+//     the frame size the simulator must reserve;
 //   - registers k-2 and k-3 are scratch for spill reloads.
 package regalloc
 
@@ -45,21 +45,22 @@ type interval struct {
 	slot       int     // spill slot index when phys == NoReg
 }
 
-// Run rewrites f to use at most k physical registers, inserting spill code
-// as needed. Parameters must number at most k-4.
-func Run(f *rtl.Fn, k int) (Stats, error) {
+// Run rewrites function fi of fp to use at most k physical registers,
+// inserting spill code as needed. Parameters must number at most k-4.
+func Run(fp *rtl.FlatProgram, fi int, k int) (Stats, error) {
+	f := &fp.Fns[fi]
 	if k < MinRegs {
 		return Stats{}, fmt.Errorf("regalloc: need at least %d registers, have %d", MinRegs, k)
 	}
 	if len(f.Params) > k-4 {
 		return Stats{}, fmt.Errorf("regalloc: %d parameters exceed %d-register convention", len(f.Params), k)
 	}
-	fp := rtl.Reg(k - 1)
+	frameReg := rtl.Reg(k - 1)
 	scratch := [2]rtl.Reg{rtl.Reg(k - 2), rtl.Reg(k - 3)}
 	allocatable := k - 3
 
-	ivs := buildIntervals(f)
-	assignLocations(ivs, allocatable, f)
+	ivs := buildIntervals(fp, fi)
+	assignLocations(ivs, allocatable)
 
 	loc := make(map[rtl.Reg]*interval, len(ivs))
 	spilled := 0
@@ -73,36 +74,27 @@ func Run(f *rtl.Fn, k int) (Stats, error) {
 			}
 		}
 	}
-	rewrite(f, loc, fp, scratch)
+	rewrite(f, loc, frameReg, scratch)
 	frame := 0
 	if spilled > 0 {
 		frame = (maxSlot + 1) * 8
-		f.FrameReg = fp
-		f.FrameBytes = frame
+		f.FrameReg = frameReg
+		f.FrameBytes = int64(frame)
 	}
-	f.EnsureRegs(k)
+	if rtl.Reg(k) > f.NextReg {
+		f.NextReg = rtl.Reg(k)
+	}
 	return Stats{Physical: k, Spilled: spilled, FrameSize: frame, Intervals: len(ivs)}, nil
 }
 
 // buildIntervals computes one conservative live interval per virtual
-// register over the block layout order, extending intervals across whole
-// blocks where liveness says the value crosses them (the standard
-// adaptation that keeps linear scan sound on loops).
-func buildIntervals(f *rtl.Fn) []*interval {
-	g := cfg.New(f)
-	lv := dataflow.ComputeLiveness(g)
-
-	pos := 0
-	blockRange := make(map[*rtl.Block][2]int, len(f.Blocks))
-	instrPos := make(map[*rtl.Instr]int)
-	for _, b := range f.Blocks {
-		start := pos
-		for _, in := range b.Instrs {
-			instrPos[in] = pos
-			pos++
-		}
-		blockRange[b] = [2]int{start, pos - 1}
-	}
+// register over the block layout order — an instruction's position is its
+// dense index — extending intervals across whole blocks where liveness says
+// the value crosses them (the standard adaptation that keeps linear scan
+// sound on loops).
+func buildIntervals(fp *rtl.FlatProgram, fi int) []*interval {
+	f := &fp.Fns[fi]
+	lv := dataflow.ComputeFlatLiveness(cfg.NewFlat(fp, fi))
 
 	ivs := make(map[rtl.Reg]*interval)
 	extend := func(r rtl.Reg, p int) {
@@ -123,23 +115,23 @@ func buildIntervals(f *rtl.Fn) []*interval {
 		extend(p, 0)
 		ivs[p].pinned = rtl.Reg(i)
 	}
-	var regs []rtl.Reg
-	for _, b := range f.Blocks {
-		r := blockRange[b]
-		lv.LiveInSet(b).ForEach(func(i int) {
-			extend(rtl.Reg(i), r[0])
+	for bi := range f.Blocks {
+		b := &f.Blocks[bi]
+		first, last := int(b.InstrStart), int(b.InstrEnd)-1
+		lv.LiveInSet(int32(bi)).ForEach(func(r int) {
+			extend(rtl.Reg(r), first)
 		})
-		lv.LiveOutSet(b).ForEach(func(i int) {
-			extend(rtl.Reg(i), r[1])
+		lv.LiveOutSet(int32(bi)).ForEach(func(r int) {
+			extend(rtl.Reg(r), last)
 		})
-		for _, in := range b.Instrs {
-			p := instrPos[in]
-			regs = in.Uses(regs[:0])
-			for _, u := range regs {
-				extend(u, p)
-			}
-			if d, ok := in.Def(); ok {
-				extend(d, p)
+		for i := b.InstrStart; i < b.InstrEnd; i++ {
+			f.SrcSlots(i, func(o *rtl.Operand) {
+				if o.Kind == rtl.KindReg {
+					extend(o.Reg, int(i))
+				}
+			})
+			if d, ok := f.Def(i); ok {
+				extend(d, int(i))
 			}
 		}
 	}
@@ -159,7 +151,7 @@ func buildIntervals(f *rtl.Fn) []*interval {
 // assignLocations runs the linear scan: pinned intervals take their
 // pre-colored registers, others take free registers, and when none is free
 // the interval with the furthest end is spilled.
-func assignLocations(ivs []*interval, allocatable int, f *rtl.Fn) {
+func assignLocations(ivs []*interval, allocatable int) {
 	free := make([]bool, allocatable)
 	for i := range free {
 		free[i] = true
@@ -240,58 +232,69 @@ func assignLocations(ivs []*interval, allocatable int, f *rtl.Fn) {
 }
 
 // rewrite renames every operand to its physical register, or routes it
-// through a scratch register with a reload/store when spilled.
-func rewrite(f *rtl.Fn, loc map[rtl.Reg]*interval, fp rtl.Reg, scratch [2]rtl.Reg) {
-	for _, b := range f.Blocks {
-		out := make([]*rtl.Instr, 0, len(b.Instrs))
-		for _, in := range b.Instrs {
+// through a scratch register with a reload/store when spilled. Renaming is
+// in place; a block that gains spill code is re-laid in one splice.
+func rewrite(f *rtl.FlatFn, loc map[rtl.Reg]*interval, frameReg rtl.Reg, scratch [2]rtl.Reg) {
+	var out []rtl.FlatInstr
+	for bi := range f.Blocks {
+		b := &f.Blocks[bi]
+		n := b.InstrEnd - b.InstrStart
+		out = out[:0]
+		for i := b.InstrStart; i < b.InstrEnd; i++ {
 			nextScratch := 0
 			// Reload spilled sources into scratch registers.
 			seen := map[rtl.Reg]rtl.Reg{} // vreg -> scratch already holding it
-			for _, o := range in.SrcOperands() {
+			f.SrcSlots(i, func(o *rtl.Operand) {
 				r, ok := o.IsReg()
 				if !ok {
-					continue
+					return
 				}
 				iv := loc[r]
 				if iv == nil {
-					continue // never-used register (defensive)
+					return // never-used register (defensive)
 				}
 				if iv.phys != rtl.NoReg {
 					o.Reg = iv.phys
-					continue
+					return
 				}
 				if s, dup := seen[r]; dup {
 					o.Reg = s
-					continue
+					return
 				}
 				s := scratch[nextScratch]
 				nextScratch = (nextScratch + 1) % len(scratch)
-				out = append(out, rtl.LoadI(s, rtl.R(fp), int64(iv.slot)*8, rtl.W8, false))
+				reload := rtl.MkInstr(rtl.Load)
+				reload.Dst, reload.A = s, rtl.R(frameReg)
+				reload.Disp, reload.Width = int64(iv.slot)*8, rtl.W8
+				out = append(out, reload)
 				seen[r] = s
 				o.Reg = s
-			}
-			d, hasDef := in.Def()
-			var spillStore *rtl.Instr
-			if hasDef {
+			})
+			var spill *rtl.FlatInstr
+			if d, ok := f.Def(i); ok {
 				iv := loc[d]
 				switch {
 				case iv == nil:
 					// dead def; leave as is (DCE normally removed it)
 				case iv.phys != rtl.NoReg:
-					in.Dst = iv.phys
+					f.Dst[i] = iv.phys
 				default:
 					s := scratch[0]
-					in.Dst = s
-					spillStore = rtl.StoreI(rtl.R(fp), int64(iv.slot)*8, rtl.R(s), rtl.W8)
+					f.Dst[i] = s
+					st := rtl.MkInstr(rtl.Store)
+					st.A, st.B = rtl.R(frameReg), rtl.R(s)
+					st.Disp, st.Width = int64(iv.slot)*8, rtl.W8
+					spill = &st
 				}
 			}
-			out = append(out, in)
-			if spillStore != nil {
-				out = append(out, spillStore)
+			out = append(out, f.Instr(i))
+			if spill != nil {
+				out = append(out, *spill)
 			}
 		}
-		b.Instrs = out
+		if int32(len(out)) != n {
+			f.SpliceInstrs(int32(bi), 0, n, out)
+		}
 	}
 	for i := range f.Params {
 		f.Params[i] = rtl.Reg(i)

@@ -33,28 +33,52 @@ func compileUnrolled(t *testing.T) *macc.Program {
 	return p
 }
 
-func maxRegUsed(f *rtl.Fn) rtl.Reg {
-	max := rtl.Reg(-1)
-	var regs []rtl.Reg
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if d, ok := in.Def(); ok && d > max {
-				max = d
-			}
-			regs = in.Uses(regs[:0])
-			for _, r := range regs {
-				if r > max {
-					max = r
-				}
-			}
+// fnIndex returns the index of the compiled program's function name in its
+// flat image.
+func fnIndex(t *testing.T, p *macc.Program, name string) int {
+	t.Helper()
+	for fi := range p.Flat.Fns {
+		if p.Flat.Syms[p.Flat.Fns[fi].Name] == name {
+			return fi
 		}
+	}
+	t.Fatalf("no function %s", name)
+	return -1
+}
+
+func maxRegUsed(f *rtl.FlatFn) rtl.Reg {
+	max := rtl.Reg(-1)
+	for i := int32(0); i < int32(f.NumInstrs()); i++ {
+		if d, ok := f.Def(i); ok && d > max {
+			max = d
+		}
+		f.SrcSlots(i, func(o *rtl.Operand) {
+			if r, ok := o.IsReg(); ok && r > max {
+				max = r
+			}
+		})
 	}
 	return max
 }
 
+// allocate runs the allocator over the compiled program's function name,
+// in place on its flat image, and verifies the result.
+func allocate(t *testing.T, p *macc.Program, name string, k int) regalloc.Stats {
+	t.Helper()
+	fi := fnIndex(t, p, name)
+	stats, err := regalloc.Run(p.Flat, fi, k)
+	if err != nil {
+		t.Fatalf("k=%d: %v", k, err)
+	}
+	if err := p.Flat.VerifyFn(fi); err != nil {
+		t.Fatalf("k=%d: invalid after allocation: %v", k, err)
+	}
+	return stats
+}
+
 func runDot(t *testing.T, p *macc.Program, n int64) int64 {
 	t.Helper()
-	s := sim.New(p.RTL, machine.Alpha(), 1<<16)
+	s := sim.NewFlat(p.Flat, machine.Alpha(), 1<<16)
 	a := make([]int64, n)
 	b := make([]int64, n)
 	for i := range a {
@@ -73,15 +97,9 @@ func runDot(t *testing.T, p *macc.Program, n int64) int64 {
 func TestAllocationBoundsRegisters(t *testing.T) {
 	for _, k := range []int{8, 12, 16, 32} {
 		p := compileUnrolled(t)
-		f, _ := p.Fn("dotproduct")
+		f := &p.Flat.Fns[fnIndex(t, p, "dotproduct")]
 		before := maxRegUsed(f)
-		stats, err := regalloc.Run(f, k)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if err := f.Verify(); err != nil {
-			t.Fatalf("k=%d: invalid after allocation: %v", k, err)
-		}
+		stats := allocate(t, p, "dotproduct", k)
 		if max := maxRegUsed(f); int(max) >= k {
 			t.Errorf("k=%d: register %d used (had max %d before)", k, max, before)
 		}
@@ -98,10 +116,7 @@ func TestAllocatedCodeComputesSameResults(t *testing.T) {
 	want := runDot(t, compileUnrolled(t), 57)
 	for _, k := range []int{8, 10, 16, 32} {
 		p := compileUnrolled(t)
-		f, _ := p.Fn("dotproduct")
-		if _, err := regalloc.Run(f, k); err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
+		allocate(t, p, "dotproduct", k)
 		if got := runDot(t, p, 57); got != want {
 			t.Errorf("k=%d: result %d, want %d", k, got, want)
 		}
@@ -111,11 +126,8 @@ func TestAllocatedCodeComputesSameResults(t *testing.T) {
 func TestSpillsIncreaseMemoryTraffic(t *testing.T) {
 	measure := func(k int) int64 {
 		p := compileUnrolled(t)
-		f, _ := p.Fn("dotproduct")
-		if _, err := regalloc.Run(f, k); err != nil {
-			t.Fatal(err)
-		}
-		s := sim.New(p.RTL, machine.Alpha(), 1<<16)
+		allocate(t, p, "dotproduct", k)
+		s := sim.NewFlat(p.Flat, machine.Alpha(), 1<<16)
 		vals := make([]int64, 64)
 		s.WriteInts(1024, rtl.W2, vals)
 		s.WriteInts(8192, rtl.W2, vals)
@@ -133,13 +145,16 @@ func TestSpillsIncreaseMemoryTraffic(t *testing.T) {
 
 func TestRunRejectsTinyFiles(t *testing.T) {
 	p := compileUnrolled(t)
-	f, _ := p.Fn("dotproduct")
-	if _, err := regalloc.Run(f, 4); err == nil {
+	if _, err := regalloc.Run(p.Flat, fnIndex(t, p, "dotproduct"), 4); err == nil {
 		t.Error("4 registers must be rejected")
 	}
 	fMany := rtl.NewFn("many", 6)
 	fMany.Entry().Instrs = []*rtl.Instr{rtl.RetI(rtl.C(0))}
-	if _, err := regalloc.Run(fMany, 8); err == nil {
+	many, err := rtl.Flatten(rtl.NewProgram(fMany))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := regalloc.Run(many, 0, 8); err == nil {
 		t.Error("too many parameters for the register file must be rejected")
 	}
 }
@@ -175,15 +190,9 @@ func TestRandomProgramsSurviveAllocation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		af, _ := alloc.Fn("f")
-		if _, err := regalloc.Run(af, 8); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if err := af.Verify(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		allocate(t, alloc, "f", 8)
 		run := func(p *macc.Program) int64 {
-			s := sim.New(p.RTL, machine.Alpha(), 1<<14)
+			s := sim.NewFlat(p.Flat, machine.Alpha(), 1<<14)
 			res, err := s.Run("f", int64(rngFixed(trial)), 7, 13)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)

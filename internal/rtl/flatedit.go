@@ -1,12 +1,10 @@
 package rtl
 
-// Flat editing layer: index-based mutation primitives over FlatFn so
-// optimization passes can run natively on the struct-of-arrays form. The
-// idiom mirrors the pointer-graph passes instruction for instruction —
-// in-place field rewrites for per-instruction transforms, kill markers plus
-// one compaction sweep for deletion passes, and block-range splicing for the
-// surgery passes (preheader checks, loop replication) — so a flat pass and
-// its graph twin produce byte-identical programs.
+// Flat editing layer: index-based mutation primitives over FlatFn, the only
+// form the optimization passes run on: in-place field rewrites for
+// per-instruction transforms, kill markers plus one compaction sweep for
+// deletion passes, and block-range splicing for the surgery passes
+// (preheaders, loop replication, preheader checks, spill code).
 //
 // Invariants preserved by every primitive here (and checked by VerifyFn /
 // Validate): instruction arrays stay parallel, block ranges stay contiguous
@@ -35,6 +33,16 @@ type FlatInstr struct {
 // Target/Else pointers map to -1 indices.
 func MkInstr(op Op) FlatInstr {
 	return FlatInstr{Op: op, Target: -1, Else: -1, CallIdx: -1}
+}
+
+// FlatOp builds the value form of a register instruction: dst = a op b (a
+// Mov leaves b empty). It is the flat BinI/MovI.
+func FlatOp(op Op, dst Reg, a, b Operand) FlatInstr {
+	in := MkInstr(op)
+	in.Dst = dst
+	in.A = a
+	in.B = b
+	return in
 }
 
 // Instr gathers instruction i into value form.
@@ -217,15 +225,26 @@ func spliceSlice[T any](s *[]T, at, del int32, n int) {
 	*s = old
 }
 
-// AppendInstr inserts in before block bi's terminator when one exists (the
-// flat Block.Append), otherwise at the block's end.
-func (f *FlatFn) AppendInstr(bi int32, in FlatInstr) {
+// AppendInstr inserts ins, in order, before block bi's terminator when one
+// exists (the flat Block.Append), otherwise at the block's end.
+func (f *FlatFn) AppendInstr(bi int32, ins ...FlatInstr) {
 	b := &f.Blocks[bi]
 	rel := b.InstrEnd - b.InstrStart
 	if _, _, ok := f.termOf(b); ok {
 		rel--
 	}
-	f.SpliceInstrs(bi, rel, 0, []FlatInstr{in})
+	f.SpliceInstrs(bi, rel, 0, ins)
+}
+
+// CloneCall duplicates call payload ci — the callee and a fresh copy of its
+// argument operands — and returns the new payload's index, so a copied call
+// instruction owns its arguments.
+func (f *FlatFn) CloneCall(ci int32) int32 {
+	c := f.Calls[ci]
+	as := int32(len(f.Args))
+	f.Args = append(f.Args, f.Args[c.ArgStart:c.ArgEnd]...)
+	f.Calls = append(f.Calls, FlatCall{Callee: c.Callee, ArgStart: as, ArgEnd: int32(len(f.Args))})
+	return int32(len(f.Calls) - 1)
 }
 
 // Compact removes every instruction whose kill mark is set — the one
@@ -327,8 +346,8 @@ func (f *FlatFn) RemoveBlocks(keep []bool) {
 }
 
 // CloneRegion is Fn.CloneRegion on the flat form: append one fresh block per
-// region block (in region order, so block-ID assignment matches the graph
-// path), then copy the instructions, remapping Target/Else edges that stay
+// region block (in region order, so block IDs are assigned in region
+// order), then copy the instructions, remapping Target/Else edges that stay
 // inside the region and duplicating call payloads so the Calls/Args tables
 // keep one entry per call instruction. Returns the original→clone index map.
 func (fp *FlatProgram) CloneRegion(fi int, blocks []int32, nameSuffix string) map[int32]int32 {
@@ -354,11 +373,7 @@ func (fp *FlatProgram) CloneRegion(fi int, blocks []int32, nameSuffix string) ma
 				}
 			}
 			if ci.CallIdx >= 0 {
-				c := f.Calls[ci.CallIdx]
-				as := int32(len(f.Args))
-				f.Args = append(f.Args, f.Args[c.ArgStart:c.ArgEnd]...)
-				ci.CallIdx = int32(len(f.Calls))
-				f.Calls = append(f.Calls, FlatCall{Callee: c.Callee, ArgStart: as, ArgEnd: int32(len(f.Args))})
+				ci.CallIdx = f.CloneCall(ci.CallIdx)
 			}
 			ins = append(ins, ci)
 		}
@@ -368,9 +383,9 @@ func (fp *FlatProgram) CloneRegion(fi int, blocks []int32, nameSuffix string) ma
 }
 
 // TruncateBlocks removes blocks n.. (used to discard a replicated region
-// appended at the end, the flat removeClones). Register and block-ID
-// counters deliberately stay advanced, matching the graph path, which never
-// rolls them back after an unprofitable replication.
+// appended at the end). Register and block-ID counters deliberately stay
+// advanced: an unprofitable replication still consumes the names it drew,
+// which keeps later names, and so the printed program, stable.
 func (f *FlatFn) TruncateBlocks(n int32) {
 	if int(n) >= len(f.Blocks) {
 		return
@@ -382,10 +397,9 @@ func (f *FlatFn) TruncateBlocks(n int32) {
 	// entries until the next Compact; every live index remains valid.
 }
 
-// UnflattenFn materializes one function as a private pointer graph — the
-// per-function bridge the flat pipeline uses for passes that still run on
-// the graph form. No whole-program validation: the pipeline's verify
-// checkpoints guard the image.
+// UnflattenFn materializes one function as a private pointer graph, for
+// printing, stage dumps, and bisection probes. No whole-program validation:
+// the pipeline's verify checkpoints guard the image.
 func (fp *FlatProgram) UnflattenFn(fi int) *Fn {
 	ff := &fp.Fns[fi]
 	f := &Fn{
@@ -439,20 +453,4 @@ func (fp *FlatProgram) UnflattenFn(fi int) *Fn {
 	}
 	f.Blocks = blocks
 	return f
-}
-
-// FlattenFnInto re-flattens a bridged function back into slot fi, interning
-// any block labels the graph pass introduced. The inverse of UnflattenFn.
-func (fp *FlatProgram) FlattenFnInto(fi int, f *Fn) error {
-	it := &interner{syms: fp.Syms, idx: make(map[string]Sym, len(fp.Syms))}
-	for i, s := range fp.Syms {
-		it.idx[s] = Sym(i)
-	}
-	ff, err := flattenFn(f, it)
-	if err != nil {
-		return err
-	}
-	fp.Syms = it.syms
-	fp.Fns[fi] = ff
-	return nil
 }

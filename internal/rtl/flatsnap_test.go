@@ -30,7 +30,7 @@ func snapFn() *Fn {
 }
 
 // mutations is a catalogue of pass-like edits, applied to the flat form
-// through a per-function round trip the way bridged passes edit it. Each
+// through a per-function round trip to the pointer graph. Each
 // tolerates an arbitrary current shape (the composed tests apply them to
 // already-mutated functions), mutating only when the structure it targets
 // exists.
@@ -129,14 +129,23 @@ func flatSnapFn(t *testing.T) *FlatProgram {
 	return fp
 }
 
-// mutate applies a mutation to function 0 of fp.
+// mutate applies a mutation to function 0 of fp: materialize it, edit the
+// graph, and flatten the result back into the same slot, interning any
+// block labels the edit introduced.
 func mutate(t *testing.T, fp *FlatProgram, do func(*Fn)) {
 	t.Helper()
 	f := fp.UnflattenFn(0)
 	do(f)
-	if err := fp.FlattenFnInto(0, f); err != nil {
+	it := &interner{syms: fp.Syms, idx: make(map[string]Sym, len(fp.Syms))}
+	for i, s := range fp.Syms {
+		it.idx[s] = Sym(i)
+	}
+	ff, err := flattenFn(f, it)
+	if err != nil {
 		t.Fatal(err)
 	}
+	fp.Syms = it.syms
+	fp.Fns[0] = ff
 }
 
 // text renders function 0 of fp together with the symbol-table size, which

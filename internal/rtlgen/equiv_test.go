@@ -56,18 +56,9 @@ func behaviour(t *testing.T, f *rtl.Fn, m *machine.Machine) string {
 	return buf.String()
 }
 
-// checkPass verifies that transform preserves behaviour on many generated
-// programs.
-func checkPass(t *testing.T, name string, seeds int, transform func(*rtl.Fn)) {
-	t.Helper()
-	check(t, name, seeds, func(f *rtl.Fn) *rtl.Fn {
-		transform(f)
-		return f
-	})
-}
-
-// checkFlatPass is checkPass for a pass over the flat form: each generated
-// function is flattened, transformed, and materialized again.
+// checkFlatPass verifies that pass preserves behaviour on many generated
+// programs: each generated function is flattened, transformed, and
+// materialized again.
 func checkFlatPass(t *testing.T, name string, seeds int, pass func(fp *rtl.FlatProgram, fi int)) {
 	t.Helper()
 	check(t, name, seeds, func(f *rtl.Fn) *rtl.Fn {
@@ -103,31 +94,31 @@ func check(t *testing.T, name string, seeds int, transform func(*rtl.Fn) *rtl.Fn
 const seeds = 60
 
 func TestFoldConstantsPreservesBehaviour(t *testing.T) {
-	checkPass(t, "FoldConstants", seeds, func(f *rtl.Fn) { opt.FoldConstants(f) })
+	checkFlatPass(t, "FoldConstants", seeds, func(fp *rtl.FlatProgram, fi int) { opt.FlatFoldConstants(fp, fi) })
 }
 
 func TestPropagateLocalPreservesBehaviour(t *testing.T) {
-	checkPass(t, "PropagateLocal", seeds, func(f *rtl.Fn) { opt.PropagateLocal(f) })
+	checkFlatPass(t, "PropagateLocal", seeds, func(fp *rtl.FlatProgram, fi int) { opt.FlatPropagateLocal(fp, fi) })
 }
 
 func TestPropagateImmutablePreservesBehaviour(t *testing.T) {
-	checkPass(t, "PropagateImmutable", seeds, func(f *rtl.Fn) { opt.PropagateImmutable(f) })
+	checkFlatPass(t, "PropagateImmutable", seeds, func(fp *rtl.FlatProgram, fi int) { opt.FlatPropagateImmutable(fp, fi) })
 }
 
 func TestLocalCSEPreservesBehaviour(t *testing.T) {
-	checkPass(t, "LocalCSE", seeds, func(f *rtl.Fn) { opt.LocalCSE(f) })
+	checkFlatPass(t, "LocalCSE", seeds, func(fp *rtl.FlatProgram, fi int) { opt.FlatLocalCSE(fp, fi) })
 }
 
 func TestCollapseMovChainsPreservesBehaviour(t *testing.T) {
-	checkPass(t, "CollapseMovChains", seeds, func(f *rtl.Fn) { opt.CollapseMovChains(f) })
+	checkFlatPass(t, "CollapseMovChains", seeds, func(fp *rtl.FlatProgram, fi int) { opt.FlatCollapseMovChains(fp, fi) })
 }
 
 func TestDeadCodeElimPreservesBehaviour(t *testing.T) {
-	checkPass(t, "DeadCodeElim", seeds, func(f *rtl.Fn) { opt.DeadCodeElim(f) })
+	checkFlatPass(t, "DeadCodeElim", seeds, func(fp *rtl.FlatProgram, fi int) { opt.FlatDeadCodeElim(fp, fi) })
 }
 
 func TestEliminateDeadIVsPreservesBehaviour(t *testing.T) {
-	checkPass(t, "EliminateDeadIVs", seeds, func(f *rtl.Fn) { opt.EliminateDeadIVs(f) })
+	checkFlatPass(t, "EliminateDeadIVs", seeds, func(fp *rtl.FlatProgram, fi int) { opt.FlatEliminateDeadIVs(fp, fi) })
 }
 
 func TestNormalizeAddressesPreservesBehaviour(t *testing.T) {
@@ -139,20 +130,11 @@ func TestThreadJumpsPreservesBehaviour(t *testing.T) {
 }
 
 func TestCleanPreservesBehaviour(t *testing.T) {
-	checkPass(t, "Clean", seeds, func(f *rtl.Fn) { opt.Clean(f) })
+	checkFlatPass(t, "Clean", seeds, func(fp *rtl.FlatProgram, fi int) { opt.FlatClean(fp, fi) })
 }
 
 func TestHoistInvariantsPreservesBehaviour(t *testing.T) {
-	checkPass(t, "HoistInvariants", seeds, func(f *rtl.Fn) {
-		g := cfg.New(f)
-		loops := g.FindLoops()
-		for _, l := range loops {
-			g.EnsurePreheader(l)
-		}
-		for _, l := range loops {
-			opt.HoistInvariants(f, g, l)
-		}
-	})
+	checkFlatPass(t, "HoistInvariants", seeds, hoistAll)
 }
 
 func TestSchedulePreservesBehaviour(t *testing.T) {
@@ -165,37 +147,38 @@ func TestSchedulePreservesBehaviour(t *testing.T) {
 
 func TestRegallocPreservesBehaviour(t *testing.T) {
 	for _, k := range []int{8, 16, 32} {
-		checkPass(t, fmt.Sprintf("Regalloc/%d", k), seeds/2, func(f *rtl.Fn) {
-			if _, err := regalloc.Run(f, k); err != nil {
+		checkFlatPass(t, fmt.Sprintf("Regalloc/%d", k), seeds/2, func(fp *rtl.FlatProgram, fi int) {
+			if _, err := regalloc.Run(fp, fi, k); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 }
 
+// hoistAll gives every loop of function fi a preheader and hoists its
+// invariants.
+func hoistAll(fp *rtl.FlatProgram, fi int) {
+	g := cfg.NewFlat(fp, fi)
+	loops := g.FindLoops()
+	for _, l := range loops {
+		g.EnsurePreheader(l)
+	}
+	for _, l := range loops {
+		opt.FlatHoistInvariants(fp, fi, l)
+	}
+}
+
 // TestFullPipelinePreservesBehaviour strings the stages together the way the
-// pass manager runs them: the bridged loop-invariant hoisting on the graph,
-// then address normalization, clean-up, and scheduling on the flat form.
+// pass manager runs them: clean-up, loop-invariant hoisting, address
+// normalization, clean-up again, and scheduling.
 func TestFullPipelinePreservesBehaviour(t *testing.T) {
-	check(t, "pipeline", seeds, func(f *rtl.Fn) *rtl.Fn {
-		opt.Clean(f)
-		g := cfg.New(f)
-		loops := g.FindLoops()
-		for _, l := range loops {
-			g.EnsurePreheader(l)
-		}
-		for _, l := range loops {
-			opt.HoistInvariants(f, g, l)
-		}
-		opt.Clean(f)
-		fp, err := rtl.Flatten(rtl.NewProgram(f))
-		if err != nil {
-			t.Fatalf("pipeline: flatten: %v", err)
-		}
-		opt.FlatNormalizeAddresses(fp, 0)
-		opt.FlatClean(fp, 0)
-		sched.ScheduleFlatFn(fp, 0, machine.Alpha())
-		return fp.UnflattenFn(0)
+	checkFlatPass(t, "pipeline", seeds, func(fp *rtl.FlatProgram, fi int) {
+		opt.FlatClean(fp, fi)
+		hoistAll(fp, fi)
+		opt.FlatClean(fp, fi)
+		opt.FlatNormalizeAddresses(fp, fi)
+		opt.FlatClean(fp, fi)
+		sched.ScheduleFlatFn(fp, fi, machine.Alpha())
 	})
 }
 

@@ -19,47 +19,47 @@ import (
 
 // Canonical is the rolled-loop shape the unroller accepts: a header holding
 // the trip test, one straight-line body block, and a latch holding the
-// induction updates.
+// induction updates. Fields are block indices.
 type Canonical struct {
-	Preheader *rtl.Block
-	Header    *rtl.Block
-	Body      *rtl.Block
-	Latch     *rtl.Block
-	Exit      *rtl.Block
+	Preheader int32
+	Header    int32
+	Body      int32
+	Latch     int32
+	Exit      int32
 }
 
-// Shape checks whether l is canonical and decomposes it.
-func Shape(l *cfg.Loop) (Canonical, bool) {
-	if len(l.Blocks) != 3 || l.Preheader == nil {
+// Shape checks whether loop l of f is canonical and decomposes it.
+func Shape(f *rtl.FlatFn, l *cfg.FlatLoop) (Canonical, bool) {
+	if len(l.Blocks) != 3 || l.Preheader < 0 {
 		return Canonical{}, false
 	}
 	header, latch := l.Header, l.Latch
-	var body *rtl.Block
+	body := int32(-1)
 	for _, b := range l.Blocks {
 		if b != header && b != latch {
 			body = b
 		}
 	}
-	if body == nil || header == latch {
+	if body < 0 || header == latch {
 		return Canonical{}, false
 	}
-	ht := header.Term()
-	if ht == nil || ht.Op != rtl.Branch {
+	ht, op, ok := f.TermIdx(header)
+	if !ok || op != rtl.Branch {
 		return Canonical{}, false
 	}
-	var exit *rtl.Block
+	var exit int32
 	switch {
-	case ht.Target == body && !l.Contains(ht.Else):
-		exit = ht.Else
-	case ht.Else == body && !l.Contains(ht.Target):
-		exit = ht.Target
+	case f.Target[ht] == body && !l.Contains(f.Else[ht]):
+		exit = f.Else[ht]
+	case f.Else[ht] == body && !l.Contains(f.Target[ht]):
+		exit = f.Target[ht]
 	default:
 		return Canonical{}, false
 	}
-	if bt := body.Term(); bt == nil || bt.Op != rtl.Jump || bt.Target != latch {
+	if bt, op, ok := f.TermIdx(body); !ok || op != rtl.Jump || f.Target[bt] != latch {
 		return Canonical{}, false
 	}
-	if lt := latch.Term(); lt == nil || lt.Op != rtl.Jump || lt.Target != header {
+	if lt, op, ok := f.TermIdx(latch); !ok || op != rtl.Jump || f.Target[lt] != header {
 		return Canonical{}, false
 	}
 	return Canonical{
@@ -69,13 +69,18 @@ func Shape(l *cfg.Loop) (Canonical, bool) {
 
 // Unrolled describes the transformed code: a guarded main loop that runs
 // factor iterations per trip, falling back into the original rolled loop
-// for the remainder.
+// for the remainder. Fields are block indices.
 type Unrolled struct {
 	Factor    int
-	Preheader *rtl.Block // jumps to the guard header
-	Header    *rtl.Block // guard test: room for a full group?
-	Body      *rtl.Block // factor copies of body+latch work, the back edge
-	Remainder *rtl.Block // the original rolled loop's header
+	Preheader int32 // jumps to the guard header
+	Header    int32 // guard test: room for a full group?
+	Body      int32 // factor copies of body+latch work, the back edge
+	Remainder int32 // the original rolled loop's header
+}
+
+// blockLen returns the number of instructions in block bi.
+func blockLen(f *rtl.FlatFn, bi int32) int {
+	return int(f.Blocks[bi].InstrEnd - f.Blocks[bi].InstrStart)
 }
 
 // ChooseFactor picks the unroll factor for memory coalescing on machine m:
@@ -83,15 +88,16 @@ type Unrolled struct {
 // capped so the unrolled body fits the instruction cache (the paper's
 // heuristic) and capped at 16 to bound register pressure. It returns 1 when
 // unrolling is pointless (no narrow references or non-counted loop).
-func ChooseFactor(m *machine.Machine, c Canonical, info *iv.Info) int {
+func ChooseFactor(m *machine.Machine, f *rtl.FlatFn, c Canonical, info *iv.FlatInfo) int {
 	if info.Control == nil {
 		return 1
 	}
 	factor := 1
-	for _, in := range c.Body.Instrs {
-		if in.IsMem() && in.Width < m.WordBytes {
-			if f := m.MaxCoalesceFactor(in.Width); f > factor {
-				factor = f
+	b := &f.Blocks[c.Body]
+	for i := b.InstrStart; i < b.InstrEnd; i++ {
+		if f.IsMem(i) && f.Width[i] < m.WordBytes {
+			if mf := m.MaxCoalesceFactor(f.Width[i]); mf > factor {
+				factor = mf
 			}
 		}
 	}
@@ -100,9 +106,9 @@ func ChooseFactor(m *machine.Machine, c Canonical, info *iv.Info) int {
 	}
 	// Instruction-cache heuristic: if the rolled loop fits, the unrolled
 	// loop must fit too.
-	loopInstrs := len(c.Header.Instrs) + len(c.Body.Instrs) + len(c.Latch.Instrs)
-	if loopInstrs*m.BytesPerInstr <= m.ICacheBytes {
-		for factor > 1 && (len(c.Header.Instrs)+factor*(len(c.Body.Instrs)+len(c.Latch.Instrs)))*m.BytesPerInstr > m.ICacheBytes {
+	header, body, latch := blockLen(f, c.Header), blockLen(f, c.Body), blockLen(f, c.Latch)
+	if (header+body+latch)*m.BytesPerInstr <= m.ICacheBytes {
+		for factor > 1 && (header+factor*(body+latch))*m.BytesPerInstr > m.ICacheBytes {
 			factor /= 2
 		}
 	}
@@ -112,10 +118,11 @@ func ChooseFactor(m *machine.Machine, c Canonical, info *iv.Info) int {
 	return factor
 }
 
-// Unroll builds the guarded unrolled loop. The loop must be canonical, have
-// a controlling test over a basic IV, and have all IV updates in the latch.
-// The rolled loop stays in place as the remainder loop.
-func Unroll(f *rtl.Fn, c Canonical, info *iv.Info, factor int) (*Unrolled, error) {
+// Unroll builds the guarded unrolled loop in function fi of fp. The loop
+// must be canonical, have a controlling test over a basic IV, and have all
+// IV updates in the latch. The rolled loop stays in place as the remainder
+// loop; the two new blocks are appended to the block table.
+func Unroll(fp *rtl.FlatProgram, fi int, c Canonical, info *iv.FlatInfo, factor int) (*Unrolled, error) {
 	if factor < 2 {
 		return nil, fmt.Errorf("unroll factor %d", factor)
 	}
@@ -130,79 +137,94 @@ func Unroll(f *rtl.Fn, c Canonical, info *iv.Info, factor int) (*Unrolled, error
 	if civ == nil {
 		return nil, fmt.Errorf("control register is not a basic IV")
 	}
+	f := &fp.Fns[fi]
+	lb := f.Blocks[c.Latch]
 	for _, bi := range info.BasicIVs {
 		for _, inc := range bi.Incs {
-			if c.Latch.Index(inc) < 0 {
+			if inc < lb.InstrStart || inc >= lb.InstrEnd {
 				return nil, fmt.Errorf("IV %s updated outside the latch", bi.Reg)
 			}
 		}
 	}
 
-	uheader := f.NewBlock(c.Header.Name + ".unrolled")
-	ubody := f.NewBlock(c.Body.Name + ".unrolled")
+	uheader := f.NewBlock(fp.Intern(fp.Syms[f.Blocks[c.Header].Name] + ".unrolled"))
+	ubody := f.NewBlock(fp.Intern(fp.Syms[f.Blocks[c.Body].Name] + ".unrolled"))
 
 	// Guard: continue into the unrolled body only if a full group of
 	// `factor` iterations remains: IV + (factor-1)*step OP bound.
 	last := f.NewReg()
-	uheader.Instrs = append(uheader.Instrs,
-		rtl.BinI(rtl.Add, last, rtl.R(ctl.IV), rtl.C(int64(factor-1)*civ.Step)))
 	cond := f.NewReg()
-	cmp := rtl.BinI(ctl.Op, cond, rtl.R(last), ctl.Bound)
+	cmp := rtl.FlatOp(ctl.Op, cond, rtl.R(last), ctl.Bound)
 	cmp.Signed = ctl.Signed
-	uheader.Instrs = append(uheader.Instrs, cmp,
-		rtl.BranchI(rtl.R(cond), ubody, c.Header))
+	br := rtl.MkInstr(rtl.Branch)
+	br.A, br.Target, br.Else = rtl.R(cond), ubody, c.Header
+	f.SpliceInstrs(uheader, 0, 0, []rtl.FlatInstr{
+		rtl.FlatOp(rtl.Add, last, rtl.R(ctl.IV), rtl.C(int64(factor-1)*civ.Step)),
+		cmp, br,
+	})
 
 	// Body: factor copies of (body work, latch work), with per-copy
 	// renaming of defined registers so copies are independent for the
 	// scheduler; loop-carried registers are restored by mov-backs that the
-	// address folder and DCE later collapse.
-	cur := make(map[rtl.Reg]rtl.Reg)
-	mapOp := func(o *rtl.Operand) {
-		if r, ok := o.IsReg(); ok {
-			if nr, exists := cur[r]; exists {
-				o.Reg = nr
-			}
-		}
-	}
-	var renamed []rtl.Reg // in first-rename order
-	copyInstrs := func(src []*rtl.Instr) {
-		for _, in := range src {
-			if in.Op.IsTerminator() {
+	// address folder and DCE later collapse. The copies are laid down
+	// first (each call with its own argument payload) and renamed in place.
+	var copies []rtl.FlatInstr
+	copyBlock := func(bi int32) {
+		b := f.Blocks[bi]
+		for i := b.InstrStart; i < b.InstrEnd; i++ {
+			if f.Op[i].IsTerminator() {
 				continue
 			}
-			cp := in.Clone()
-			for _, o := range cp.SrcOperands() {
-				mapOp(o)
+			cp := f.Instr(i)
+			if cp.CallIdx >= 0 {
+				cp.CallIdx = f.CloneCall(cp.CallIdx)
 			}
-			if d, ok := cp.Def(); ok {
-				if _, seen := cur[d]; !seen {
-					renamed = append(renamed, d)
-				}
-				nd := f.NewReg()
-				cur[d] = nd
-				cp.Dst = nd
-			}
-			ubody.Instrs = append(ubody.Instrs, cp)
+			copies = append(copies, cp)
 		}
 	}
 	for i := 0; i < factor; i++ {
-		copyInstrs(c.Body.Instrs)
-		copyInstrs(c.Latch.Instrs)
+		copyBlock(c.Body)
+		copyBlock(c.Latch)
+	}
+	f.SpliceInstrs(ubody, 0, 0, copies)
+	cur := make(map[rtl.Reg]rtl.Reg)
+	var renamed []rtl.Reg // in first-rename order
+	ub := f.Blocks[ubody]
+	for i := ub.InstrStart; i < ub.InstrEnd; i++ {
+		f.SrcSlots(i, func(o *rtl.Operand) {
+			if r, ok := o.IsReg(); ok {
+				if nr, exists := cur[r]; exists {
+					o.Reg = nr
+				}
+			}
+		})
+		if d, ok := f.Def(i); ok {
+			if _, seen := cur[d]; !seen {
+				renamed = append(renamed, d)
+			}
+			nd := f.NewReg()
+			cur[d] = nd
+			f.Dst[i] = nd
+		}
 	}
 	// Restore loop-carried/live-out registers to their canonical names.
+	tail := make([]rtl.FlatInstr, 0, len(renamed)+1)
 	for _, r := range renamed {
-		ubody.Instrs = append(ubody.Instrs, rtl.MovI(r, rtl.R(cur[r])))
+		tail = append(tail, rtl.FlatOp(rtl.Mov, r, rtl.R(cur[r]), rtl.Operand{}))
 	}
-	ubody.Instrs = append(ubody.Instrs, rtl.JumpI(uheader))
+	jmp := rtl.MkInstr(rtl.Jump)
+	jmp.Target = uheader
+	f.SpliceInstrs(ubody, int32(blockLen(f, ubody)), 0, append(tail, jmp))
 
 	// Route the preheader through the guard; the rolled loop remains as
 	// the remainder, entered when fewer than `factor` iterations remain.
-	pt := c.Preheader.Term()
-	if pt.Target == c.Header {
-		pt.Target = uheader
-	}
-	if pt.Else == c.Header {
-		pt.Else = uheader
+	if pt, _, ok := f.TermIdx(c.Preheader); ok {
+		if f.Target[pt] == c.Header {
+			f.Target[pt] = uheader
+		}
+		if f.Else[pt] == c.Header {
+			f.Else[pt] = uheader
+		}
 	}
 
 	return &Unrolled{

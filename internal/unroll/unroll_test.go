@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"macc/internal/cfg"
-	"macc/internal/dataflow"
 	"macc/internal/iv"
 	"macc/internal/machine"
 	"macc/internal/opt"
@@ -44,40 +43,57 @@ func buildSumLoop() (*rtl.Fn, rtl.Reg) {
 	return f, acc
 }
 
-func shape(t *testing.T, f *rtl.Fn) (*cfg.Graph, *cfg.Loop, unroll.Canonical, *iv.Info) {
-	t.Helper()
-	g := cfg.New(f)
-	l := g.FindLoops()[0]
-	g.EnsurePreheader(l)
-	c, ok := unroll.Shape(l)
-	if !ok {
-		t.Fatal("loop not canonical")
-	}
-	du := dataflow.ComputeDefUse(f)
-	return g, l, c, iv.Analyze(g, l, du)
-}
-
-// normalize finishes an unroll the way the pass pipeline does — address
-// normalization and a clean sweep on the flat form — and returns the result.
-func normalize(t *testing.T, f *rtl.Fn) *rtl.Fn {
+// shape flattens f, gives its loop a preheader, and returns the loop's
+// canonical decomposition and induction analysis.
+func shape(t *testing.T, f *rtl.Fn) (*rtl.FlatProgram, unroll.Canonical, *iv.FlatInfo) {
 	t.Helper()
 	fp, err := rtl.Flatten(rtl.NewProgram(f))
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := cfg.NewFlat(fp, 0)
+	l := g.FindLoops()[0]
+	g.EnsurePreheader(l)
+	c, ok := unroll.Shape(g.F, l)
+	if !ok {
+		t.Fatal("loop not canonical")
+	}
+	return fp, c, iv.AnalyzeFlat(g, l)
+}
+
+// normalize finishes an unroll the way the pass pipeline does — address
+// normalization and a clean sweep — and returns the verified result.
+func normalize(t *testing.T, fp *rtl.FlatProgram) *rtl.Fn {
+	t.Helper()
 	opt.FlatNormalizeAddresses(fp, 0)
 	opt.FlatClean(fp, 0)
+	if err := fp.VerifyFn(0); err != nil {
+		t.Fatal(err)
+	}
 	return fp.UnflattenFn(0)
+}
+
+// name returns the label of block bi.
+func name(fp *rtl.FlatProgram, bi int32) string { return fp.Syms[fp.Fns[0].Blocks[bi].Name] }
+
+// term returns block bi's terminator in value form.
+func term(t *testing.T, fp *rtl.FlatProgram, bi int32) rtl.FlatInstr {
+	t.Helper()
+	ti, _, ok := fp.Fns[0].TermIdx(bi)
+	if !ok {
+		t.Fatalf("block %s has no terminator", name(fp, bi))
+	}
+	return fp.Fns[0].Instr(ti)
 }
 
 func TestShapeRecognition(t *testing.T) {
 	f, _ := buildSumLoop()
-	_, _, c, _ := shape(t, f)
-	if c.Header.Name != "header" || c.Body.Name != "body" || c.Latch.Name != "latch" {
-		t.Errorf("wrong decomposition: %s/%s/%s", c.Header, c.Body, c.Latch)
+	fp, c, _ := shape(t, f)
+	if name(fp, c.Header) != "header" || name(fp, c.Body) != "body" || name(fp, c.Latch) != "latch" {
+		t.Errorf("wrong decomposition: %s/%s/%s", name(fp, c.Header), name(fp, c.Body), name(fp, c.Latch))
 	}
-	if c.Exit.Name != "exit" {
-		t.Errorf("exit = %s", c.Exit)
+	if name(fp, c.Exit) != "exit" {
+		t.Errorf("exit = %s", name(fp, c.Exit))
 	}
 }
 
@@ -85,18 +101,15 @@ func TestUnrollSemantics(t *testing.T) {
 	for _, factor := range []int{2, 4, 8} {
 		for _, n := range []int64{0, 1, 3, 4, 7, 8, 9, 31, 32} {
 			f, _ := buildSumLoop()
-			_, _, c, info := shape(t, f)
-			u, err := unroll.Unroll(f, c, info, factor)
+			fp, c, info := shape(t, f)
+			u, err := unroll.Unroll(fp, 0, c, info, factor)
 			if err != nil {
 				t.Fatalf("factor %d: %v", factor, err)
 			}
 			if u.Factor != factor {
 				t.Errorf("factor = %d", u.Factor)
 			}
-			f = normalize(t, f)
-			if err := f.Verify(); err != nil {
-				t.Fatalf("factor %d: %v", factor, err)
-			}
+			f = normalize(t, fp)
 			prog := rtl.NewProgram(f)
 			s := sim.New(prog, machine.Alpha(), 1<<14)
 			var want int64
@@ -118,20 +131,21 @@ func TestUnrollSemantics(t *testing.T) {
 
 func TestUnrollProducesDisplacements(t *testing.T) {
 	f, _ := buildSumLoop()
-	_, _, c, info := shape(t, f)
-	u, err := unroll.Unroll(f, c, info, 4)
+	fp, c, info := shape(t, f)
+	u, err := unroll.Unroll(fp, 0, c, info, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f = normalize(t, f)
+	bodyName := name(fp, u.Body)
+	f = normalize(t, fp)
 	var body *rtl.Block
 	for _, b := range f.Blocks {
-		if b.Name == u.Body.Name {
+		if b.Name == bodyName {
 			body = b
 		}
 	}
 	if body == nil {
-		t.Fatalf("unrolled body %s vanished:\n%s", u.Body.Name, f)
+		t.Fatalf("unrolled body %s vanished:\n%s", bodyName, f)
 	}
 	var disps []int64
 	for _, in := range body.Instrs {
@@ -168,42 +182,45 @@ func TestUnrollProducesDisplacements(t *testing.T) {
 
 func TestUnrollRejectsNonStrictOrUncontrolled(t *testing.T) {
 	f, _ := buildSumLoop()
-	_, _, c, info := shape(t, f)
+	fp, c, info := shape(t, f)
 	info.Control.Op = rtl.SetLE
-	if _, err := unroll.Unroll(f, c, info, 4); err == nil {
+	if _, err := unroll.Unroll(fp, 0, c, info, 4); err == nil {
 		t.Error("non-strict test must be rejected")
 	}
 	f2, _ := buildSumLoop()
-	_, _, c2, info2 := shape(t, f2)
+	fp2, c2, info2 := shape(t, f2)
 	info2.Control = nil
-	if _, err := unroll.Unroll(f2, c2, info2, 4); err == nil {
+	if _, err := unroll.Unroll(fp2, 0, c2, info2, 4); err == nil {
 		t.Error("loop without control must be rejected")
 	}
 }
 
 func TestChooseFactor(t *testing.T) {
 	f, _ := buildSumLoop()
-	_, _, c, info := shape(t, f)
-	if got := unroll.ChooseFactor(machine.Alpha(), c, info); got != 4 {
+	fp, c, info := shape(t, f)
+	ff := &fp.Fns[0]
+	if got := unroll.ChooseFactor(machine.Alpha(), ff, c, info); got != 4 {
 		t.Errorf("alpha factor for shorts = %d, want 4 (64-bit word)", got)
 	}
-	if got := unroll.ChooseFactor(machine.M88100(), c, info); got != 2 {
+	if got := unroll.ChooseFactor(machine.M88100(), ff, c, info); got != 2 {
 		t.Errorf("m88100 factor for shorts = %d, want 2 (32-bit word)", got)
 	}
 	// Without a control test unrolling is pointless.
 	info.Control = nil
-	if got := unroll.ChooseFactor(machine.Alpha(), c, info); got != 1 {
+	if got := unroll.ChooseFactor(machine.Alpha(), ff, c, info); got != 1 {
 		t.Errorf("factor without control = %d, want 1", got)
 	}
 }
 
 func TestChooseFactorICacheCap(t *testing.T) {
 	f, _ := buildSumLoop()
-	_, _, c, info := shape(t, f)
+	fp, c, info := shape(t, f)
+	ff := &fp.Fns[0]
+	size := func(bi int32) int { return int(ff.Blocks[bi].InstrEnd - ff.Blocks[bi].InstrStart) }
 	m := machine.Alpha()
 	// Shrink the cache so factor 8 cannot fit but the rolled loop can.
-	m.ICacheBytes = (len(c.Header.Instrs) + 2*(len(c.Body.Instrs)+len(c.Latch.Instrs))) * m.BytesPerInstr
-	got := unroll.ChooseFactor(m, c, info)
+	m.ICacheBytes = (size(c.Header) + 2*(size(c.Body)+size(c.Latch))) * m.BytesPerInstr
+	got := unroll.ChooseFactor(m, ff, c, info)
 	if got > 2 {
 		t.Errorf("factor %d exceeds the instruction cache heuristic", got)
 	}
@@ -211,17 +228,17 @@ func TestChooseFactorICacheCap(t *testing.T) {
 
 func TestUnrollKeepsRemainderLoop(t *testing.T) {
 	f, _ := buildSumLoop()
-	_, _, c, info := shape(t, f)
-	u, err := unroll.Unroll(f, c, info, 4)
+	fp, c, info := shape(t, f)
+	u, err := unroll.Unroll(fp, 0, c, info, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Guard's failure edge must lead to the original rolled header.
-	if u.Header.Term().Else != c.Header && u.Header.Term().Target != c.Header {
+	if g := term(t, fp, u.Header); g.Else != c.Header && g.Target != c.Header {
 		t.Error("guard does not fall back to the rolled loop")
 	}
 	// The preheader now enters the guard.
-	if c.Preheader.Term().Target != u.Header {
+	if term(t, fp, c.Preheader).Target != u.Header {
 		t.Error("preheader does not enter the unrolled guard")
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"macc/internal/ccache"
 	"macc/internal/cfg"
 	"macc/internal/core"
-	"macc/internal/dataflow"
 	"macc/internal/iv"
 	"macc/internal/machine"
 	"macc/internal/minic"
@@ -153,11 +152,13 @@ func NativeConfig(m *machine.Machine) Config {
 type Program struct {
 	RTL     *rtl.Program
 	Machine *machine.Machine
-	// Flat is the program's flat (struct-of-arrays) image: the pass
-	// pipeline's own output for optimizing compiles, and the cached image
-	// for cache hits. NewSim predecodes from it directly (sim.NewFlat); RTL
-	// is a materialized view of the same program. Nil only for unoptimized
-	// (Optimize: false) compiles, whose RTL is the front end's output.
+	// Flat is the program's flat (struct-of-arrays) image: the form every
+	// optimization pass runs on and the pipeline's own output, the cached
+	// image for cache hits, and the decoded image for FromFlat. NewSim
+	// predecodes from it directly (sim.NewFlat); RTL is a pointer-graph view
+	// of the same program, materialized once when the pipeline finishes.
+	// Nil only for unoptimized (Optimize: false) compiles made without a
+	// cache, whose RTL is the front end's output.
 	Flat *rtl.FlatProgram
 	// Reports holds one entry per loop the coalescer examined.
 	Reports []core.LoopReport
@@ -375,47 +376,54 @@ func newProgram(rp *rtl.Program, m *machine.Machine) *Program {
 		Diagnostics: &pipeline.Diagnostics{}}
 }
 
-// runLICM is the graph body of the bridged "licm" pass: hoist loop
-// invariants, innermost-first, iterated because hoisting can expose more
-// loops' invariants.
-func runLICM(f *rtl.Fn) {
+// ensurePreheaders materializes preheaders for every natural loop of
+// function fi so later analyses see a stable shape.
+func ensurePreheaders(fp *rtl.FlatProgram, fi int) {
+	g := cfg.NewFlat(fp, fi)
+	for _, l := range g.FindLoops() {
+		g.EnsurePreheader(l)
+	}
+}
+
+// hoistInvariants is the "licm" pass: hoist loop invariants, innermost-first,
+// iterated because hoisting can expose more loops' invariants.
+func hoistInvariants(fp *rtl.FlatProgram, fi int) {
 	for i := 0; i < 4; i++ {
-		ensurePreheaders(f)
-		g := cfg2(f)
+		ensurePreheaders(fp, fi)
+		g := cfg.NewFlat(fp, fi)
 		loops := g.FindLoops()
 		for _, l := range loops {
 			g.EnsurePreheader(l)
 		}
 		changed := false
 		for _, l := range loops {
-			changed = opt.HoistInvariants(f, g, l) || changed
+			changed = opt.FlatHoistInvariants(fp, fi, l) || changed
 		}
-		if changed {
-			opt.Clean(f)
-		} else {
+		if !changed {
 			break
 		}
+		opt.FlatClean(fp, fi)
 	}
 }
 
-// runStrengthReduce is the graph body of the bridged "strength-reduce" pass:
-// induction-variable strength reduction and test replacement give memory
-// references the base+displacement shape and free the counter.
-func runStrengthReduce(f *rtl.Fn, em telemetry.Emitter) {
-	ensurePreheaders(f)
-	g := cfg2(f)
-	loops := g.FindLoops()
-	for _, l := range loops {
+// strengthReduce is the "strength-reduce" pass: induction-variable strength
+// reduction and test replacement give memory references the
+// base+displacement shape and free the counter.
+func strengthReduce(fp *rtl.FlatProgram, fi int, em telemetry.Emitter) {
+	f := &fp.Fns[fi]
+	fn := fp.Syms[f.Name]
+	ensurePreheaders(fp, fi)
+	g := cfg.NewFlat(fp, fi)
+	for _, l := range g.FindLoops() {
 		g.EnsurePreheader(l)
-		du := dataflow.ComputeDefUse(f)
-		info := iv.Analyze(g, l, du)
-		em.Emit(info.Remark("strength-reduce", f.Name))
-		if ptrs := info.StrengthReduce(f); len(ptrs) > 0 {
-			replaced := info.ReplaceTest(f, ptrs)
+		info := iv.AnalyzeFlat(g, l)
+		em.Emit(info.Remark("strength-reduce", fn))
+		if ptrs := info.StrengthReduce(); len(ptrs) > 0 {
+			replaced := info.ReplaceTest(ptrs)
 			em.Count("iv.pointers_strength_reduced", int64(len(ptrs)))
 			rem := telemetry.Remark{
 				Kind: telemetry.Passed, Pass: "strength-reduce",
-				Fn: f.Name, Loop: l.Header.Name, Name: "StrengthReduced",
+				Fn: fn, Loop: fp.Syms[f.Blocks[l.Header].Name], Name: "StrengthReduced",
 				Reason: "iv:pointer-ivs-materialized",
 				Args:   map[string]int64{"pointers": int64(len(ptrs))},
 			}
@@ -425,64 +433,67 @@ func runStrengthReduce(f *rtl.Fn, em telemetry.Emitter) {
 			em.Emit(rem)
 		}
 	}
-	opt.EliminateDeadIVs(f)
-	opt.Clean(f)
+	opt.FlatEliminateDeadIVs(fp, fi)
+	opt.FlatClean(fp, fi)
 }
 
-// runUnrollLoops is the loop-replication part of the "unroll" pass, bridged
-// through the graph; the caller finishes with address normalization and a
-// clean sweep on the flat form. Returns the per-function factors to stage.
-func runUnrollLoops(cfg Config, f *rtl.Fn) map[string]int {
-	em := cfg.emitter()
+// unrollLoops is the loop-replication part of the "unroll" pass; the caller
+// finishes with address normalization and a clean sweep. Returns the
+// per-function factors to stage.
+func unrollLoops(conf Config, fp *rtl.FlatProgram, fi int) map[string]int {
+	em := conf.emitter()
+	f := &fp.Fns[fi]
+	fn := fp.Syms[f.Name]
 	staged := make(map[string]int)
-	ensurePreheaders(f)
-	g := cfg2(f)
+	ensurePreheaders(fp, fi)
+	g := cfg.NewFlat(fp, fi)
 	missed := func(header, reason string) {
 		em.Emit(telemetry.Remark{
-			Kind: telemetry.Missed, Pass: "unroll", Fn: f.Name,
+			Kind: telemetry.Missed, Pass: "unroll", Fn: fn,
 			Loop: header, Name: "NotUnrolled", Reason: reason,
 		})
 	}
 	for _, l := range g.FindLoops() {
 		g.EnsurePreheader(l)
-		c, ok := unroll.Shape(l)
+		header := fp.Syms[f.Blocks[l.Header].Name]
+		c, ok := unroll.Shape(f, l)
 		if !ok {
-			missed(l.Header.Name, "shape:not-canonical")
+			missed(header, "shape:not-canonical")
 			continue
 		}
-		du := dataflow.ComputeDefUse(f)
-		info := iv.Analyze(g, l, du)
-		factor := cfg.UnrollFactor
+		info := iv.AnalyzeFlat(g, l)
+		factor := conf.UnrollFactor
 		if factor == 0 {
-			factor = unroll.ChooseFactor(cfg.Machine, c, info)
+			factor = unroll.ChooseFactor(conf.Machine, f, c, info)
 		}
 		if factor < 2 {
-			missed(l.Header.Name, "heuristic:factor<2")
+			missed(header, "heuristic:factor<2")
 			continue
 		}
-		if _, err := unroll.Unroll(f, c, info, factor); err == nil {
-			staged[f.Name] = factor
+		if _, err := unroll.Unroll(fp, fi, c, info, factor); err == nil {
+			staged[fn] = factor
 			em.Count("unroll.loops", 1)
 			em.Observe("unroll.factor", int64(factor))
 			em.Emit(telemetry.Remark{
-				Kind: telemetry.Passed, Pass: "unroll", Fn: f.Name,
-				Loop: l.Header.Name, Name: "Unrolled",
+				Kind: telemetry.Passed, Pass: "unroll", Fn: fn,
+				Loop: header, Name: "Unrolled",
 				Reason: "heuristic:icache-bounded",
 				Args:   map[string]int64{"factor": int64(factor)},
 			})
 		} else {
-			missed(l.Header.Name, "shape:"+err.Error())
+			missed(header, "shape:"+err.Error())
 		}
 	}
 	return staged
 }
 
 // optimize is the cold path: verify every function, then — when optimizing —
-// flatten the front end's output once, run the pass pipeline on the
-// struct-of-arrays form function by function, and materialize the pointer
-// graph once at the end. The input program is left untouched by the passes;
-// callers read the result through p.RTL, and the final flat image rides
-// along on p.Flat for the cache and the simulator.
+// flatten the front end's output once and run every pass of the pipeline on
+// the struct-of-arrays form, function by function. The only pointer-graph
+// work left is the final Unflatten, which fills p.RTL for callers that read
+// it (printing, Fn, the tables); the flat image itself rides along on
+// p.Flat for the cache and the simulator. The input program is left
+// untouched.
 func (p *Program) optimize(rp *rtl.Program, cfg Config) error {
 	for _, f := range rp.Fns {
 		if err := f.Verify(); err != nil {
@@ -517,10 +528,10 @@ func (p *Program) optimize(rp *rtl.Program, cfg Config) error {
 }
 
 // OptimizeFlat runs the optimization pipeline directly over an already-flat
-// program image — e.g. one decoded from a .bin emitted by cmd/macc — mutating
-// it in place, with no Unflatten/Materialize round trip of the whole program
-// (passes not yet ported to the flat form bridge per function). The returned
-// Program carries the optimized image on Flat and a materialized view on RTL.
+// program image — e.g. one decoded from a .bin emitted by cmd/macc —
+// mutating it in place; every pass runs on the flat form, so the image is
+// materialized only once, at the end. The returned Program carries the
+// optimized image on Flat and that materialized view on RTL.
 func OptimizeFlat(fp *rtl.FlatProgram, cfg Config) (*Program, error) {
 	if cfg.Machine == nil {
 		cfg.Machine = machine.Alpha()
@@ -584,27 +595,10 @@ func runPipeline(fp *rtl.FlatProgram, fi int, cfg Config, passes []pipeline.Flat
 	return nil
 }
 
-// bridgeFlat adapts a graph pass body to the flat pipeline for stages not yet
-// ported natively: materialize the one function, run the graph body, and
-// flatten the result back into the same slot. The round trip is per function
-// and per pass, never whole-program.
-func bridgeFlat(run func(f *rtl.Fn) error) func(fp *rtl.FlatProgram, fi int) error {
-	return func(fp *rtl.FlatProgram, fi int) error {
-		f := fp.UnflattenFn(fi)
-		if err := run(f); err != nil {
-			return err
-		}
-		return fp.FlattenFnInto(fi, f)
-	}
-}
-
-// stages builds the pass sequence for cfg. The hot stages — clean,
-// unroll's normalize/clean tail, coalesce, schedule — run natively on the
-// flat arrays; licm, strength-reduce, unroll's replication step, and
-// regalloc bridge through the per-function graph round trip. Side records
-// (coalescing reports, unroll factors) are staged inside each pass and
-// committed by its OnSuccess hook, so a rolled-back pass leaves no trace of
-// undone work.
+// stages builds the pass sequence for cfg. Every stage runs natively on the
+// flat arrays of one function. Side records (coalescing reports, unroll
+// factors) are staged inside each pass and committed by its OnSuccess hook,
+// so a rolled-back pass leaves no trace of undone work.
 func (p *Program) stages(cfg Config) []pipeline.FlatPass {
 	passes := []pipeline.FlatPass{
 		{Name: "clean", Run: func(fp *rtl.FlatProgram, fi int) error {
@@ -612,29 +606,21 @@ func (p *Program) stages(cfg Config) []pipeline.FlatPass {
 			opt.FlatThreadJumps(fp, fi)
 			return nil
 		}},
-		// Loop-invariant code motion, innermost-first, iterated because
-		// hoisting can expose more loops' invariants.
-		{Name: "licm", Run: bridgeFlat(func(f *rtl.Fn) error {
-			runLICM(f)
+		{Name: "licm", Run: func(fp *rtl.FlatProgram, fi int) error {
+			hoistInvariants(fp, fi)
 			return nil
-		})},
-		{Name: "strength-reduce", Run: bridgeFlat(func(f *rtl.Fn) error {
-			runStrengthReduce(f, cfg.emitter())
+		}},
+		{Name: "strength-reduce", Run: func(fp *rtl.FlatProgram, fi int) error {
+			strengthReduce(fp, fi, cfg.emitter())
 			return nil
-		})},
+		}},
 	}
 	if cfg.Unroll {
 		var staged map[string]int
 		passes = append(passes, pipeline.FlatPass{
 			Name: "unroll",
 			Run: func(fp *rtl.FlatProgram, fi int) error {
-				// The replication machinery still works on the graph; the
-				// normalize/clean tail runs natively on the flattened result.
-				f := fp.UnflattenFn(fi)
-				staged = runUnrollLoops(cfg, f)
-				if err := fp.FlattenFnInto(fi, f); err != nil {
-					return err
-				}
+				staged = unrollLoops(cfg, fp, fi)
 				opt.FlatNormalizeAddresses(fp, fi)
 				opt.FlatClean(fp, fi)
 				return nil
@@ -665,20 +651,20 @@ func (p *Program) stages(cfg Config) []pipeline.FlatPass {
 		}})
 	}
 	if cfg.Registers > 0 {
-		passes = append(passes, pipeline.FlatPass{Name: "regalloc", Run: bridgeFlat(func(f *rtl.Fn) error {
-			_, err := regalloc.Run(f, cfg.Registers)
+		passes = append(passes, pipeline.FlatPass{Name: "regalloc", Run: func(fp *rtl.FlatProgram, fi int) error {
+			_, err := regalloc.Run(fp, fi, cfg.Registers)
 			return err
-		})})
+		}})
 	}
 	return passes
 }
 
 // Passes returns the names of the pipeline stages cfg would run, in order.
 func Passes(cfg Config) []string {
-	p := newProgram(rtl.NewProgram(), cfg.Machine)
 	if cfg.Machine == nil {
 		cfg.Machine = machine.Alpha()
 	}
+	p := newProgram(rtl.NewProgram(), cfg.Machine)
 	var names []string
 	for _, ps := range p.stages(cfg) {
 		names = append(names, ps.Name)
@@ -757,21 +743,10 @@ func DifferentialPredicate(rp *rtl.Program, name string, cfg Config, memBytes in
 	}, nil
 }
 
-// ensurePreheaders materializes preheaders for every natural loop so later
-// analyses see a stable shape.
-func ensurePreheaders(f *rtl.Fn) {
-	g := cfg2(f)
-	for _, l := range g.FindLoops() {
-		g.EnsurePreheader(l)
-	}
-}
-
-func cfg2(f *rtl.Fn) *cfg.Graph { return cfg.New(f) }
-
 // NewSim builds a simulator for the compiled program with memBytes of RAM.
-// Programs carrying a flat image (cache hits, FromFlat) predecode from it
-// directly — no pointer-graph walk; the decode is bit-identical to the
-// graph path, including instruction-cache geometry. When the program was
+// Programs carrying a flat image (every optimizing compile, cache hits,
+// FromFlat) predecode from it directly — no pointer-graph walk; the decode
+// is bit-identical to decoding RTL, including instruction-cache geometry. When the program was
 // compiled with a telemetry recorder, the simulator publishes its dynamic
 // counters into the same metrics registry.
 func (p *Program) NewSim(memBytes int) *sim.Sim {
