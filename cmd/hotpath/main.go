@@ -8,12 +8,15 @@
 //	hotpath -out BENCH_hotpath.json          regenerate the artifact
 //	hotpath -out new.json -check BENCH_hotpath.json
 //
-// Only ratio metrics are gated (the parallel-vs-serial table speedup,
-// simulated MIPS, the warm-cache compile speedups, and the codec
-// decode-vs-reparse speedup); raw ns/op and allocs/op numbers — including
-// each kernel's cold compile in the cache section, the absolute cold-compile
-// trajectory — are recorded for trend plots but never compared across
-// hosts. Two metrics additionally have absolute floors: a warm memory-tier
+// Timing is gated through ratio metrics only (the parallel-vs-serial table
+// speedup, simulated MIPS, the warm-cache compile speedups, and the codec
+// decode-vs-reparse speedup); raw ns/op numbers — including each kernel's
+// cold compile in the cache section, the absolute cold-compile trajectory —
+// are recorded for trend plots but never compared across hosts. Allocation
+// counts are exact for a deterministic compile, so each kernel's cold-compile
+// allocs/op is gated directly: it may not exceed the baseline's whenever
+// both artifacts were built with the same Go version, on any host. Two
+// metrics additionally have absolute floors: a warm memory-tier
 // hit must be at least 5x faster than a cold compile, and decoding a
 // kernel's binary flat-IR image must be at least 5x faster than reparsing
 // its printed text — the property that justifies the binary disk tier —
@@ -129,7 +132,7 @@ const parallelSpeedupFloor = 1.15
 
 func main() {
 	out := flag.String("out", "BENCH_hotpath.json", "write the artifact to this path (\"-\" for stdout)")
-	checkPath := flag.String("check", "", "compare against this baseline artifact and fail on >25% ratio regression")
+	checkPath := flag.String("check", "", "compare against this baseline artifact and fail on >25% ratio regression or any per-kernel cold-compile allocs/op increase")
 	flag.Parse()
 
 	a, err := measure()
@@ -484,6 +487,7 @@ func check(cur, base Artifact) error {
 				fmt.Sprintf("%s regressed >25%%: %.2f vs baseline %.2f", name, curV, baseV))
 		}
 	}
+	failures = append(failures, checkAllocs(cur, base)...)
 	gate("simulated MIPS", cur.Sim.SimulatedMIPS, base.Sim.SimulatedMIPS)
 	gate("warm-cache compile speedup", cur.CacheSpeedup, base.CacheSpeedup)
 	gate("warm-disk compile speedup", cur.WarmDiskSpeedup, base.WarmDiskSpeedup)
@@ -524,6 +528,30 @@ func check(cur, base Artifact) error {
 		return fmt.Errorf("%s", msg)
 	}
 	return nil
+}
+
+// checkAllocs holds every kernel's cold-compile allocs/op to the baseline's.
+// A deterministic compile allocates the same objects on any host, but the
+// count depends on the toolchain's runtime and standard library, so the gate
+// applies only when both artifacts name the same Go version.
+func checkAllocs(cur, base Artifact) []string {
+	if cur.Provenance.GoVersion != base.Provenance.GoVersion {
+		fmt.Fprintf(os.Stderr, "hotpath: allocation gate skipped: Go version %s vs baseline %s\n",
+			cur.Provenance.GoVersion, base.Provenance.GoVersion)
+		return nil
+	}
+	baseAllocs := make(map[string]float64, len(base.Cache))
+	for _, e := range base.Cache {
+		baseAllocs[e.Kernel] = e.ColdAllocsPerOp
+	}
+	var failures []string
+	for _, e := range cur.Cache {
+		if b, ok := baseAllocs[e.Kernel]; ok && e.ColdAllocsPerOp > b {
+			failures = append(failures, fmt.Sprintf(
+				"%s cold compile allocates %.0f objects/op, baseline %.0f", e.Kernel, e.ColdAllocsPerOp, b))
+		}
+	}
+	return failures
 }
 
 func fatal(err error) {
