@@ -34,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -53,7 +54,7 @@ import (
 )
 
 // Schema identifies the artifact format.
-const Schema = "macc-service/v1"
+const Schema = "macc-service/v2"
 
 // kernel is one workload shape in the corpus; every tenant gets its own
 // variant of each kernel (distinct source, hence distinct cache key).
@@ -189,8 +190,11 @@ type Artifact struct {
 
 	DurationNS    int64   `json:"duration_ns"`
 	ThroughputRPS float64 `json:"throughput_rps"`
-	P50NS         int64   `json:"p50_ns"`
-	P99NS         int64   `json:"p99_ns"`
+	// Exact quantiles of the completed requests' latencies.
+	P50NS int64 `json:"p50_ns"`
+	P90NS int64 `json:"p90_ns"`
+	P99NS int64 `json:"p99_ns"`
+	MaxNS int64 `json:"max_ns"`
 
 	Completed    int64 `json:"completed"`
 	Shed         int64 `json:"shed"`
@@ -201,7 +205,6 @@ type Artifact struct {
 	PeerHits     int64   `json:"peer_hits"`
 	PeerHitRatio float64 `json:"peer_hit_ratio"`
 	BreakerTrips int64   `json:"breaker_trips"`
-	Hedges       int64   `json:"hedges"`
 	Retries      int64   `json:"retries"`
 	CacheHits    int64   `json:"cache_hits"`
 	TornWrites   int64   `json:"recovered_torn"`
@@ -320,9 +323,9 @@ func main() {
 	}
 	f.Close()
 
-	fmt.Printf("loadgen: %d/%d completed, %.1f req/s, p50 %v p99 %v, shed %d, 5xx %d, miscompiles %d, peer hits %d (ratio %.2f), breaker trips %d\n",
+	fmt.Printf("loadgen: %d/%d completed, %.1f req/s, p50 %v p90 %v p99 %v max %v, shed %d, 5xx %d, miscompiles %d, peer hits %d (ratio %.2f), breaker trips %d\n",
 		art.Completed, art.Requests, art.ThroughputRPS,
-		time.Duration(art.P50NS), time.Duration(art.P99NS),
+		time.Duration(art.P50NS), time.Duration(art.P90NS), time.Duration(art.P99NS), time.Duration(art.MaxNS),
 		art.Shed, art.HTTP5xx, art.Miscompiles, art.PeerHits, art.PeerHitRatio, art.BreakerTrips)
 	if art.Miscompiles > 0 {
 		fmt.Fprintln(os.Stderr, "loadgen: MISCOMPILES DETECTED")
@@ -338,7 +341,10 @@ func run(urls []string, reg *telemetry.Registry, requests, concurrency, tenants 
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	tracer := dtrace.New("loadgen", 0)
+	// The tracer retains every request's trace: the slowest exemplars are
+	// often the earliest (cold) requests, which a smaller ring would evict
+	// before the post-run ReportTrace pushes them to the farm.
+	tracer := dtrace.New("loadgen", requests)
 	client := farm.NewClient(farm.ClientOptions{
 		Peers:          urls,
 		AttemptTimeout: timeout,
@@ -346,7 +352,6 @@ func run(urls []string, reg *telemetry.Registry, requests, concurrency, tenants 
 		Metrics:        reg,
 		Tracer:         tracer,
 	})
-	defer client.Close()
 
 	kernels := corpus()
 	refs := &refStore{}
@@ -365,8 +370,11 @@ func run(urls []string, reg *telemetry.Registry, requests, concurrency, tenants 
 
 	var completed, shed, http5xx, clientErrs, miscompiles atomic.Int64
 	// Request latency lives in the client registry so the artifact's
-	// embedded snapshot carries the histogram and its trace exemplars.
+	// embedded snapshot carries the histogram and its trace exemplars; the
+	// raw samples give the artifact exact quantiles.
 	lat := client.Metrics().Histogram("loadgen.request_ns")
+	var latMu sync.Mutex
+	latencies := make([]int64, 0, requests)
 	slow := &slowTracker{n: slowest}
 
 	start := time.Now()
@@ -399,7 +407,7 @@ func run(urls []string, reg *telemetry.Registry, requests, concurrency, tenants 
 				}
 
 				// Every request is a trace: the root span's context rides
-				// the farm client's attempt legs into the serving replica.
+				// the farm client's attempts into the serving replica.
 				root := tracer.StartRoot(endpoint+" "+k.name, dtrace.KindRequest)
 				root.SetAttr("kernel", k.name)
 				root.SetAttr("tenant", fmt.Sprintf("%d", tenant))
@@ -433,6 +441,9 @@ func run(urls []string, reg *telemetry.Registry, requests, concurrency, tenants 
 					// The exemplar ties the latency bucket to the trace, so
 					// a fat tail in the artifact names traces to pull.
 					lat.ObserveExemplar(elapsed, root.TraceID())
+					latMu.Lock()
+					latencies = append(latencies, elapsed)
+					latMu.Unlock()
 					slow.offer(SlowRequest{
 						Trace: root.TraceID(), NS: elapsed,
 						Kernel: k.name, Tenant: tenant, Endpoint: endpoint,
@@ -460,6 +471,7 @@ func run(urls []string, reg *telemetry.Registry, requests, concurrency, tenants 
 
 	client.PublishStats()
 	creg := client.Metrics()
+	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	art := &Artifact{
 		Schema:        Schema,
 		Provenance:    bench.NewProvenance(Schema),
@@ -473,14 +485,15 @@ func run(urls []string, reg *telemetry.Registry, requests, concurrency, tenants 
 		RunFrac:       runFrac,
 		DurationNS:    elapsed.Nanoseconds(),
 		ThroughputRPS: float64(completed.Load()) / elapsed.Seconds(),
-		P50NS:         lat.Quantile(0.50),
-		P99NS:         lat.Quantile(0.99),
+		P50NS:         quantile(latencies, 0.50),
+		P90NS:         quantile(latencies, 0.90),
+		P99NS:         quantile(latencies, 0.99),
+		MaxNS:         quantile(latencies, 1),
 		Completed:     completed.Load(),
 		Shed:          shed.Load(),
 		HTTP5xx:       http5xx.Load(),
 		ClientErrors:  clientErrs.Load(),
 		Miscompiles:   miscompiles.Load(),
-		Hedges:        creg.CounterValue("farm.hedges"),
 		Retries:       creg.CounterValue("farm.retries"),
 	}
 
@@ -520,6 +533,20 @@ func run(urls []string, reg *telemetry.Registry, requests, concurrency, tenants 
 	snap.Service = "loadgen"
 	art.ClientMetrics = &snap
 	return art, nil
+}
+
+// quantile is the exact nearest-rank q-quantile of ascending samples: the
+// smallest sample with at least a fraction q of all samples at or below it
+// (0 for no samples).
+func quantile(sorted []int64, q float64) int64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+	if i < 0 {
+		i = 0
+	}
+	return sorted[i]
 }
 
 // fetchTrace pulls one assembled trace's raw spans from the first replica

@@ -72,7 +72,7 @@
 //	macc -in=bin -reopt -print prog.bin
 //
 // With -server the compile runs on a maccd farm instead of locally, through
-// the resilient farm client (retries, hedged requests, circuit breakers);
+// the resilient farm client (retries with failover, circuit breakers);
 // -priority batch marks the request sheddable under saturation:
 //
 //	macc -server http://farm0:8080,http://farm1:8080 -print prog.c

@@ -1,7 +1,7 @@
 package main
 
 // Remote mode: -server offloads the compile to a maccd farm through the
-// resilient farm client (retries with backoff, hedged requests, per-peer
+// resilient farm client (retries with failover and backoff, per-peer
 // circuit breakers). The local CLI keeps its output format, so scripts
 // cannot tell a farm compile from a local one — except by its speed when
 // the farm's shared cache is warm.
@@ -50,7 +50,6 @@ func runRemote(o remoteOpts) int {
 		AttemptTimeout: o.timeout,
 		Tracer:         tracer,
 	})
-	defer c.Close()
 
 	req := farm.CompileRequest{
 		Source:    string(src),

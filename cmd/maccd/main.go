@@ -17,8 +17,8 @@
 //	               ?scope=local to skip the peer fan-out)
 //	POST /debug/spans       span ingest from clients (loadgen, macc -server)
 //	GET  /debug/flight      flight-recorder dump (?full=1 includes spans)
-//	GET  /debug/farm        plain-text dashboard: breaker states, hedge
-//	               win rate, cache tier ratios, flight depth
+//	GET  /debug/farm        plain-text dashboard: breaker states, retry
+//	               counters, cache tier ratios, flight depth
 //	GET  /metrics/history   bounded ring of periodic registry snapshots
 //	               with counter deltas and per-second rates
 //
@@ -147,9 +147,9 @@ func main() {
 	shutdownDone := make(chan error, 1)
 	go func() {
 		<-ctx.Done()
-		// Drain: stop admitting, fail health checks so peers and load
-		// balancers route around us, then wait for in-flight requests
-		// up to their deadlines.
+		// Drain: stop admitting (peers' breakers see the 503s), fail
+		// health checks so load balancers route around us, then wait for
+		// in-flight requests up to their deadlines.
 		srv.StartDrain()
 		sctx, cancel := context.WithTimeout(context.Background(), drainBudget)
 		defer cancel()

@@ -162,21 +162,17 @@ func NewServer(opts ServerOptions) *Server {
 	return s
 }
 
-// Close stops the farm client's background prober (no-op without peers)
-// and the metrics-history sampler.
+// Close stops the metrics-history sampler.
 func (s *Server) Close() {
-	if s.farm != nil {
-		s.farm.Close()
-	}
 	if s.stopHistory != nil {
 		s.stopHistory()
 	}
 }
 
 // StartDrain begins a graceful shutdown: new compile/run requests are shed
-// with 503, /healthz fails so peers and load balancers stop routing here,
-// and in-flight requests keep their deadlines. /metrics stays available for
-// the final flush.
+// with 503 (which farm clients retry on another peer), /healthz fails so
+// load balancers stop routing here, and in-flight requests keep their
+// deadlines. /metrics stays available for the final flush.
 func (s *Server) StartDrain() {
 	s.draining.Store(true)
 }
@@ -654,8 +650,8 @@ func (s *Server) handleDebugFlight(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDebugFarm is the plain-text at-a-glance dashboard: request and
-// shed counters, cache tier ratios, hedge win rate, per-peer breaker
-// state and latency, and flight-recorder depth.
+// shed counters, cache tier ratios, retry counters, per-peer breaker
+// state, and flight-recorder depth.
 func (s *Server) handleDebugFarm(w http.ResponseWriter, r *http.Request) {
 	if s.farm != nil {
 		s.farm.PublishStats()
@@ -676,13 +672,8 @@ func (s *Server) handleDebugFarm(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "cache     hit_ratio=%.3f mem=%d disk=%d peer=%d miss=%d dedup_waits=%d evictions=%d\n",
 		ratio, c["ccache.mem_hits"], c["ccache.disk_hits"], c["ccache.peer_hits"],
 		c["ccache.misses"], c["ccache.dedup_waiters"], c["ccache.evictions"])
-	winRate := 0.0
-	if c["farm.hedges"] > 0 {
-		winRate = float64(c["farm.hedge_wins"]) / float64(c["farm.hedges"])
-	}
-	fmt.Fprintf(w, "farm      hedges=%d hedge_wins=%d win_rate=%.3f retries=%d attempt_errors=%d attempt_5xx=%d peer_lookup_hits=%d\n",
-		c["farm.hedges"], c["farm.hedge_wins"], winRate, c["farm.retries"],
-		c["farm.attempt_errors"], c["farm.attempt_5xx"], c["farm.peer_lookup_hits"])
+	fmt.Fprintf(w, "farm      retries=%d attempt_errors=%d attempt_5xx=%d peer_lookup_hits=%d\n",
+		c["farm.retries"], c["farm.attempt_errors"], c["farm.attempt_5xx"], c["farm.peer_lookup_hits"])
 	traces := s.tracer.Summaries()
 	incidents := 0
 	for _, t := range traces {
@@ -693,10 +684,7 @@ func (s *Server) handleDebugFarm(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "flight    traces=%d incidents=%d\n", len(traces), incidents)
 	if s.farm != nil {
 		for _, p := range s.farm.PeerStats() {
-			fmt.Fprintf(w, "peer      %-28s state=%-9s trips=%d samples=%d p50=%v p99=%v\n",
-				p.URL, p.State, p.Trips, p.Samples,
-				time.Duration(p.P50NS).Round(time.Microsecond),
-				time.Duration(p.P99NS).Round(time.Microsecond))
+			fmt.Fprintf(w, "peer      %-28s state=%-9s trips=%d\n", p.URL, p.State, p.Trips)
 		}
 	}
 }

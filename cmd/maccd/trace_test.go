@@ -87,7 +87,6 @@ func TestFarmDistributedTrace(t *testing.T) {
 	ct := dtrace.New("client", 0)
 	farmPost := func(target int) string {
 		cli := farm.NewClient(farm.ClientOptions{Peers: []string{urls[target]}, Tracer: ct})
-		defer cli.Close()
 		root := ct.StartRoot("compile "+addOneSrc[:10], dtrace.KindRequest)
 		ctx := dtrace.ContextWith(context.Background(), root.Context())
 		var out CompileResponse

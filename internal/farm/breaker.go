@@ -1,11 +1,11 @@
 // Package farm is the fault-tolerance layer that turns maccd replicas into
 // a compile farm. It provides the peer cache-lookup protocol (replicas
 // consult each other's content-addressed caches before compiling, every
-// answer revalidated by checksum and reparse), a resilient HTTP client
-// (per-attempt timeouts, exponential backoff with jitter, hedged requests
-// driven by observed p99 latency, and per-peer circuit breakers with
-// health-check-driven recovery), and the wire types shared by maccd,
-// cmd/macc -server, and cmd/loadgen.
+// answer revalidated by checksum and reparse), a resilient HTTP client (one
+// synchronous retry loop: per-attempt timeouts, failover to another peer,
+// exponential backoff with jitter, and per-peer circuit breakers that
+// recover through half-open probes of real traffic), and the wire types
+// shared by maccd, cmd/macc -server, and cmd/loadgen.
 //
 // The package takes the paper's stance one layer up: just as a coalesced
 // access must be proven safe before it replaces narrow ones, a degraded
@@ -27,7 +27,7 @@ const (
 	// Closed passes traffic and records outcomes.
 	Closed BreakerState = iota
 	// Open fails fast: the peer is presumed down until the cooldown
-	// elapses or a health probe succeeds.
+	// elapses.
 	Open
 	// HalfOpen admits one probe request at a time; enough consecutive
 	// successes close the breaker, any failure reopens it.
@@ -46,70 +46,33 @@ func (s BreakerState) String() string {
 	return fmt.Sprintf("BreakerState(%d)", int32(s))
 }
 
-// BreakerOptions tunes a Breaker. Zero values select the defaults.
-type BreakerOptions struct {
-	// ConsecutiveFailures trips the breaker regardless of rate
-	// (default 5). Timeout storms trip through this path.
-	ConsecutiveFailures int
-	// ErrorRate trips the breaker when the failure fraction over the
-	// rolling window reaches it, once MinSamples outcomes are recorded
-	// (default 0.5).
-	ErrorRate float64
-	// Window is the rolling outcome window size (default 20).
-	Window int
-	// MinSamples gates the error-rate trip (default 10).
-	MinSamples int
-	// Cooldown is how long an open breaker waits before letting one
-	// probe through (default 1s). A successful health check shortcuts
-	// the wait.
-	Cooldown time.Duration
-	// SuccessesToClose is how many consecutive half-open probe successes
-	// close the breaker (default 2).
-	SuccessesToClose int
-	// Clock is injectable for tests (default time.Now).
-	Clock func() time.Time
-}
-
-func (o BreakerOptions) withDefaults() BreakerOptions {
-	if o.ConsecutiveFailures <= 0 {
-		o.ConsecutiveFailures = 5
-	}
-	if o.ErrorRate <= 0 {
-		o.ErrorRate = 0.5
-	}
-	if o.Window <= 0 {
-		o.Window = 20
-	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = 10
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = time.Second
-	}
-	if o.SuccessesToClose <= 0 {
-		o.SuccessesToClose = 2
-	}
-	if o.Clock == nil {
-		o.Clock = time.Now
-	}
-	return o
-}
+// Breaker thresholds. A peer trips open on a run of consecutive failures
+// (timeout storms) or on a high failure rate over a rolling window; after
+// the cooldown one probe at a time is admitted, and enough consecutive probe
+// successes close the breaker again.
+const (
+	tripConsecutive  = 5
+	tripErrorRate    = 0.5
+	breakerWindow    = 20
+	tripMinSamples   = 10 // outcomes needed before the error rate can trip
+	breakerCooldown  = time.Second
+	successesToClose = 2
+)
 
 // Breaker is a per-peer circuit breaker. The contract is Allow-then-Record:
 // every Allow() == true must be paired with exactly one Record(ok) or
-// Cancel() call. Cancel releases an admission without an outcome (used for
-// hedged requests abandoned after the other leg won — an abandoned request
-// says nothing about the peer's health). All methods are safe for
-// concurrent use; in the half-open state at most one admission is
-// outstanding at a time, so concurrent callers cannot double-probe a
-// recovering peer.
+// Cancel() call. Cancel releases an admission without an outcome (used when
+// the caller gives up mid-attempt — a cancelled request says nothing about
+// the peer's health). All methods are safe for concurrent use; in the
+// half-open state at most one admission is outstanding at a time, so
+// concurrent callers cannot double-probe a recovering peer.
 type Breaker struct {
-	mu   sync.Mutex
-	opts BreakerOptions
+	mu    sync.Mutex
+	clock func() time.Time // time.Now; tests substitute a fake
 
 	state       BreakerState
 	consecFails int
-	window      []bool // ring buffer of outcomes, true = failure
+	window      [breakerWindow]bool // ring buffer of outcomes, true = failure
 	windowIdx   int
 	windowLen   int
 	openedAt    time.Time
@@ -119,9 +82,8 @@ type Breaker struct {
 }
 
 // NewBreaker builds a closed breaker.
-func NewBreaker(opts BreakerOptions) *Breaker {
-	opts = opts.withDefaults()
-	return &Breaker{opts: opts, window: make([]bool, opts.Window)}
+func NewBreaker() *Breaker {
+	return &Breaker{clock: time.Now}
 }
 
 // State reports the current state (open breakers past their cooldown still
@@ -148,7 +110,7 @@ func (b *Breaker) Allow() bool {
 	case Closed:
 		return true
 	case Open:
-		if b.opts.Clock().Sub(b.openedAt) < b.opts.Cooldown {
+		if b.clock().Sub(b.openedAt) < breakerCooldown {
 			return false
 		}
 		b.state = HalfOpen
@@ -177,7 +139,7 @@ func (b *Breaker) Record(ok bool) {
 			return
 		}
 		b.probeOKs++
-		if b.probeOKs >= b.opts.SuccessesToClose {
+		if b.probeOKs >= successesToClose {
 			b.reset()
 		}
 	case Closed:
@@ -187,11 +149,11 @@ func (b *Breaker) Record(ok bool) {
 			b.consecFails++
 		}
 		b.push(!ok)
-		if b.consecFails >= b.opts.ConsecutiveFailures {
+		if b.consecFails >= tripConsecutive {
 			b.trip()
 			return
 		}
-		if b.windowLen >= b.opts.MinSamples && b.failureRate() >= b.opts.ErrorRate {
+		if b.windowLen >= tripMinSamples && b.failureRate() >= tripErrorRate {
 			b.trip()
 		}
 	case Open:
@@ -208,23 +170,10 @@ func (b *Breaker) Cancel() {
 	}
 }
 
-// HealthOK is the health prober's recovery signal: an open breaker moves
-// to half-open immediately (skipping the remaining cooldown), so real
-// traffic can probe the recovered peer.
-func (b *Breaker) HealthOK() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == Open {
-		b.state = HalfOpen
-		b.probeOKs = 0
-		b.probing = false
-	}
-}
-
 // trip moves to Open. Caller holds b.mu.
 func (b *Breaker) trip() {
 	b.state = Open
-	b.openedAt = b.opts.Clock()
+	b.openedAt = b.clock()
 	b.probing = false
 	b.trips++
 }

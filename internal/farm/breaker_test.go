@@ -27,7 +27,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 
 // step is one scripted action against the breaker.
 type step struct {
-	op      string // "allow", "deny", "ok", "fail", "cancel", "advance", "health", "state"
+	op      string // "allow", "deny", "ok", "fail", "cancel", "advance", "state"
 	advance time.Duration
 	state   BreakerState
 }
@@ -37,20 +37,48 @@ func deny() step                   { return step{op: "deny"} }
 func ok() step                     { return step{op: "ok"} }
 func fail() step                   { return step{op: "fail"} }
 func advance(d time.Duration) step { return step{op: "advance", advance: d} }
-func health() step                 { return step{op: "health"} }
 func inState(s BreakerState) step  { return step{op: "state", state: s} }
+
+// repeat concatenates n copies of seq.
+func repeat(n int, seq ...step) []step {
+	var out []step
+	for i := 0; i < n; i++ {
+		out = append(out, seq...)
+	}
+	return out
+}
+
+// script flattens step groups into one table row.
+func script(groups ...[]step) []step {
+	var out []step
+	for _, g := range groups {
+		out = append(out, g...)
+	}
+	return out
+}
+
+// tripOpen is the shortest path from closed to open: tripConsecutive
+// admitted failures in a row.
+func tripOpen() []step {
+	return append(repeat(tripConsecutive, allow(), fail()), inState(Open))
+}
+
+// probeClosed admits and succeeds successesToClose half-open probes and
+// checks the breaker closed.
+func probeClosed() []step {
+	return append(repeat(successesToClose, allow(), ok()), inState(Closed))
+}
+
+// newTestBreaker builds a breaker on a fake clock.
+func newTestBreaker(clk *fakeClock) *Breaker {
+	b := NewBreaker()
+	b.clock = clk.Now
+	return b
+}
 
 // TestBreakerTransitions drives the full closed -> open -> half-open ->
 // closed cycle (and its failure branches) through scripted outcome tables.
 func TestBreakerTransitions(t *testing.T) {
-	opts := BreakerOptions{
-		ConsecutiveFailures: 3,
-		ErrorRate:           0.5,
-		Window:              8,
-		MinSamples:          4,
-		Cooldown:            time.Second,
-		SuccessesToClose:    2,
-	}
 	cases := []struct {
 		name  string
 		steps []step
@@ -58,85 +86,85 @@ func TestBreakerTransitions(t *testing.T) {
 	}{
 		{
 			name: "consecutive failures trip, cooldown probes, successes close",
-			steps: []step{
-				inState(Closed),
-				allow(), fail(), allow(), fail(), inState(Closed),
-				allow(), fail(), inState(Open), // 3rd consecutive failure trips
-				deny(),                                  // open fails fast
-				advance(999 * time.Millisecond), deny(), // cooldown not elapsed
-				advance(2 * time.Millisecond),
-				allow(), inState(HalfOpen), // first probe admitted
-				deny(),        // single probe at a time
-				ok(),          // probe 1 succeeds
-				allow(), ok(), // probe 2 succeeds
-				inState(Closed), // SuccessesToClose reached
-			},
+			steps: script(
+				[]step{inState(Closed)},
+				repeat(tripConsecutive-1, allow(), fail()),
+				[]step{
+					inState(Closed),
+					allow(), fail(), inState(Open), // the next consecutive failure trips
+					deny(), // open fails fast
+					advance(breakerCooldown - time.Millisecond), deny(), // cooldown not elapsed
+					advance(2 * time.Millisecond),
+					allow(), inState(HalfOpen), // first probe admitted
+					deny(), // single probe at a time
+					ok(),   // probe 1 succeeds
+				},
+				repeat(successesToClose-1, allow(), ok()),
+				[]step{inState(Closed)}, // successesToClose reached
+			),
 			trips: 1,
 		},
 		{
 			name: "half-open failure reopens and restarts the cooldown",
-			steps: []step{
-				allow(), fail(), allow(), fail(), allow(), fail(), inState(Open),
-				advance(time.Second),
-				allow(), inState(HalfOpen),
-				fail(), inState(Open), // probe failed: back to open
-				deny(), // and the cooldown restarted
-				advance(time.Second),
-				allow(), ok(), allow(), ok(), inState(Closed),
-			},
+			steps: script(
+				tripOpen(),
+				[]step{
+					advance(breakerCooldown),
+					allow(), inState(HalfOpen),
+					fail(), inState(Open), // probe failed: back to open
+					deny(), // and the cooldown restarted
+					advance(breakerCooldown),
+				},
+				probeClosed(),
+			),
 			trips: 2,
 		},
 		{
 			name: "error rate over the window trips without consecutive failures",
-			steps: []step{
-				// fail/ok alternation: never 3 consecutive, but 50% of 4+.
-				allow(), fail(), allow(), ok(), allow(), fail(), inState(Closed),
-				allow(), ok(), inState(Open), // 4 samples at rate 0.5
-			},
+			steps: script(
+				// fail/ok alternation: never two consecutive failures, but
+				// a failure rate of at least tripErrorRate.
+				repeat(tripMinSamples/2-1, allow(), fail(), allow(), ok()),
+				[]step{allow(), fail(), inState(Closed)}, // rate over the bar, too few samples
+				[]step{allow(), ok(), inState(Open)},     // tripMinSamples samples at rate 0.5
+			),
 			trips: 1,
 		},
 		{
 			name: "cancel releases the half-open probe slot without an outcome",
-			steps: []step{
-				allow(), fail(), allow(), fail(), allow(), fail(), inState(Open),
-				advance(time.Second),
-				allow(), inState(HalfOpen),
-				deny(),
-				{op: "cancel"}, // abandoned hedge: no judgement
-				inState(HalfOpen),
-				allow(), ok(), allow(), ok(), inState(Closed),
-			},
-			trips: 1,
-		},
-		{
-			name: "health check recovers an open breaker before the cooldown",
-			steps: []step{
-				allow(), fail(), allow(), fail(), allow(), fail(), inState(Open),
-				deny(),
-				health(), inState(HalfOpen),
-				allow(), ok(), allow(), ok(), inState(Closed),
-			},
+			steps: script(
+				tripOpen(),
+				[]step{
+					advance(breakerCooldown),
+					allow(), inState(HalfOpen),
+					deny(),
+					{op: "cancel"}, // the caller gave up: no judgement
+					inState(HalfOpen),
+				},
+				probeClosed(),
+			),
 			trips: 1,
 		},
 		{
 			name: "closing resets the window (old failures are forgiven)",
-			steps: []step{
-				allow(), fail(), allow(), fail(), allow(), fail(), inState(Open),
-				advance(time.Second),
-				allow(), ok(), allow(), ok(), inState(Closed),
-				// A fresh window: one failure among successes must not trip.
-				allow(), fail(), allow(), ok(), allow(), ok(), allow(), ok(),
-				inState(Closed),
-			},
+			steps: script(
+				tripOpen(),
+				[]step{advance(breakerCooldown)},
+				probeClosed(),
+				// A fresh window: 10 outcomes at a 40% failure rate. On top
+				// of the pre-trip failures they would trip (the consecutive
+				// count and the window rate alike); alone they must not.
+				repeat(4, allow(), fail(), allow(), ok()),
+				repeat(2, allow(), ok()),
+				[]step{inState(Closed)},
+			),
 			trips: 1,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := &fakeClock{now: time.Unix(0, 0)}
-			o := opts
-			o.Clock = clk.Now
-			b := NewBreaker(o)
+			b := newTestBreaker(clk)
 			for i, s := range tc.steps {
 				switch s.op {
 				case "allow":
@@ -155,8 +183,6 @@ func TestBreakerTransitions(t *testing.T) {
 					b.Cancel()
 				case "advance":
 					clk.Advance(s.advance)
-				case "health":
-					b.HealthOK()
 				case "state":
 					if got := b.State(); got != s.state {
 						t.Fatalf("step %d: state %v, want %v", i, got, s.state)
@@ -176,22 +202,19 @@ func TestBreakerTransitions(t *testing.T) {
 // this also proves the state transitions are data-race free.
 func TestHalfOpenProbeRace(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(0, 0)}
-	b := NewBreaker(BreakerOptions{
-		ConsecutiveFailures: 1,
-		Cooldown:            time.Millisecond,
-		SuccessesToClose:    1,
-		Clock:               clk.Now,
-	})
+	b := newTestBreaker(clk)
 
 	for round := 0; round < 50; round++ {
-		if !b.Allow() {
-			t.Fatalf("round %d: breaker not closed at round start", round)
+		for i := 0; i < tripConsecutive; i++ {
+			if !b.Allow() {
+				t.Fatalf("round %d: breaker not closed at round start", round)
+			}
+			b.Record(false)
 		}
-		b.Record(false) // trip
 		if b.State() != Open {
-			t.Fatalf("round %d: state %v after failure, want open", round, b.State())
+			t.Fatalf("round %d: state %v after failures, want open", round, b.State())
 		}
-		clk.Advance(2 * time.Millisecond)
+		clk.Advance(breakerCooldown)
 
 		const goroutines = 16
 		var admitted atomic.Int32
@@ -212,7 +235,14 @@ func TestHalfOpenProbeRace(t *testing.T) {
 		if n := admitted.Load(); n != 1 {
 			t.Fatalf("round %d: %d goroutines admitted into half-open, want exactly 1", round, n)
 		}
-		b.Record(true) // close again for the next round
+		b.Record(true)
+		// The remaining probes close the breaker for the next round.
+		for i := 1; i < successesToClose; i++ {
+			if !b.Allow() {
+				t.Fatalf("round %d: probe %d refused", round, i+1)
+			}
+			b.Record(true)
+		}
 		if b.State() != Closed {
 			t.Fatalf("round %d: state %v after probe success, want closed", round, b.State())
 		}
@@ -224,15 +254,12 @@ func TestHalfOpenProbeRace(t *testing.T) {
 // keeps admitting future probes) and never admits two at once.
 func TestHalfOpenConcurrentProbeAndCancel(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(0, 0)}
-	b := NewBreaker(BreakerOptions{
-		ConsecutiveFailures: 1,
-		Cooldown:            time.Millisecond,
-		SuccessesToClose:    3,
-		Clock:               clk.Now,
-	})
-	b.Allow()
-	b.Record(false)
-	clk.Advance(2 * time.Millisecond)
+	b := newTestBreaker(clk)
+	for i := 0; i < tripConsecutive; i++ {
+		b.Allow()
+		b.Record(false)
+	}
+	clk.Advance(breakerCooldown)
 
 	var wg sync.WaitGroup
 	var inProbe atomic.Int32

@@ -8,7 +8,6 @@ package faultinject
 // correctness.
 
 import (
-	"bufio"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -214,70 +213,6 @@ func (r *recordingWriter) Write(p []byte) (int, error) {
 	r.body = append(r.body, p...)
 	return len(p), nil
 }
-
-// Transport wraps an http.RoundTripper with client-side sabotage: delayed,
-// dropped, or corrupted responses as seen by the farm client. inner nil
-// means http.DefaultTransport.
-func (sb *ServiceSaboteur) Transport(inner http.RoundTripper) http.RoundTripper {
-	if inner == nil {
-		inner = http.DefaultTransport
-	}
-	return roundTripFunc(func(req *http.Request) (*http.Response, error) {
-		if sb.roll(sb.spec.Delay) {
-			sb.mu.Lock()
-			sb.delayed++
-			sb.mu.Unlock()
-			d := sb.someDelay()
-			select {
-			case <-time.After(d):
-			case <-req.Context().Done():
-				return nil, req.Context().Err()
-			}
-		}
-		if sb.roll(sb.spec.Drop) {
-			sb.mu.Lock()
-			sb.dropped++
-			sb.mu.Unlock()
-			return nil, fmt.Errorf("faultinject: connection dropped")
-		}
-		resp, err := inner.RoundTrip(req)
-		if err != nil || !sb.roll(sb.spec.Corrupt) {
-			return resp, err
-		}
-		sb.mu.Lock()
-		sb.corrupted++
-		sb.mu.Unlock()
-		resp.Body = &corruptReader{inner: bufio.NewReader(resp.Body), sb: sb, closer: resp.Body}
-		resp.ContentLength = -1
-		resp.Header.Del("Content-Length")
-		return resp, nil
-	})
-}
-
-type roundTripFunc func(*http.Request) (*http.Response, error)
-
-func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
-
-// corruptReader XORs a byte every so often as the body streams through.
-type corruptReader struct {
-	inner  *bufio.Reader
-	sb     *ServiceSaboteur
-	closer interface{ Close() error }
-	n      int
-}
-
-func (c *corruptReader) Read(p []byte) (int, error) {
-	n, err := c.inner.Read(p)
-	for i := 0; i < n; i++ {
-		c.n++
-		if c.n%37 == 19 { // deterministic, independent of read chunking
-			p[i] ^= 0x5a
-		}
-	}
-	return n, err
-}
-
-func (c *corruptReader) Close() error { return c.closer.Close() }
 
 // DiskFault returns a hook for ccache.Options.DiskFault that injects
 // ENOSPC-style failures and mid-write crashes at the spec's rates. Wire it

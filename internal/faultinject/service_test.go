@@ -88,65 +88,3 @@ func TestWrapHandlerDrops(t *testing.T) {
 		t.Errorf("dropped = %d, want 1", dropped)
 	}
 }
-
-// TestTransportCorrupts: the client-side saboteur corrupts bodies streaming
-// through the wrapped transport.
-func TestTransportCorrupts(t *testing.T) {
-	payload := strings.Repeat("0123456789abcdef", 16)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, payload)
-	}))
-	defer ts.Close()
-
-	sb := NewServiceSaboteur(ServiceSpec{Corrupt: 1, Seed: 3})
-	client := &http.Client{Transport: sb.Transport(nil)}
-	resp, err := client.Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if bytes.Equal(body, []byte(payload)) {
-		t.Error("transport corrupt=1 left the body intact")
-	}
-}
-
-// TestTransportDeterministicWithSeed: equal seeds and request orders fire
-// the same faults.
-func TestTransportDeterministicWithSeed(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "ok")
-	}))
-	defer ts.Close()
-
-	run := func(seed int64) []bool {
-		sb := NewServiceSaboteur(ServiceSpec{Drop: 0.5, Seed: seed})
-		client := &http.Client{Transport: sb.Transport(nil)}
-		var outcomes []bool
-		for i := 0; i < 32; i++ {
-			resp, err := client.Get(ts.URL)
-			if err == nil {
-				resp.Body.Close()
-			}
-			outcomes = append(outcomes, err == nil)
-		}
-		return outcomes
-	}
-	a, b := run(11), run(11)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("request %d: outcomes diverge under equal seeds", i)
-		}
-	}
-	c := run(12)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical fault patterns (suspicious)")
-	}
-}

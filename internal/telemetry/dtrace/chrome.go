@@ -27,7 +27,7 @@ type chromeFile struct {
 // WriteChromeTrace renders spans (typically one assembled trace) as Chrome
 // trace_event JSON. Each service becomes a process row (pid); within a
 // service, spans are packed into lanes (tids) greedily so that
-// overlapping-but-unrelated spans — hedge legs, concurrent attempts —
+// overlapping-but-unrelated spans — concurrent calls' attempts —
 // render on separate rows instead of interleaving, while properly nested
 // spans share their parent's lane.
 func WriteChromeTrace(w io.Writer, spans []Span) error {

@@ -119,7 +119,7 @@ type Span struct {
 const (
 	KindIngress = "ingress" // maccd HTTP handler, queue wait included
 	KindCall    = "call"    // one farm.Client logical call (all attempts)
-	KindAttempt = "attempt" // one HTTP attempt leg (primary or hedge)
+	KindAttempt = "attempt" // one HTTP attempt (one retry round)
 	KindLookup  = "lookup"  // peer cache lookup round
 	KindCache   = "cache"   // ccache tier decision (mem/disk/peer/miss)
 	KindWait    = "wait"    // singleflight wait behind an identical compile

@@ -191,8 +191,8 @@ func TestChromeExport(t *testing.T) {
 	spans := []Span{
 		{Trace: "t1", ID: "root", Service: "loadgen", Name: "/compile", Kind: KindRequest, Start: now, Dur: 100 * us},
 		{Trace: "t1", ID: "a1", Parent: "root", Service: "loadgen", Name: "attempt", Kind: KindAttempt, Start: now + 5*us, Dur: 60 * us},
-		// Hedge leg overlaps the primary: must land on a different lane.
-		{Trace: "t1", ID: "a2", Parent: "root", Service: "loadgen", Name: "attempt", Kind: KindAttempt, Start: now + 30*us, Dur: 50 * us, Attrs: map[string]string{"leg": "hedge"}},
+		// An unrelated attempt overlapping a1: must land on a different lane.
+		{Trace: "t1", ID: "a2", Parent: "root", Service: "loadgen", Name: "attempt", Kind: KindAttempt, Start: now + 30*us, Dur: 50 * us},
 		{Trace: "t1", ID: "ing", Parent: "a1", Service: "maccd:1", Name: "/compile", Kind: KindIngress, Start: now + 10*us, Dur: 40 * us},
 	}
 	var buf bytes.Buffer
@@ -226,7 +226,7 @@ func TestChromeExport(t *testing.T) {
 		t.Fatalf("want 2 process rows (loadgen, maccd:1), got %v", pids)
 	}
 	if lanes["a1"] == lanes["a2"] {
-		t.Fatalf("overlapping hedge legs share a lane: %v", lanes)
+		t.Fatalf("overlapping attempts share a lane: %v", lanes)
 	}
 	if lanes["ing"]/1000 == lanes["root"]/1000 {
 		t.Fatalf("maccd span shares loadgen's pid: %v", lanes)

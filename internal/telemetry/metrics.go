@@ -170,8 +170,8 @@ func bucketOf(v int64) int {
 // Quantile returns an upper bound on the q-quantile (0 <= q <= 1) of the
 // observed samples, resolved to the power-of-two bucket boundaries and
 // tightened by the observed min/max. An empty histogram returns 0. The
-// farm client's hedging policy reads its p99 from here, so the estimate is
-// deliberately conservative (never below the true quantile's bucket).
+// estimate is deliberately conservative (never below the true quantile's
+// bucket).
 func (h *Histogram) Quantile(q float64) int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
