@@ -100,6 +100,7 @@ import (
 	"macc/internal/rtl/codec"
 	"macc/internal/sim"
 	"macc/internal/telemetry"
+	"macc/internal/telemetry/dtrace"
 )
 
 // remarksFlag implements -remarks[=json|text]: a bool-style flag whose bare
@@ -397,7 +398,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := rec.WriteTrace(fw); err != nil {
+		spans := rec.Spans()
+		for i := range spans {
+			spans[i].Service = "macc"
+		}
+		if err := dtrace.WriteChromeTrace(fw, spans); err != nil {
 			fatal(err)
 		}
 		if err := fw.Close(); err != nil {

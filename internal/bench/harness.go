@@ -6,7 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -17,6 +17,7 @@ import (
 	"macc/internal/rtl"
 	"macc/internal/sim"
 	"macc/internal/telemetry"
+	"macc/internal/telemetry/dtrace"
 )
 
 // Workload sizes the benchmark inputs. The paper uses 500x500 frames.
@@ -468,8 +469,7 @@ func runTable(benches []Benchmark, cfgs []macc.Config, wl Workload, opts TableOp
 	type task struct{ bi, ci int }
 	taskc := make(chan task)
 	regs := make([]*telemetry.Registry, jobs)
-	workerSpans := make([][]telemetry.Span, jobs)
-	epoch := time.Now() // common timeline for every cell recorder's spans
+	workerSpans := make([][]dtrace.Span, jobs)
 	var wg sync.WaitGroup
 	for w := 0; w < jobs; w++ {
 		reg := telemetry.NewRegistry()
@@ -477,6 +477,7 @@ func runTable(benches []Benchmark, cfgs []macc.Config, wl Workload, opts TableOp
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
+			service := "worker " + strconv.Itoa(worker+1) // its process row in the trace
 			for t := range taskc {
 				start := time.Now()
 				rec := telemetry.NewRecorder()
@@ -488,13 +489,10 @@ func runTable(benches []Benchmark, cfgs []macc.Config, wl Workload, opts TableOp
 				}
 				reg.Histogram("bench.cell_wall_ns").Observe(time.Since(start).Nanoseconds())
 				if opts.Trace != nil {
-					// Rebase onto the shared epoch and stamp the worker ID
-					// so the merged trace attributes each span's lane.
-					spans := rec.SpansSince(epoch)
-					for i := range spans {
-						spans[i].PID = worker + 1
+					for _, sp := range rec.Spans() {
+						sp.Service = service
+						workerSpans[worker] = append(workerSpans[worker], sp)
 					}
-					workerSpans[worker] = append(workerSpans[worker], spans...)
 				}
 			}
 		}(w)
@@ -513,12 +511,11 @@ func runTable(benches []Benchmark, cfgs []macc.Config, wl Workload, opts TableOp
 		}
 	}
 	if opts.Trace != nil {
-		var all []telemetry.Span
+		var all []dtrace.Span
 		for _, ws := range workerSpans {
 			all = append(all, ws...)
 		}
-		sort.SliceStable(all, func(i, j int) bool { return all[i].Start < all[j].Start })
-		if err := telemetry.WriteTraceEvents(opts.Trace, all); err != nil {
+		if err := dtrace.WriteChromeTrace(opts.Trace, all); err != nil {
 			return nil, fmt.Errorf("bench: write trace: %w", err)
 		}
 	}

@@ -219,11 +219,6 @@ func (c *Client) call(ctx context.Context, spec callSpec) callResult {
 		if p == nil {
 			last = callResult{err: ErrNoPeers}
 			c.reg.Counter("farm.no_peer").Add(1)
-			// The short-circuit is a span of its own: the trace shows the
-			// round where every breaker refused admission.
-			sc := c.opts.Tracer.StartSpan(callSp.Context(), "breaker_short_circuit", dtrace.KindBreaker)
-			sc.SetErr(ErrNoPeers.Error())
-			sc.End()
 			continue
 		}
 		res := c.attempt(ctx, spec, p, callSp.Context())

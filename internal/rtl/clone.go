@@ -1,40 +1,5 @@
 package rtl
 
-// CloneRegion deep-copies a set of blocks into the function, rewiring
-// control transfers among the copied blocks to their copies while leaving
-// edges that leave the region pointing at the original targets. It returns
-// the original-to-copy mapping. Registers are not renamed; callers that need
-// independent register names apply RenameRegs afterwards.
-//
-// The coalescing pass uses this to build the "safe loop" copy the run-time
-// checks fall back to (Figure 5 of the paper), and the unroller uses it for
-// both body copies and the remainder loop.
-func (f *Fn) CloneRegion(blocks []*Block, nameSuffix string) map[*Block]*Block {
-	m := make(map[*Block]*Block, len(blocks))
-	for _, b := range blocks {
-		nb := f.NewBlock(b.Name + nameSuffix)
-		m[b] = nb
-	}
-	for _, b := range blocks {
-		nb := m[b]
-		for _, in := range b.Instrs {
-			cp := in.Clone()
-			if cp.Target != nil {
-				if t, ok := m[cp.Target]; ok {
-					cp.Target = t
-				}
-			}
-			if cp.Else != nil {
-				if t, ok := m[cp.Else]; ok {
-					cp.Else = t
-				}
-			}
-			nb.Instrs = append(nb.Instrs, cp)
-		}
-	}
-	return m
-}
-
 // RenameRegs rewrites register names in the given blocks according to the
 // rename map applied to both definitions and uses. Registers absent from the
 // map are left untouched (they are live-in values shared with the rest of
@@ -83,21 +48,6 @@ func (f *Fn) Clone() *Fn {
 		}
 	}
 	return nf
-}
-
-// Restore overwrites f in place with a deep copy of snap, so every existing
-// pointer to f (program tables, simulators) observes the restored body. The
-// pass pipeline uses this to roll a function back to its last-known-good
-// snapshot after a pass panics or fails verification; snap itself is left
-// untouched and may be restored from again.
-func (f *Fn) Restore(snap *Fn) {
-	c := snap.Clone()
-	f.Params = c.Params
-	f.Blocks = c.Blocks
-	f.FrameBytes = c.FrameBytes
-	f.FrameReg = c.FrameReg
-	f.nextReg = c.nextReg
-	f.nextBlk = c.nextBlk
 }
 
 // RedirectEdges replaces every control-flow edge in the function that points

@@ -103,17 +103,6 @@ func EvalInsert(a, val, off int64, w Width) int64 {
 	return int64((uint64(a) &^ mask) | ((uint64(val) << sh) & mask))
 }
 
-// EvalUnary computes Neg/Not.
-func EvalUnary(op Op, a int64) (int64, bool) {
-	switch op {
-	case Neg:
-		return -a, true
-	case Not:
-		return ^a, true
-	}
-	return 0, false
-}
-
 // Extend sign- or zero-extends the low w bytes of v to 64 bits.
 func Extend(v int64, w Width, signed bool) int64 {
 	if w == W8 {

@@ -345,8 +345,8 @@ func (f *FlatFn) RemoveBlocks(keep []bool) {
 	}
 }
 
-// CloneRegion is Fn.CloneRegion on the flat form: append one fresh block per
-// region block (in region order, so block IDs are assigned in region
+// CloneRegion deep-copies a set of blocks into function fi: append one fresh
+// block per region block (in region order, so block IDs are assigned in region
 // order), then copy the instructions, remapping Target/Else edges that stay
 // inside the region and duplicating call payloads so the Calls/Args tables
 // keep one entry per call instruction. Returns the original→clone index map.

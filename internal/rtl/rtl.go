@@ -198,15 +198,6 @@ func (op Op) IsBinary() bool {
 	return (op >= Add && op <= Shr && op != Neg && op != Not) || op.IsCompare()
 }
 
-// IsCommutative reports whether swapping A and B preserves semantics.
-func (op Op) IsCommutative() bool {
-	switch op {
-	case Add, Mul, And, Or, Xor, SetEQ, SetNE:
-		return true
-	}
-	return false
-}
-
 // Instr is a single RTL instruction. Which fields are meaningful depends on
 // Op; the Verify pass enforces the shape.
 type Instr struct {
@@ -293,19 +284,6 @@ func (in *Instr) UsesReg(r Reg) bool {
 	return false
 }
 
-// ReplaceUses substitutes every use of register from with operand to and
-// returns the number of substitutions made.
-func (in *Instr) ReplaceUses(from Reg, to Operand) int {
-	n := 0
-	for _, o := range in.SrcOperands() {
-		if r, ok := o.IsReg(); ok && r == from {
-			*o = to
-			n++
-		}
-	}
-	return n
-}
-
 // IsMem reports whether the instruction touches memory.
 func (in *Instr) IsMem() bool { return in.Op == Load || in.Op == Store }
 
@@ -338,14 +316,6 @@ func (b *Block) Term() *Instr {
 		return nil
 	}
 	return t
-}
-
-// Body returns the instructions before the terminator.
-func (b *Block) Body() []*Instr {
-	if b.Term() == nil {
-		return b.Instrs
-	}
-	return b.Instrs[:len(b.Instrs)-1]
 }
 
 // Succs returns the block's successor blocks in (taken, fallthrough) order.
@@ -464,16 +434,6 @@ func (f *Fn) NewBlock(name string) *Block {
 	b.Name = name
 	f.Blocks = append(f.Blocks, b)
 	return b
-}
-
-// BlockIndex returns the position of b in f.Blocks, or -1.
-func (f *Fn) BlockIndex(b *Block) int {
-	for i, x := range f.Blocks {
-		if x == b {
-			return i
-		}
-	}
-	return -1
 }
 
 // RemoveBlock deletes block b from the function. The caller must have

@@ -79,22 +79,6 @@ func TestInstrDefUses(t *testing.T) {
 	}
 }
 
-func TestReplaceUses(t *testing.T) {
-	in := BinI(Add, 3, R(1), R(1))
-	if n := in.ReplaceUses(1, C(42)); n != 2 {
-		t.Errorf("ReplaceUses = %d, want 2", n)
-	}
-	if _, ok := in.A.IsConst(); !ok {
-		t.Error("A not replaced")
-	}
-	// The destination must not be touched.
-	in2 := BinI(Add, 1, R(1), C(2))
-	in2.ReplaceUses(1, R(9))
-	if in2.Dst != 1 {
-		t.Error("destination register must not be rewritten by ReplaceUses")
-	}
-}
-
 func TestBlockEditing(t *testing.T) {
 	f := NewFn("t", 0)
 	b := f.Entry()
@@ -189,46 +173,6 @@ func TestVerifyCatchesBadShapes(t *testing.T) {
 		t.Error("jump to foreign block accepted")
 	}
 }
-
-func TestCloneRegionRewiresInternalEdges(t *testing.T) {
-	f := NewFn("t", 1)
-	entry := f.Entry()
-	header := f.NewBlock("h")
-	body := f.NewBlock("b")
-	exit := f.NewBlock("e")
-	cond := f.NewReg()
-	entry.Instrs = []*Instr{JumpI(header)}
-	header.Instrs = []*Instr{MovI(cond, C(1)), BranchI(R(cond), body, exit)}
-	body.Instrs = []*Instr{JumpI(header)}
-	exit.Instrs = []*Instr{RetI(C(0))}
-
-	m := f.CloneRegion([]*rtlBlockAlias{header, body}, ".copy")
-	h2, b2 := m[header], m[body]
-	if h2 == nil || b2 == nil {
-		t.Fatal("clone missing blocks")
-	}
-	// Internal edge header->body must point at the copy.
-	if h2.Term().Target != b2 {
-		t.Error("internal branch edge not rewired to copy")
-	}
-	// External edge header->exit stays.
-	if h2.Term().Else != exit {
-		t.Error("external edge should still point at the original exit")
-	}
-	// The back edge in the copied body points at the copied header.
-	if b2.Term().Target != h2 {
-		t.Error("back edge not rewired")
-	}
-	// Mutating the copy must not touch the original.
-	h2.Instrs[0].A = C(99)
-	if v, _ := header.Instrs[0].A.IsConst(); v != 1 {
-		t.Error("clone shares instruction storage with original")
-	}
-}
-
-// rtlBlockAlias exists to keep the test readable; CloneRegion takes the
-// package's Block type.
-type rtlBlockAlias = Block
 
 func TestRenameRegs(t *testing.T) {
 	f := NewFn("t", 0)

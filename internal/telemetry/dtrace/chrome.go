@@ -24,12 +24,12 @@ type chromeFile struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// WriteChromeTrace renders spans (typically one assembled trace) as Chrome
-// trace_event JSON. Each service becomes a process row (pid); within a
-// service, spans are packed into lanes (tids) greedily so that
-// overlapping-but-unrelated spans — concurrent calls' attempts —
-// render on separate rows instead of interleaving, while properly nested
-// spans share their parent's lane.
+// WriteChromeTrace renders spans (one assembled trace, or a compile's pass
+// spans straight from a telemetry.Recorder) as Chrome trace_event JSON.
+// Each service becomes a process row (pid); within a service, spans are
+// packed into lanes (tids) greedily so that overlapping-but-unrelated
+// spans — concurrent calls' attempts — render on separate rows instead of
+// interleaving, while properly nested spans share their parent's lane.
 func WriteChromeTrace(w io.Writer, spans []Span) error {
 	sorted := append([]Span(nil), spans...)
 	sort.SliceStable(sorted, func(i, j int) bool {
@@ -88,10 +88,11 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 		}
 
 		args := map[string]any{
-			"trace":   s.Trace,
-			"span":    s.ID,
 			"service": s.Service,
 			"kind":    s.Kind,
+		}
+		if s.Trace != "" { // unlinked pass spans have no trace identity
+			args["trace"], args["span"] = s.Trace, s.ID
 		}
 		if s.Parent != "" {
 			args["parent"] = s.Parent

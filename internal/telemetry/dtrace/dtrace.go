@@ -124,9 +124,8 @@ const (
 	KindCache   = "cache"   // ccache tier decision (mem/disk/peer/miss)
 	KindWait    = "wait"    // singleflight wait behind an identical compile
 	KindCompute = "compute" // cold compile under the singleflight leader
-	KindPass    = "pass"    // one pipeline pass (linked from telemetry.Recorder)
+	KindPass    = "pass"    // one pipeline pass (filed by telemetry.Recorder)
 	KindRun     = "run"     // simulator execution for /run
-	KindBreaker = "breaker" // breaker short-circuit (no peer admitted)
 	KindRequest = "request" // client-side root (loadgen, macc -server)
 )
 

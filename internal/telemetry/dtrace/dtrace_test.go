@@ -3,14 +3,9 @@ package dtrace
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
-	"time"
-
-	"macc/internal/telemetry"
 )
 
 func TestTraceparentRoundTrip(t *testing.T) {
@@ -183,97 +178,6 @@ func TestConcurrentTracer(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-func TestChromeExport(t *testing.T) {
-	now := time.Now().UnixNano()
-	us := int64(time.Microsecond)
-	spans := []Span{
-		{Trace: "t1", ID: "root", Service: "loadgen", Name: "/compile", Kind: KindRequest, Start: now, Dur: 100 * us},
-		{Trace: "t1", ID: "a1", Parent: "root", Service: "loadgen", Name: "attempt", Kind: KindAttempt, Start: now + 5*us, Dur: 60 * us},
-		// An unrelated attempt overlapping a1: must land on a different lane.
-		{Trace: "t1", ID: "a2", Parent: "root", Service: "loadgen", Name: "attempt", Kind: KindAttempt, Start: now + 30*us, Dur: 50 * us},
-		{Trace: "t1", ID: "ing", Parent: "a1", Service: "maccd:1", Name: "/compile", Kind: KindIngress, Start: now + 10*us, Dur: 40 * us},
-	}
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, spans); err != nil {
-		t.Fatal(err)
-	}
-	var tf struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			Pid  int            `json:"pid"`
-			Tid  int            `json:"tid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
-		t.Fatalf("invalid chrome JSON: %v", err)
-	}
-	pids := map[int]bool{}
-	lanes := map[string]int{}
-	for _, ev := range tf.TraceEvents {
-		if ev.Ph != "X" {
-			continue
-		}
-		pids[ev.Pid] = true
-		if span, _ := ev.Args["span"].(string); span != "" {
-			lanes[span] = ev.Pid*1000 + ev.Tid
-		}
-	}
-	if len(pids) != 2 {
-		t.Fatalf("want 2 process rows (loadgen, maccd:1), got %v", pids)
-	}
-	if lanes["a1"] == lanes["a2"] {
-		t.Fatalf("overlapping attempts share a lane: %v", lanes)
-	}
-	if lanes["ing"]/1000 == lanes["root"]/1000 {
-		t.Fatalf("maccd span shares loadgen's pid: %v", lanes)
-	}
-}
-
-func TestLinkRecorder(t *testing.T) {
-	rec := telemetry.NewRecorder()
-	rec.BeginPass("coalesce", "translate", 10, 2)
-	rec.EndPass(8, 2, false, "")
-	rec.BeginPass("schedule", "translate", 8, 2)
-	rec.EndPass(8, 2, true, "verifier: boom")
-
-	tr := New("maccd:1", 8)
-	root := tr.StartRoot("/compile", KindIngress)
-	n := LinkRecorder(tr, root.Context(), rec)
-	root.End()
-	if n != 2 {
-		t.Fatalf("linked %d spans, want 2", n)
-	}
-	spans := tr.Spans(root.TraceID())
-	var passes, rolled int
-	for _, sp := range spans {
-		if sp.Kind != KindPass {
-			continue
-		}
-		passes++
-		if sp.Parent != root.Context().Span.String() {
-			t.Fatalf("pass span parent = %s, want root %s", sp.Parent, root.Context().Span)
-		}
-		if sp.Attrs["rolled_back"] == "true" {
-			rolled++
-			if !strings.Contains(sp.Err, "boom") {
-				t.Fatalf("rolled-back pass lost error: %+v", sp)
-			}
-		}
-	}
-	if passes != 2 || rolled != 1 {
-		t.Fatalf("passes=%d rolled=%d, want 2/1", passes, rolled)
-	}
-	// Nil / invalid inputs are no-ops.
-	if LinkRecorder(nil, root.Context(), rec) != 0 {
-		t.Fatal("nil tracer linked spans")
-	}
-	if LinkRecorder(tr, SpanContext{}, rec) != 0 {
-		t.Fatal("invalid parent linked spans")
-	}
 }
 
 func TestContextPlumbing(t *testing.T) {

@@ -1,22 +1,16 @@
 package dtrace
 
-import (
-	"strconv"
-
-	"macc/internal/telemetry"
-)
-
-// LinkRecorder republishes rec's per-pass pipeline spans as children of
-// parent in t, converting the recorder's relative timestamps onto the
-// absolute trace timeline. This is how one request trace reaches from HTTP
-// ingress down to individual passes: maccd gives each cold compile a fresh
-// Recorder, the pipeline fills it, and the compile path links it under the
-// request's compute span. Returns the number of spans linked.
-func LinkRecorder(t *Tracer, parent SpanContext, rec *telemetry.Recorder) int {
+// LinkRecorder files rec's pass spans in t as children of parent, stamping
+// each with parent's trace, a fresh span ID, and t's service. This is how
+// one request trace reaches from HTTP ingress down to individual passes:
+// maccd gives each cold compile a fresh telemetry.Recorder, the pipeline
+// fills it, and the compile path links it under the request's compute span.
+// Returns the number of spans linked (0 for a nil tracer, an invalid
+// parent, or a nil recorder).
+func LinkRecorder(t *Tracer, parent SpanContext, rec interface{ Spans() []Span }) int {
 	if t == nil || rec == nil || !parent.Valid() {
 		return 0
 	}
-	epoch := rec.StartTime().UnixNano()
 	spans := rec.Spans()
 	t.mu.Lock()
 	ids := make([]SpanID, len(spans))
@@ -24,26 +18,9 @@ func LinkRecorder(t *Tracer, parent SpanContext, rec *telemetry.Recorder) int {
 		ids[i] = t.newSpanID()
 	}
 	t.mu.Unlock()
-	for i, ps := range spans {
-		sp := Span{
-			Trace:   parent.Trace.String(),
-			ID:      ids[i].String(),
-			Parent:  parent.Span.String(),
-			Service: t.Service(),
-			Name:    ps.Pass,
-			Kind:    KindPass,
-			Start:   epoch + int64(ps.Start),
-			Dur:     int64(ps.Dur),
-			Attrs: map[string]string{
-				"fn":           ps.Fn,
-				"instrs_delta": strconv.Itoa(ps.InstrsAfter - ps.InstrsBefore),
-				"remarks":      strconv.Itoa(ps.Remarks),
-			},
-			Err: ps.Err,
-		}
-		if ps.RolledBack {
-			sp.Attrs["rolled_back"] = "true"
-		}
+	trace, parentID := parent.Trace.String(), parent.Span.String()
+	for i, sp := range spans {
+		sp.Trace, sp.ID, sp.Parent, sp.Service = trace, ids[i].String(), parentID, t.service
 		t.Add(sp)
 	}
 	return len(spans)

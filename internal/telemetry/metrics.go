@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -406,24 +405,6 @@ func (r *Registry) CounterValue(name string) int64 {
 		return 0
 	}
 	return c.Value()
-}
-
-// Names returns every registered metric name, sorted (for stable reports).
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var names []string
-	for k := range r.counters {
-		names = append(names, k)
-	}
-	for k := range r.gauges {
-		names = append(names, k)
-	}
-	for k := range r.hists {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // WriteJSON renders a snapshot as indented JSON.

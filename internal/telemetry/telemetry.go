@@ -1,8 +1,8 @@
 // Package telemetry is the compiler's observability layer: structured
-// optimization remarks (the LLVM -Rpass idiom), per-pass spans exportable as
-// Chrome trace_event JSON, and a dependency-free metrics registry of
-// counters, gauges, and histograms shared by the static pipeline and the
-// dynamic simulator.
+// optimization remarks (the LLVM -Rpass idiom), per-pass spans (dtrace.Spans
+// of kind pass, exported by dtrace.WriteChromeTrace), and a dependency-free
+// metrics registry of counters, gauges, and histograms shared by the static
+// pipeline and the dynamic simulator.
 //
 // The paper justifies every coalescing decision with evidence — hazard
 // verdicts, static schedule cycle counts, measured memory-reference
@@ -14,14 +14,16 @@
 // semantics: remarks and metric increments emitted while a pass is running
 // are staged, and committed only when the pass survives its verification
 // checkpoint. A rolled-back pass therefore retracts its remarks — the span
-// remains, marked RolledBack, as the durable record of the incident.
+// remains, marked rolled_back, as the durable record of the incident.
 package telemetry
 
 import (
-	"io"
 	"runtime/metrics"
+	"strconv"
 	"sync"
 	"time"
+
+	"macc/internal/telemetry/dtrace"
 )
 
 // Emitter is the sink passes emit remarks and metric deltas into. A nil
@@ -79,12 +81,13 @@ func (u unitEmitter) Observe(name string, v int64) { u.em.Observe(name, v) }
 
 // stage buffers one active pass's uncommitted output.
 type stage struct {
-	span     Span
-	began    time.Time
-	allocAt  uint64
-	remarks  []Remark
-	counts   map[string]int64
-	observes map[string][]int64
+	pass, fn       string
+	instrs, blocks int // pre-pass IR size
+	began          time.Time
+	allocAt        uint64
+	remarks        []Remark
+	counts         map[string]int64
+	observes       map[string][]int64
 }
 
 // allocBytes reads the runtime's cumulative heap allocation total. Unlike
@@ -101,36 +104,25 @@ func allocBytes() uint64 {
 	return s[0].Value.Uint64()
 }
 
-// Recorder accumulates one compilation-plus-run's remarks, spans, and
+// Recorder accumulates one compilation-plus-run's remarks, pass spans, and
 // metrics. It is safe for concurrent use; pass staging (BeginPass/EndPass)
 // applies to the goroutine-serial compile pipeline.
 type Recorder struct {
 	mu      sync.Mutex
-	start   time.Time
 	remarks []Remark
-	spans   []Span
+	spans   []dtrace.Span
 	reg     *Registry
 	staged  *stage
 }
 
 // NewRecorder returns an empty Recorder with a fresh metrics Registry.
 func NewRecorder() *Recorder {
-	return &Recorder{start: time.Now(), reg: NewRegistry()}
+	return &Recorder{reg: NewRegistry()}
 }
 
 // Metrics returns the recorder's registry (shared with the simulator via
 // sim.AttachMetrics, so static and dynamic counters live side by side).
 func (r *Recorder) Metrics() *Registry { return r.reg }
-
-// StartTime returns the recorder's epoch: span Start offsets are relative
-// to it. Consumers that merge spans from several recorders (the parallel
-// bench harness, the distributed-trace linker) use it to rebase spans onto
-// a shared absolute timeline.
-func (r *Recorder) StartTime() time.Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.start
-}
 
 // Emit records a remark, staging it when a pass is active.
 func (r *Recorder) Emit(rem Remark) {
@@ -176,16 +168,12 @@ func (r *Recorder) BeginPass(pass, fn string, instrs, blocks int) {
 	defer r.mu.Unlock()
 	if r.staged != nil {
 		// Defensive: a dangling stage commits rather than silently vanishing.
-		r.commitLocked(r.staged, time.Now())
+		r.endLocked(r.staged, 0, 0, false, "")
 	}
-	now := time.Now()
 	r.staged = &stage{
-		span: Span{
-			Pass: pass, Fn: fn,
-			Start:        now.Sub(r.start),
-			InstrsBefore: instrs, BlocksBefore: blocks,
-		},
-		began:    now,
+		pass: pass, fn: fn,
+		instrs: instrs, blocks: blocks,
+		began:    time.Now(),
 		allocAt:  allocBytes(),
 		counts:   make(map[string]int64),
 		observes: make(map[string][]int64),
@@ -200,56 +188,63 @@ func (r *Recorder) BeginPass(pass, fn string, instrs, blocks int) {
 func (r *Recorder) EndPass(instrs, blocks int, rolledBack bool, errMsg string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := r.staged
-	if st == nil {
-		return
+	if st := r.staged; st != nil {
+		r.staged = nil
+		r.endLocked(st, instrs, blocks, rolledBack, errMsg)
 	}
-	r.staged = nil
-	now := time.Now()
-	st.span.Dur = now.Sub(st.began)
-	st.span.InstrsAfter = instrs
-	st.span.BlocksAfter = blocks
-	st.span.RolledBack = rolledBack
-	st.span.Err = errMsg
-	if rolledBack {
-		st.span.Remarks = 0
-		r.spans = append(r.spans, st.span)
-		// The pass's remarks retract but its cost was real: the self-time
-		// and allocation profile still commits.
-		r.selfProfileLocked(st)
-		r.reg.Counter("pipeline.pass_rollbacks").Add(1)
-		r.reg.Counter("pipeline.pass_runs").Add(1)
-		return
-	}
-	r.commitLocked(st, now)
 }
 
-// selfProfileLocked records one finished pass's self time and heap
+// endLocked files st's pass span and records the pass's self time and heap
 // allocation delta as registry counters (pass.<name>.self_ns,
 // pass.<name>.alloc_bytes) plus an overall histogram, so the continuous
 // profiler (/metrics and the /metrics/history ring) shows where compile
-// time and memory go per pass, not just per request. Allocation deltas are
+// time and memory go per pass, not just per request. The cost was real
+// either way, so it is recorded even for a rolled-back pass, whose staged
+// remarks and metric deltas are otherwise dropped. Allocation deltas are
 // process-wide (see allocBytes): exact for serial compiles, an upper bound
-// under concurrency.
-func (r *Recorder) selfProfileLocked(st *stage) {
-	r.reg.Counter("pass."+st.span.Pass+".self_ns").Add(int64(st.span.Dur))
-	if d := int64(allocBytes() - st.allocAt); d > 0 {
-		r.reg.Counter("pass." + st.span.Pass + ".alloc_bytes").Add(d)
+// under concurrency. r.mu is held; registry primitives take their own
+// locks, which is safe because the registry never calls back into the
+// recorder.
+func (r *Recorder) endLocked(st *stage, instrs, blocks int, rolledBack bool, errMsg string) {
+	dur := int64(time.Since(st.began))
+	alloc := int64(allocBytes() - st.allocAt)
+	remarks := len(st.remarks)
+	if rolledBack {
+		remarks = 0
 	}
-	r.reg.Histogram("pipeline.pass_self_ns").Observe(int64(st.span.Dur))
-}
+	sp := dtrace.Span{
+		Name:  st.pass,
+		Kind:  dtrace.KindPass,
+		Start: st.began.UnixNano(),
+		Dur:   dur,
+		Err:   errMsg,
+		Attrs: map[string]string{
+			"fn":            st.fn,
+			"instrs_before": strconv.Itoa(st.instrs),
+			"instrs_after":  strconv.Itoa(instrs),
+			"instrs_delta":  strconv.Itoa(instrs - st.instrs),
+			"blocks_before": strconv.Itoa(st.blocks),
+			"blocks_after":  strconv.Itoa(blocks),
+			"remarks":       strconv.Itoa(remarks),
+			"alloc_bytes":   strconv.FormatInt(alloc, 10),
+		},
+	}
+	if rolledBack {
+		sp.Attrs["rolled_back"] = "true"
+	}
+	r.spans = append(r.spans, sp)
 
-// commitLocked flushes one stage's remarks, counters, and samples. r.mu is
-// held; registry primitives take their own locks, which is safe because the
-// registry never calls back into the recorder.
-func (r *Recorder) commitLocked(st *stage, now time.Time) {
-	if st.span.Dur == 0 {
-		st.span.Dur = now.Sub(st.began)
+	r.reg.Counter("pass." + st.pass + ".self_ns").Add(dur)
+	if alloc > 0 {
+		r.reg.Counter("pass." + st.pass + ".alloc_bytes").Add(alloc)
 	}
-	st.span.Remarks = len(st.remarks)
+	r.reg.Histogram("pipeline.pass_self_ns").Observe(dur)
+	r.reg.Counter("pipeline.pass_runs").Add(1)
+	if rolledBack {
+		r.reg.Counter("pipeline.pass_rollbacks").Add(1)
+		return
+	}
 	r.remarks = append(r.remarks, st.remarks...)
-	r.spans = append(r.spans, st.span)
-	r.selfProfileLocked(st)
 	for name, n := range st.counts {
 		r.reg.Counter(name).Add(n)
 	}
@@ -259,7 +254,6 @@ func (r *Recorder) commitLocked(st *stage, now time.Time) {
 			h.Observe(v)
 		}
 	}
-	r.reg.Counter("pipeline.pass_runs").Add(1)
 }
 
 // Remarks returns a copy of the committed remarks in emission order.
@@ -271,14 +265,15 @@ func (r *Recorder) Remarks() []Remark {
 	return out
 }
 
-// Spans returns a copy of the recorded spans in completion order.
-func (r *Recorder) Spans() []Span {
+// Spans returns a copy of the pass spans in completion order, nil for a nil
+// Recorder. Each span is a dtrace.KindPass span with an absolute start and
+// no trace identity yet (dtrace.LinkRecorder stamps one); the Attrs maps are
+// shared with the recorder and must not be modified.
+func (r *Recorder) Spans() []dtrace.Span {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Span, len(r.spans))
-	copy(out, r.spans)
-	return out
+	return append([]dtrace.Span(nil), r.spans...)
 }
-
-// WriteMetrics renders the registry as JSON.
-func (r *Recorder) WriteMetrics(w io.Writer) error { return r.reg.WriteJSON(w) }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"macc/internal/telemetry"
+	"macc/internal/telemetry/dtrace"
 )
 
 func passed(pass, fn, loop string) telemetry.Remark {
@@ -45,8 +47,14 @@ func TestRollbackRetractsStagedOutput(t *testing.T) {
 		t.Fatalf("got %d spans, want 1", len(spans))
 	}
 	sp := spans[0]
-	if !sp.RolledBack || sp.Err == "" || sp.Remarks != 0 {
-		t.Errorf("span = %+v, want RolledBack with Err and zero remarks", sp)
+	if sp.Kind != dtrace.KindPass || sp.Name != "coalesce" || sp.Attrs["fn"] != "f" {
+		t.Errorf("span = %+v, want pass span coalesce over f", sp)
+	}
+	if sp.Attrs["rolled_back"] != "true" || sp.Err == "" || sp.Attrs["remarks"] != "0" {
+		t.Errorf("span = %+v, want rolled_back with Err and zero remarks", sp)
+	}
+	if _, err := strconv.ParseUint(sp.Attrs["alloc_bytes"], 10, 64); err != nil {
+		t.Errorf("span alloc_bytes = %q, want a byte count", sp.Attrs["alloc_bytes"])
 	}
 
 	// A subsequent clean pass commits normally: the retraction is scoped to
@@ -78,70 +86,6 @@ func TestEmitOutsidePassCommitsImmediately(t *testing.T) {
 	}
 	if n := r.Metrics().CounterValue("sim.cycles"); n != 100 {
 		t.Errorf("sim.cycles = %d, want 100", n)
-	}
-}
-
-// TestTraceEventJSON checks the Chrome trace_event schema invariants that
-// about://tracing relies on: a top-level traceEvents array, complete ("X")
-// events with name/pid/tid/ts/dur, and thread-name metadata ("M") events.
-func TestTraceEventJSON(t *testing.T) {
-	r := telemetry.NewRecorder()
-	r.BeginPass("unroll", "f", 10, 2)
-	r.EndPass(30, 4, false, "")
-	r.BeginPass("coalesce", "f", 30, 4)
-	r.Emit(passed("coalesce", "f", "loop"))
-	r.EndPass(28, 4, false, "")
-	r.BeginPass("schedule", "f", 28, 4)
-	r.EndPass(28, 4, true, "pass schedule on f: injected")
-
-	var buf bytes.Buffer
-	if err := r.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var tf struct {
-		TraceEvents []struct {
-			Name string          `json:"name"`
-			Ph   string          `json:"ph"`
-			Ts   *float64        `json:"ts"`
-			Dur  *float64        `json:"dur"`
-			Pid  int             `json:"pid"`
-			Tid  int             `json:"tid"`
-			Cat  string          `json:"cat"`
-			Args json.RawMessage `json:"args"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
-		t.Fatalf("trace output is not valid JSON: %v\n%s", err, buf.String())
-	}
-	var complete, meta, rollback int
-	for _, ev := range tf.TraceEvents {
-		switch ev.Ph {
-		case "X":
-			complete++
-			if ev.Name == "" || ev.Ts == nil || ev.Dur == nil || *ev.Ts < 0 || *ev.Dur < 0 {
-				t.Errorf("malformed complete event: %+v", ev)
-			}
-			if ev.Cat == "rollback" {
-				rollback++
-			}
-		case "M":
-			meta++
-			if ev.Name != "thread_name" {
-				t.Errorf("metadata event name = %q, want thread_name", ev.Name)
-			}
-		default:
-			t.Errorf("unexpected event phase %q", ev.Ph)
-		}
-	}
-	if complete != 3 {
-		t.Errorf("got %d complete events, want 3 (one per pass run)", complete)
-	}
-	if meta == 0 {
-		t.Error("no thread_name metadata events; lanes would be unlabeled")
-	}
-	if rollback != 1 {
-		t.Errorf("got %d rollback-category events, want 1", rollback)
 	}
 }
 

@@ -85,13 +85,13 @@ func TestRollbackRetractsCoalesceRemarks(t *testing.T) {
 
 	var sawRollbackSpan bool
 	for _, sp := range rec.Spans() {
-		if sp.Pass == "coalesce" && sp.RolledBack {
+		if sp.Name == "coalesce" && sp.Attrs["rolled_back"] == "true" {
 			sawRollbackSpan = true
 			if sp.Err == "" {
 				t.Error("rolled-back span carries no error message")
 			}
-			if sp.Remarks != 0 {
-				t.Errorf("rolled-back span claims %d committed remarks", sp.Remarks)
+			if sp.Attrs["remarks"] != "0" {
+				t.Errorf("rolled-back span claims %s committed remarks", sp.Attrs["remarks"])
 			}
 		}
 	}
