@@ -7,6 +7,7 @@ import (
 	"macc/internal/cfg"
 	"macc/internal/dataflow"
 	"macc/internal/rtl"
+	"macc/internal/rtlgen"
 )
 
 func TestBitSetBasics(t *testing.T) {
@@ -190,4 +191,68 @@ func TestDefUse(t *testing.T) {
 	if du2.Immutable(f2.Params[0]) {
 		t.Error("reassigned param must not be immutable")
 	}
+}
+
+// TestIntoReusesStaleBuffers runs one def-use buffer and one liveness
+// buffer through a sequence of functions of varying size, including steps
+// from a larger function to a smaller one, and requires every result to
+// equal the fresh constructors'.
+func TestIntoReusesStaleBuffers(t *testing.T) {
+	small, _, _, _, _, _ := buildLivenessFn()
+	fns := []*rtl.Fn{}
+	for seed := int64(1); seed <= 20; seed++ {
+		fn, err := rtlgen.Generate(seed, rtlgen.DefaultOptions())
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		fns = append(fns, fn, small)
+	}
+	var du dataflow.FlatDefUse
+	var lv dataflow.FlatLiveness
+	shrank := false
+	prevRegs, prevBlocks := 0, 0
+	for k, fn := range fns {
+		fp := flatten(t, fn.Clone())
+		f := &fp.Fns[0]
+		if f.NumRegs() < prevRegs && len(f.Blocks) < prevBlocks {
+			shrank = true
+		}
+		prevRegs, prevBlocks = f.NumRegs(), len(f.Blocks)
+
+		dataflow.ComputeFlatDefUseInto(f, &du)
+		want := dataflow.ComputeFlatDefUse(f)
+		for r := rtl.Reg(0); int(r) < f.NumRegs(); r++ {
+			gs, gok := du.SingleDef(r)
+			ws, wok := want.SingleDef(r)
+			if du.DefCount(r) != want.DefCount(r) || du.UseCount(r) != want.UseCount(r) ||
+				du.IsParam(r) != want.IsParam(r) || du.Immutable(r) != want.Immutable(r) ||
+				gok != wok || gs != ws {
+				t.Fatalf("function %d: reused def-use differs from fresh at r%d", k, r)
+			}
+		}
+
+		g := cfg.NewFlat(fp, 0)
+		dataflow.ComputeFlatLivenessInto(g, &lv)
+		wantLv := dataflow.ComputeFlatLiveness(g)
+		for b := int32(0); int(b) < len(f.Blocks); b++ {
+			if !sameSet(lv.LiveInSet(b), wantLv.LiveInSet(b)) || !sameSet(lv.LiveOutSet(b), wantLv.LiveOutSet(b)) {
+				t.Fatalf("function %d: reused liveness differs from fresh at block %d", k, b)
+			}
+		}
+	}
+	if !shrank {
+		t.Fatal("no step went from a larger function to a smaller one")
+	}
+}
+
+func sameSet(a, b dataflow.BitSet) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -28,13 +28,19 @@ type FlatDefUse struct {
 // register, how many instructions define it, how many operand slots read
 // it, and (for single-definition registers) where that definition lives.
 func ComputeFlatDefUse(f *rtl.FlatFn) *FlatDefUse {
+	du := &FlatDefUse{}
+	ComputeFlatDefUseInto(f, du)
+	return du
+}
+
+// ComputeFlatDefUseInto is ComputeFlatDefUse writing into du, reusing its
+// tables' storage; whatever du held before is overwritten.
+func ComputeFlatDefUseInto(f *rtl.FlatFn, du *FlatDefUse) {
 	n := f.NumRegs()
-	du := &FlatDefUse{
-		defCount: make([]int32, n),
-		useCount: make([]int32, n),
-		single:   make([]FlatDefSite, n),
-		isParam:  make([]bool, n),
-	}
+	du.defCount = resize(du.defCount, n)
+	du.useCount = resize(du.useCount, n)
+	du.single = resize(du.single, n)
+	du.isParam = resize(du.isParam, n)
 	for _, p := range f.Params {
 		du.isParam[p] = true
 		du.defCount[p]++
@@ -53,7 +59,17 @@ func ComputeFlatDefUse(f *rtl.FlatFn) *FlatDefUse {
 			}
 		}
 	}
-	return du
+}
+
+// resize returns s with length n and every element zero, reusing s's
+// storage when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // DefCount returns how many definitions register r has (parameters count
@@ -82,26 +98,46 @@ func (du *FlatDefUse) SingleDef(r rtl.Reg) (FlatDefSite, bool) {
 func (du *FlatDefUse) Immutable(r rtl.Reg) bool { return du.defCount[r] == 1 }
 
 // FlatLiveness holds per-block live-in/live-out register sets for a flat
-// function, indexed by block.
+// function, indexed by block. Every set, the per-block use/def sets the
+// solver needs included, is carved from one word buffer.
 type FlatLiveness struct {
 	liveIn  []BitSet
 	liveOut []BitSet
+	use     []BitSet
+	def     []BitSet
+	words   []uint64
 }
 
 // ComputeFlatLiveness runs iterative backward liveness over the function,
 // visiting blocks in reverse RPO for fast convergence.
 func ComputeFlatLiveness(g *cfg.FlatGraph) *FlatLiveness {
+	lv := &FlatLiveness{}
+	ComputeFlatLivenessInto(g, lv)
+	return lv
+}
+
+// ComputeFlatLivenessInto is ComputeFlatLiveness writing into lv, reusing
+// its storage; whatever lv held before is overwritten.
+func ComputeFlatLivenessInto(g *cfg.FlatGraph, lv *FlatLiveness) {
 	f := g.F
-	n := f.NumRegs()
 	nb := len(f.Blocks)
-	lv := &FlatLiveness{
-		liveIn:  make([]BitSet, nb),
-		liveOut: make([]BitSet, nb),
+	w := (f.NumRegs() + 63) / 64
+	lv.words = resize(lv.words, (4*nb+1)*w)
+	carve := func(sets []BitSet, at int) []BitSet {
+		sets = resize(sets, nb)
+		for bi := range sets {
+			off := (at*nb + bi) * w
+			sets[bi] = lv.words[off : off+w : off+w]
+		}
+		return sets
 	}
-	use := make([]BitSet, nb)
-	def := make([]BitSet, nb)
+	lv.liveIn = carve(lv.liveIn, 0)
+	lv.liveOut = carve(lv.liveOut, 1)
+	lv.use = carve(lv.use, 2)
+	lv.def = carve(lv.def, 3)
+	tmp := BitSet(lv.words[4*nb*w:])
 	for bi := range f.Blocks {
-		u, d := NewBitSet(n), NewBitSet(n)
+		u, d := lv.use[bi], lv.def[bi]
 		b := &f.Blocks[bi]
 		for i := b.InstrStart; i < b.InstrEnd; i++ {
 			f.SrcSlots(i, func(o *rtl.Operand) {
@@ -113,12 +149,8 @@ func ComputeFlatLiveness(g *cfg.FlatGraph) *FlatLiveness {
 				d.Set(int(dr))
 			}
 		}
-		use[bi], def[bi] = u, d
-		lv.liveIn[bi] = NewBitSet(n)
-		lv.liveOut[bi] = NewBitSet(n)
 	}
 	changed := true
-	tmp := NewBitSet(n)
 	var sbuf [2]int32
 	for changed {
 		changed = false
@@ -131,15 +163,15 @@ func ComputeFlatLiveness(g *cfg.FlatGraph) *FlatLiveness {
 				}
 			}
 			// in = use ∪ (out − def)
-			tmp.Copy(out)
-			def[b].ForEach(func(i int) { tmp.Clear(i) })
-			tmp.OrInto(use[b])
+			use, def := lv.use[b], lv.def[b]
+			for wi := range tmp {
+				tmp[wi] = use[wi] | out[wi]&^def[wi]
+			}
 			if lv.liveIn[b].OrInto(tmp) {
 				changed = true
 			}
 		}
 	}
-	return lv
 }
 
 // LiveOutSet returns the live-out set of block bi (shared, do not mutate).

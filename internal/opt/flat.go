@@ -15,19 +15,20 @@ import (
 // FlatClean runs the full clean-up pipeline to a fixpoint (bounded) and reports
 // whether anything changed.
 func FlatClean(fp *rtl.FlatProgram, fi int) bool {
+	c := newCleaner(fp, fi)
 	changedEver := false
 	for i := 0; i < 8; i++ {
 		changed := false
-		changed = FlatRemoveUnreachable(fp, fi) || changed
-		changed = FlatFoldConstants(fp, fi) || changed
-		changed = FlatPropagateLocal(fp, fi) || changed
-		changed = FlatPropagateImmutable(fp, fi) || changed
-		changed = FlatLocalCSE(fp, fi) || changed
-		changed = FlatCollapseMovChains(fp, fi) || changed
-		changed = FlatPeephole(fp, fi) || changed
-		changed = FlatDeadCodeElim(fp, fi) || changed
-		changed = FlatGlobalDCE(fp, fi) || changed
-		changed = FlatEliminateDeadIVs(fp, fi) || changed
+		changed = c.removeUnreachable() || changed
+		changed = c.foldConstants() || changed
+		changed = c.propagateLocal() || changed
+		changed = c.propagateImmutable() || changed
+		changed = c.localCSE() || changed
+		changed = c.collapseMovChains() || changed
+		changed = c.peephole() || changed
+		changed = c.deadCodeElim() || changed
+		changed = c.globalDCE() || changed
+		changed = c.eliminateDeadIVs() || changed
 		if !changed {
 			break
 		}
@@ -36,29 +37,122 @@ func FlatClean(fp *rtl.FlatProgram, fi int) bool {
 	return changedEver
 }
 
-// FlatRemoveUnreachable drops blocks that cannot be reached from the entry.
-func FlatRemoveUnreachable(fp *rtl.FlatProgram, fi int) bool {
-	f := &fp.Fns[fi]
-	g := cfg.NewFlat(fp, fi)
-	keep := make([]bool, len(f.Blocks))
-	n := 0
-	for bi := range f.Blocks {
-		if g.Reachable(int32(bi)) {
-			keep[bi] = true
-			n++
-		}
+// cleaner runs FlatClean's sub-passes over one function. It owns every
+// analysis and scratch buffer they use, so one FlatClean call builds each
+// into storage reused across its sub-passes and rounds. The exported Flat*
+// sub-passes each run on a fresh cleaner.
+type cleaner struct {
+	fp *rtl.FlatProgram
+	fi int
+	f  *rtl.FlatFn
+
+	// g is the function's CFG and edges each block's ordered successors
+	// (-1 pads a missing one) as they were when g was built; g is reused
+	// while every block's successors still match.
+	g     *cfg.FlatGraph
+	edges [][2]int32
+
+	du   dataflow.FlatDefUse
+	lv   dataflow.FlatLiveness
+	live dataflow.BitSet
+
+	mask       []bool  // kill or keep marks, one per instruction or block
+	uses, defs []int32 // per-register counts
+	selfOnly   []bool
+
+	// propagateLocal's per-block state: val[r] is r's known constant or
+	// copy source where has[r]; touched lists every r with has[r] set.
+	val     []rtl.Operand
+	has     []bool
+	touched []rtl.Reg
+
+	cse cseTable
+}
+
+func newCleaner(fp *rtl.FlatProgram, fi int) *cleaner {
+	return &cleaner{fp: fp, fi: fi, f: &fp.Fns[fi]}
+}
+
+// reuse returns s with length n and every element zero, reusing s's
+// storage when it is large enough.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	if n == len(f.Blocks) {
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// marks returns the cleaner's mark buffer, cleared, with n entries.
+func (c *cleaner) marks(n int) []bool {
+	c.mask = reuse(c.mask, n)
+	return c.mask
+}
+
+// graph returns the function's CFG, rebuilding it only when some block's
+// ordered successor list differs from the one recorded at the last build.
+// The check reads the terminators themselves, so no sub-pass has to report
+// the edits it made.
+func (c *cleaner) graph() *cfg.FlatGraph {
+	if c.g != nil && c.edgesUnchanged() {
+		return c.g
+	}
+	c.g = cfg.NewFlat(c.fp, c.fi)
+	c.edges = c.edges[:0]
+	for bi := range c.f.Blocks {
+		c.edges = append(c.edges, c.succs(int32(bi)))
+	}
+	return c.g
+}
+
+func (c *cleaner) edgesUnchanged() bool {
+	if len(c.edges) != len(c.f.Blocks) {
 		return false
 	}
-	f.RemoveBlocks(keep)
+	for bi, e := range c.edges {
+		if c.succs(int32(bi)) != e {
+			return false
+		}
+	}
+	return true
+}
+
+// succs returns block bi's successors in cfg.FlatSuccs order, -1 padding a
+// missing one.
+func (c *cleaner) succs(bi int32) [2]int32 {
+	e := [2]int32{-1, -1}
+	var buf [2]int32
+	copy(e[:], cfg.FlatSuccs(c.f, bi, buf[:0]))
+	return e
+}
+
+// FlatRemoveUnreachable drops blocks that cannot be reached from the entry.
+func FlatRemoveUnreachable(fp *rtl.FlatProgram, fi int) bool {
+	return newCleaner(fp, fi).removeUnreachable()
+}
+
+func (c *cleaner) removeUnreachable() bool {
+	g := c.graph()
+	if len(g.RPO) == len(c.f.Blocks) {
+		return false
+	}
+	keep := c.marks(len(c.f.Blocks))
+	for _, bi := range g.RPO {
+		keep[bi] = true
+	}
+	c.f.RemoveBlocks(keep)
 	return true
 }
 
 // FlatFoldConstants evaluates instructions whose operands are constants and
 // simplifies algebraic identities (x+0, x*1, x*0, x<<0, branch-on-constant).
 func FlatFoldConstants(fp *rtl.FlatProgram, fi int) bool {
-	f := &fp.Fns[fi]
+	return newCleaner(fp, fi).foldConstants()
+}
+
+func (c *cleaner) foldConstants() bool {
+	f := c.f
 	changed := false
 	for i := int32(0); i < int32(len(f.Op)); i++ {
 		if flatFoldInstr(f, i) {
@@ -186,37 +280,56 @@ func flatFoldInstr(f *rtl.FlatFn, i int32) bool {
 // kills precisely, so chains like "t=2; u=t; v=a+u" collapse without any
 // global analysis.
 func FlatPropagateLocal(fp *rtl.FlatProgram, fi int) bool {
-	f := &fp.Fns[fi]
+	return newCleaner(fp, fi).propagateLocal()
+}
+
+func (c *cleaner) propagateLocal() bool {
+	f := c.f
+	n := f.NumRegs()
+	c.val = reuse(c.val, n)
+	c.has = reuse(c.has, n)
+	val, has := c.val, c.has
 	changed := false
 	for bi := range f.Blocks {
 		b := &f.Blocks[bi]
-		val := make(map[rtl.Reg]rtl.Operand) // reg -> known const or copy source
 		for i := b.InstrStart; i < b.InstrEnd; i++ {
 			f.SrcSlots(i, func(o *rtl.Operand) {
-				if r, ok := o.IsReg(); ok {
-					if v, ok := val[r]; ok {
-						*o = v
-						changed = true
-					}
+				if r, ok := o.IsReg(); ok && has[r] {
+					*o = val[r]
+					changed = true
 				}
 			})
-			if d, ok := f.Def(i); ok {
-				// Kill anything that referenced the redefined register.
-				delete(val, d)
-				for r, v := range val {
-					if vr, ok := v.IsReg(); ok && vr == d {
-						delete(val, r)
-					}
+			d, ok := f.Def(i)
+			if !ok {
+				continue
+			}
+			// Kill d and anything that referenced the redefined register.
+			has[d] = false
+			kept := c.touched[:0]
+			for _, r := range c.touched {
+				if !has[r] {
+					continue
 				}
-				if f.Op[i] == rtl.Mov {
-					if _, isC := f.A[i].IsConst(); isC {
-						val[d] = f.A[i]
-					} else if sr, ok := f.A[i].IsReg(); ok && sr != d {
-						val[d] = f.A[i]
-					}
+				if vr, ok := val[r].IsReg(); ok && vr == d {
+					has[r] = false
+					continue
+				}
+				kept = append(kept, r)
+			}
+			c.touched = kept
+			if f.Op[i] == rtl.Mov {
+				_, isC := f.A[i].IsConst()
+				sr, isR := f.A[i].IsReg()
+				if isC || (isR && sr != d) {
+					val[d], has[d] = f.A[i], true
+					c.touched = append(c.touched, d)
 				}
 			}
 		}
+		for _, r := range c.touched {
+			has[r] = false
+		}
+		c.touched = c.touched[:0]
 	}
 	return changed
 }
@@ -226,9 +339,14 @@ func FlatPropagateLocal(fp *rtl.FlatProgram, fi int) bool {
 // constant, or as a copy of another immutable register, its uses dominated
 // by the definition are rewritten.
 func FlatPropagateImmutable(fp *rtl.FlatProgram, fi int) bool {
-	f := &fp.Fns[fi]
-	du := dataflow.ComputeFlatDefUse(f)
-	g := cfg.NewFlat(fp, fi)
+	return newCleaner(fp, fi).propagateImmutable()
+}
+
+func (c *cleaner) propagateImmutable() bool {
+	f := c.f
+	du := &c.du
+	dataflow.ComputeFlatDefUseInto(f, du)
+	g := c.graph()
 	changed := false
 	for bi := range f.Blocks {
 		if !g.Reachable(int32(bi)) {
@@ -280,39 +398,121 @@ func flatDominatesUse(g *cfg.FlatGraph, site dataflow.FlatDefSite, useBlock, use
 // register visits only the entries that mention it, so a definition costs
 // O(mentions) rather than a sweep of every available expression.
 func FlatLocalCSE(fp *rtl.FlatProgram, fi int) bool {
-	f := &fp.Fns[fi]
-	type key struct {
-		op      rtl.Op
-		a, b, c rtl.Operand
-		w       rtl.Width
-		signed  bool
-		disp    int64
+	return newCleaner(fp, fi).localCSE()
+}
+
+// cseKey is the value-numbering key of one pure computation.
+type cseKey struct {
+	op      rtl.Op
+	a, b, c rtl.Operand
+	w       rtl.Width
+	signed  bool
+	disp    int64
+}
+
+func (k *cseKey) hash() uint64 {
+	const mul = 0x9e3779b97f4a7c15
+	h := uint64(k.op) | uint64(k.w)<<8 | uint64(k.a.Kind)<<16 | uint64(k.b.Kind)<<20 | uint64(k.c.Kind)<<24
+	if k.signed {
+		h |= 1 << 28
 	}
-	type entry struct {
-		k    key
-		r    rtl.Reg
-		dead bool
+	for _, x := range [...]uint64{
+		uint64(uint32(k.a.Reg)), uint64(k.a.Const),
+		uint64(uint32(k.b.Reg)), uint64(k.b.Const),
+		uint64(uint32(k.c.Reg)), uint64(k.c.Const),
+		uint64(k.disp),
+	} {
+		h = (h ^ x) * mul
 	}
-	var (
-		entries []entry
-		loads   []int32 // entry indices holding Load expressions
-	)
-	avail := make(map[key]int32)
-	byReg := make([][]int32, f.NumRegs())
-	retire := func(idx int32) {
-		e := &entries[idx]
-		if !e.dead {
-			e.dead = true
-			delete(avail, e.k)
+	return h ^ h>>32
+}
+
+type cseEntry struct {
+	k    cseKey
+	r    rtl.Reg
+	dead bool
+}
+
+// cseTable is the local CSE's reusable availability table: an open-addressed
+// hash set of entry indices, cleared slot by slot after each block. A
+// retired entry stays in its slot marked dead and reads as a miss; since at
+// most one live entry per key exists at a time, a new entry for the same key
+// takes over the dead one's slot.
+type cseTable struct {
+	entries []cseEntry
+	slots   []int32 // entry index + 1; 0 is empty
+	written []int32 // slots the current block filled
+	loads   []int32 // entry indices holding Load expressions
+	byReg   [][]int32
+}
+
+// reset sizes the table for blocks of up to maxLen instructions and nregs
+// registers. Between blocks every slot and kill list is already empty.
+func (t *cseTable) reset(maxLen, nregs int) {
+	size := 16
+	for size < 2*maxLen {
+		size *= 2
+	}
+	if len(t.slots) < size {
+		t.slots = make([]int32, size)
+		t.entries = make([]cseEntry, 0, maxLen)
+		t.written = make([]int32, 0, maxLen)
+	}
+	if len(t.byReg) < nregs {
+		t.byReg = append(t.byReg, make([][]int32, nregs-len(t.byReg))...)
+	}
+}
+
+// find returns the slot holding key k, or the empty slot where k would go,
+// and the index of k's entry, or -1 when the slot is empty.
+func (t *cseTable) find(k *cseKey) (slot int32, idx int32) {
+	mask := uint64(len(t.slots) - 1)
+	for p := k.hash() & mask; ; p = (p + 1) & mask {
+		s := t.slots[p]
+		if s == 0 || t.entries[s-1].k == *k {
+			return int32(p), s - 1
 		}
 	}
-	kill := func(d rtl.Reg) {
-		lst := byReg[d]
-		byReg[d] = lst[:0]
-		for _, idx := range lst {
-			retire(idx)
+}
+
+func (t *cseTable) retire(idx int32) { t.entries[idx].dead = true }
+
+func (t *cseTable) kill(d rtl.Reg) {
+	lst := t.byReg[d]
+	t.byReg[d] = lst[:0]
+	for _, idx := range lst {
+		t.retire(idx)
+	}
+}
+
+// endBlock drops every entry and clears only the slots and kill lists this
+// block touched, keeping their capacity for reuse.
+func (t *cseTable) endBlock() {
+	for idx := range t.entries {
+		e := &t.entries[idx]
+		t.byReg[e.r] = t.byReg[e.r][:0]
+		for _, o := range [...]rtl.Operand{e.k.a, e.k.b, e.k.c} {
+			if r, ok := o.IsReg(); ok {
+				t.byReg[r] = t.byReg[r][:0]
+			}
 		}
 	}
+	for _, p := range t.written {
+		t.slots[p] = 0
+	}
+	t.entries = t.entries[:0]
+	t.written = t.written[:0]
+	t.loads = t.loads[:0]
+}
+
+func (c *cleaner) localCSE() bool {
+	f := c.f
+	t := &c.cse
+	maxLen := 0
+	for bi := range f.Blocks {
+		maxLen = max(maxLen, int(f.Blocks[bi].InstrEnd-f.Blocks[bi].InstrStart))
+	}
+	t.reset(maxLen, f.NumRegs())
 	changed := false
 	for bi := range f.Blocks {
 		b := &f.Blocks[bi]
@@ -320,10 +520,10 @@ func FlatLocalCSE(fp *rtl.FlatProgram, fi int) bool {
 			switch f.Op[i] {
 			case rtl.Store, rtl.Call:
 				// Conservatively kill remembered loads.
-				for _, idx := range loads {
-					retire(idx)
+				for _, idx := range t.loads {
+					t.retire(idx)
 				}
-				loads = loads[:0]
+				t.loads = t.loads[:0]
 			}
 			d, hasDef := f.Def(i)
 			if !hasDef {
@@ -333,50 +533,41 @@ func FlatLocalCSE(fp *rtl.FlatProgram, fi int) bool {
 			pure := op.IsBinary() || op == rtl.Neg || op == rtl.Not ||
 				op == rtl.Extract || op == rtl.Insert || op == rtl.Load
 			if !pure {
-				kill(d)
+				t.kill(d)
 				continue
 			}
-			k := key{op: op, a: f.A[i], b: f.B[i], c: f.C[i], w: f.Width[i], signed: f.Signed[i], disp: f.Disp[i]}
-			if idx, ok := avail[k]; ok && entries[idx].r != d {
+			k := cseKey{op: op, a: f.A[i], b: f.B[i], c: f.C[i], w: f.Width[i], signed: f.Signed[i], disp: f.Disp[i]}
+			slot, idx := t.find(&k)
+			if idx >= 0 && !t.entries[idx].dead && t.entries[idx].r != d {
 				in := rtl.MkInstr(rtl.Mov)
 				in.Dst = d
-				in.A = rtl.R(entries[idx].r)
+				in.A = rtl.R(t.entries[idx].r)
 				f.SetInstr(i, in)
-				kill(d)
+				t.kill(d)
 				changed = true
 				continue
 			}
-			kill(d)
+			t.kill(d)
 			// Self-referential defs (r = r + 1) are not available afterwards.
 			if !f.UsesReg(i, d) {
-				idx := int32(len(entries))
-				entries = append(entries, entry{k: k, r: d})
-				avail[k] = idx
-				byReg[d] = append(byReg[d], idx)
+				idx := int32(len(t.entries))
+				t.entries = append(t.entries, cseEntry{k: k, r: d})
+				if t.slots[slot] == 0 {
+					t.written = append(t.written, slot)
+				}
+				t.slots[slot] = idx + 1
+				t.byReg[d] = append(t.byReg[d], idx)
 				for _, o := range [...]rtl.Operand{k.a, k.b, k.c} {
 					if r, ok := o.IsReg(); ok {
-						byReg[r] = append(byReg[r], idx)
+						t.byReg[r] = append(t.byReg[r], idx)
 					}
 				}
 				if op == rtl.Load {
-					loads = append(loads, idx)
+					t.loads = append(t.loads, idx)
 				}
 			}
 		}
-		// Availability is block-local: drop every entry and clear only the
-		// kill lists this block touched, keeping their capacity for reuse.
-		for idx := range entries {
-			e := &entries[idx]
-			byReg[e.r] = byReg[e.r][:0]
-			for _, o := range [...]rtl.Operand{e.k.a, e.k.b, e.k.c} {
-				if r, ok := o.IsReg(); ok {
-					byReg[r] = byReg[r][:0]
-				}
-			}
-		}
-		entries = entries[:0]
-		loads = loads[:0]
-		clear(avail)
+		t.endBlock()
 	}
 	return changed
 }
@@ -388,9 +579,14 @@ func FlatLocalCSE(fp *rtl.FlatProgram, fi int) bool {
 // induction updates ("i = i + 1" arrives as "t = i + 1; i = t") from the
 // loop analyses; this pass restores the canonical form.
 func FlatCollapseMovChains(fp *rtl.FlatProgram, fi int) bool {
-	f := &fp.Fns[fi]
-	defCount := make([]int, f.NumRegs())
-	useCount := make([]int, f.NumRegs())
+	return newCleaner(fp, fi).collapseMovChains()
+}
+
+func (c *cleaner) collapseMovChains() bool {
+	f := c.f
+	c.defs = reuse(c.defs, f.NumRegs())
+	c.uses = reuse(c.uses, f.NumRegs())
+	defCount, useCount := c.defs, c.uses
 	for i := int32(0); i < int32(len(f.Op)); i++ {
 		if d, ok := f.Def(i); ok {
 			defCount[d]++
@@ -406,7 +602,7 @@ func FlatCollapseMovChains(fp *rtl.FlatProgram, fi int) bool {
 	}
 
 	changed := false
-	kill := make([]bool, len(f.Op))
+	kill := c.marks(len(f.Op))
 	anyKill := false
 	for bi := range f.Blocks {
 		b := &f.Blocks[bi]
@@ -459,22 +655,9 @@ func flatFusable(f *rtl.FlatFn, i int32) bool {
 // j (same block): nothing in between redefines v or the definition's
 // sources, or reads v.
 func flatMovable(f *rtl.FlatFn, di, j int32, v rtl.Reg) bool {
-	var srcs []rtl.Reg
-	f.SrcSlots(di, func(o *rtl.Operand) {
-		if o.Kind == rtl.KindReg {
-			srcs = append(srcs, o.Reg)
-		}
-	})
 	for k := di + 1; k < j; k++ {
-		if d, ok := f.Def(k); ok {
-			if d == v {
-				return false
-			}
-			for _, s := range srcs {
-				if d == s {
-					return false
-				}
-			}
+		if d, ok := f.Def(k); ok && (d == v || f.UsesReg(di, d)) {
+			return false
 		}
 		if f.UsesReg(k, v) {
 			return false
@@ -495,14 +678,18 @@ func flatMovable(f *rtl.FlatFn, di, j int32, v rtl.Reg) bool {
 // estimates honest, since multiplies are the slowest ALU operation on all
 // three machine models.
 func FlatPeephole(fp *rtl.FlatProgram, fi int) bool {
-	f := &fp.Fns[fi]
+	return newCleaner(fp, fi).peephole()
+}
+
+func (c *cleaner) peephole() bool {
+	f := c.f
 	changed := false
 	for i := int32(0); i < int32(len(f.Op)); i++ {
 		if flatReduceInstr(f, i) {
 			changed = true
 		}
 	}
-	if flatSimplifyBranches(f) {
+	if c.simplifyBranches() {
 		changed = true
 	}
 	return changed
@@ -550,8 +737,10 @@ func flatReduceInstr(f *rtl.FlatFn, i int32) bool {
 	return false
 }
 
-func flatSimplifyBranches(f *rtl.FlatFn) bool {
-	du := dataflow.ComputeFlatDefUse(f)
+func (c *cleaner) simplifyBranches() bool {
+	f := c.f
+	du := &c.du
+	dataflow.ComputeFlatDefUseInto(f, du)
 	changed := false
 	for bi := range f.Blocks {
 		ti, op, ok := f.TermIdx(int32(bi))
@@ -592,7 +781,7 @@ func flatSimplifyBranches(f *rtl.FlatFn) bool {
 		}
 	}
 	if changed {
-		kill := make([]bool, len(f.Op))
+		kill := c.marks(len(f.Op))
 		for i := range f.Op {
 			if f.Op[i] == rtl.Nop {
 				kill[i] = true
@@ -606,10 +795,15 @@ func flatSimplifyBranches(f *rtl.FlatFn) bool {
 // FlatDeadCodeElim removes pure instructions whose results are never used,
 // iterating so chains of dead temporaries disappear.
 func FlatDeadCodeElim(fp *rtl.FlatProgram, fi int) bool {
-	f := &fp.Fns[fi]
+	return newCleaner(fp, fi).deadCodeElim()
+}
+
+func (c *cleaner) deadCodeElim() bool {
+	f := c.f
 	changedEver := false
 	for {
-		use := make([]int, f.NumRegs())
+		c.uses = reuse(c.uses, f.NumRegs())
+		use := c.uses
 		for i := int32(0); i < int32(len(f.Op)); i++ {
 			f.SrcSlots(i, func(o *rtl.Operand) {
 				if o.Kind == rtl.KindReg {
@@ -617,7 +811,7 @@ func FlatDeadCodeElim(fp *rtl.FlatProgram, fi int) bool {
 				}
 			})
 		}
-		kill := make([]bool, len(f.Op))
+		kill := c.marks(len(f.Op))
 		changed := false
 		for i := int32(0); i < int32(len(f.Op)); i++ {
 			if d, ok := f.Def(i); ok && use[d] == 0 && flatSideEffectFree(f.Op[i]) {
@@ -649,19 +843,27 @@ func flatSideEffectFree(op rtl.Op) bool {
 // never live — use-count DCE keeps them, liveness kills them. Iterates to a
 // fixpoint since removing one dead definition can kill the chain feeding it.
 func FlatGlobalDCE(fp *rtl.FlatProgram, fi int) bool {
-	f := &fp.Fns[fi]
+	return newCleaner(fp, fi).globalDCE()
+}
+
+func (c *cleaner) globalDCE() bool {
+	f := c.f
 	changedEver := false
 	for {
-		g := cfg.NewFlat(fp, fi)
-		lv := dataflow.ComputeFlatLiveness(g)
+		g := c.graph()
+		lv := &c.lv
+		dataflow.ComputeFlatLivenessInto(g, lv)
 		changed := false
-		kill := make([]bool, len(f.Op))
+		kill := c.marks(len(f.Op))
 		for bi := range f.Blocks {
 			if !g.Reachable(int32(bi)) {
 				continue
 			}
 			b := &f.Blocks[bi]
-			live := lv.LiveOutSet(int32(bi)).Clone()
+			out := lv.LiveOutSet(int32(bi))
+			c.live = reuse(c.live, len(out))
+			live := c.live
+			live.Copy(out)
 			for i := b.InstrEnd - 1; i >= b.InstrStart; i-- {
 				d, hasDef := f.Def(i)
 				if hasDef && !live.Has(int(d)) && flatSideEffectFree(f.Op[i]) {
@@ -694,9 +896,13 @@ func FlatGlobalDCE(fp *rtl.FlatProgram, fi int) bool {
 // use count never reaches zero. This is the paper's
 // EliminateInductionVariables step.
 func FlatEliminateDeadIVs(fp *rtl.FlatProgram, fi int) bool {
-	f := &fp.Fns[fi]
-	n := f.NumRegs()
-	selfOnly := make([]bool, n) // candidate: all uses are self-updates
+	return newCleaner(fp, fi).eliminateDeadIVs()
+}
+
+func (c *cleaner) eliminateDeadIVs() bool {
+	f := c.f
+	c.selfOnly = reuse(c.selfOnly, f.NumRegs())
+	selfOnly := c.selfOnly // candidate: all uses are self-updates
 	for i := range selfOnly {
 		selfOnly[i] = true
 	}
@@ -714,7 +920,7 @@ func FlatEliminateDeadIVs(fp *rtl.FlatProgram, fi int) bool {
 			}
 		})
 	}
-	kill := make([]bool, len(f.Op))
+	kill := c.marks(len(f.Op))
 	changed := false
 	for i := int32(0); i < int32(len(f.Op)); i++ {
 		if d, ok := f.Def(i); ok && selfOnly[d] && flatIsSelfUpdate(f, i, d) {

@@ -75,7 +75,7 @@ func DiffReports(oldRep, newRep *Report) (*Diff, error) {
 	return d, nil
 }
 
-func sortChanges(cs []Change)  { sort.Slice(cs, func(i, j int) bool { return cs[i].ID() < cs[j].ID() }) }
+func sortChanges(cs []Change) { sort.Slice(cs, func(i, j int) bool { return cs[i].ID() < cs[j].ID() }) }
 func sortVerdicts(vs []Verdict) {
 	sort.Slice(vs, func(i, j int) bool { return vs[i].ID() < vs[j].ID() })
 }
