@@ -1,9 +1,10 @@
 // Command hotpath measures the compiler's hot paths — the bench harness's
-// table measurement, the simulator core, the warm-vs-cold compile cache, and
-// the flat-IR codec — and writes the results as a machine-readable artifact
-// (BENCH_hotpath.json). CI regenerates the artifact on every run and gates
-// on -check against the committed baseline: a ratio metric or a cache
-// tier's warm-hit cost that regresses by more than 25% fails the build.
+// table measurement, the simulator core and its predecode, the warm-vs-cold
+// compile cache, and the flat-IR codec — and writes the results as a
+// machine-readable artifact (BENCH_hotpath.json). CI regenerates the
+// artifact on every run and gates on -check against the committed baseline:
+// a ratio metric or a cache tier's warm-hit cost that regresses by more
+// than 25% fails the build.
 //
 //	hotpath -out BENCH_hotpath.json          regenerate the artifact
 //	hotpath -out new.json -check BENCH_hotpath.json
@@ -16,13 +17,14 @@
 // cache regression. Every other raw ns/op number — including each kernel's
 // cold compile, the absolute cold-compile trajectory — is recorded for
 // trend plots but never compared. Allocation counts are exact for a
-// deterministic compile, so each kernel's cold-compile allocs/op is gated
-// directly: it may not exceed the baseline's whenever both artifacts were
-// built with the same Go version, on any host. Two metrics additionally
-// have absolute floors: a warm memory-tier hit must be at least 5x faster
-// than a cold compile, and decoding a kernel's binary flat-IR image must be
-// at least 5x faster than reparsing its printed text — the property that
-// justifies the binary disk tier — regardless of the baseline. Each
+// deterministic compile, so each kernel's cold-compile allocs/op and
+// predecode allocs/op are gated directly: neither may exceed the baseline's
+// whenever both artifacts were built with the same Go version, on any
+// host. Two metrics additionally have absolute floors: a warm memory-tier
+// hit must be at least 5x faster than a cold compile, and decoding a
+// kernel's binary flat-IR image must be at least 5x faster than reparsing
+// its printed text — the property that justifies the binary disk tier —
+// regardless of the baseline. Each
 // artifact carries a provenance block (git commit, Go version, OS/arch, CPU
 // count); when the baseline's host identity differs from the current
 // host's, relative and same-host gates are skipped and only the absolute
@@ -56,7 +58,9 @@ import (
 // codec encode/decode/reparse section; v5 added the cold_flat section
 // (graph-pipeline vs flat-pipeline cold compiles) and allocs/op on every
 // cold-compile row; v6 dropped the snapshot and cold_flat sections with the
-// pointer-graph pass pipeline they measured.
+// pointer-graph pass pipeline they measured. The predecode section was
+// added to v6 without a bump: a v6 artifact that lacks it has no predecode
+// rows to gate.
 const Schema = "macc-hotpath/v6"
 
 // RunTableEntry is the bench harness's wall time for the full small-workload
@@ -74,6 +78,16 @@ type SimEntry struct {
 	NsPerRun      float64 `json:"ns_per_run"`
 	InstrsPerRun  int64   `json:"instrs_per_run"`
 	SimulatedMIPS float64 `json:"simulated_mips"`
+}
+
+// PredecodeEntry is one paper kernel's cost to become runnable once its
+// compile is in hand: prog.NewSim(1 MiB) predecodes the flat image into a
+// simulator, and Release returns the memory arena to the pool — what every
+// cache hit that is run pays on top of the hit itself.
+type PredecodeEntry struct {
+	Kernel      string  `json:"kernel"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
 // CacheEntry is one paper kernel's cold-vs-warm compile cost: a full
@@ -111,6 +125,7 @@ type Artifact struct {
 	CPUs               int              `json:"cpus"`
 	RunTable           RunTableEntry    `json:"runtable"`
 	Sim                SimEntry         `json:"sim"`
+	Predecode          []PredecodeEntry `json:"predecode"`
 	Cache              []CacheEntry     `json:"cache"`
 	CacheSpeedup       float64          `json:"cache_speedup"`
 	WarmDisk           []CacheEntry     `json:"warm_disk"`
@@ -136,7 +151,7 @@ const parallelSpeedupFloor = 1.15
 
 func main() {
 	out := flag.String("out", "BENCH_hotpath.json", "write the artifact to this path (\"-\" for stdout)")
-	checkPath := flag.String("check", "", "compare against this baseline artifact and fail on a >25% ratio or warm-hit cost regression or any per-kernel cold-compile allocs/op increase")
+	checkPath := flag.String("check", "", "compare against this baseline artifact and fail on a >25% ratio or warm-hit cost regression or any per-kernel cold-compile or predecode allocs/op increase")
 	flag.Parse()
 
 	a, err := measure()
@@ -231,6 +246,9 @@ func measure() (Artifact, error) {
 		a.Sim.SimulatedMIPS = float64(instrs) / ns * 1e3 // instrs/ns -> MIPS
 	}
 
+	if err := measurePredecode(&a, m); err != nil {
+		return a, err
+	}
 	if err := measureCache(&a, m); err != nil {
 		return a, err
 	}
@@ -243,9 +261,13 @@ func measure() (Artifact, error) {
 	return a, nil
 }
 
-// allocSamples is how many single-compile allocation counts coldAllocs
-// takes the minimum of.
+// allocSamples is how many single-call allocation counts minAllocs takes
+// the minimum of.
 const allocSamples = 40
+
+// predecodeMem is the simulator memory each predecode row allocates, the
+// size cmd/benchmark's cache-zipf ops use.
+const predecodeMem = 1 << 20
 
 // measureCold measures one cold compile configuration: its ns/op and its
 // allocation count.
@@ -264,25 +286,67 @@ func measureCold(src string, cfg macc.Config) (nsOp, allocs float64, err error) 
 	return nsPerOp(r), allocs, err
 }
 
-// coldAllocs counts the objects one cold compile of src allocates: one
-// warm-up compile, then the minimum over allocSamples runs of
-// testing.AllocsPerRun. A compile's output never varies, but the runtime
-// seeds every map's hash at random, and how the compile's maps grow and the
-// order they are walked in can put a single sample a few objects high; the
-// minimum does not move.
+// coldAllocs counts the objects one cold compile of src allocates.
 func coldAllocs(src string, cfg macc.Config) (float64, error) {
+	return minAllocs(func() error {
+		_, err := macc.Compile(src, cfg)
+		return err
+	})
+}
+
+// predecodeAllocs counts the objects one predecode of p allocates.
+func predecodeAllocs(p *macc.Program) float64 {
+	n, _ := minAllocs(func() error { // a predecode cannot fail
+		p.NewSim(predecodeMem).Release()
+		return nil
+	})
+	return n
+}
+
+// minAllocs counts the objects one call of f allocates: one warm-up call,
+// then the minimum over allocSamples runs of testing.AllocsPerRun. A
+// compile's output never varies, but the runtime seeds every map's hash at
+// random, and how the compile's maps grow and the order they are walked in
+// can put a single sample a few objects high; the minimum does not move.
+// (The simulator's arena pool can likewise drop a buffer, which costs one
+// allocation.)
+func minAllocs(f func() error) (float64, error) {
 	var err error
-	compile := func() {
-		if _, cerr := macc.Compile(src, cfg); cerr != nil {
-			err = cerr
+	call := func() {
+		if ferr := f(); ferr != nil {
+			err = ferr
 		}
 	}
-	compile()
+	call()
 	best := math.Inf(1)
 	for i := 0; i < allocSamples && err == nil; i++ {
-		best = min(best, testing.AllocsPerRun(1, compile))
+		best = min(best, testing.AllocsPerRun(1, call))
 	}
 	return best, err
+}
+
+// measurePredecode benchmarks predecoding every paper kernel's optimized
+// compile into a simulator and releasing it.
+func measurePredecode(a *Artifact, m *machine.Machine) error {
+	for _, bm := range append(bench.Benchmarks(), bench.DotProduct()) {
+		cfg := macc.DefaultConfig()
+		cfg.Machine = m
+		p, err := macc.Compile(bm.Src, cfg)
+		if err != nil {
+			return fmt.Errorf("%s: compile: %v", bm.Name, err)
+		}
+		r := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p.NewSim(predecodeMem).Release()
+			}
+		})
+		a.Predecode = append(a.Predecode, PredecodeEntry{
+			Kernel:      bm.Entry,
+			NsPerOp:     nsPerOp(r),
+			AllocsPerOp: predecodeAllocs(p),
+		})
+	}
+	return nil
 }
 
 // measureCache benchmarks a cold compile against a warm memory-tier hit
@@ -589,26 +653,37 @@ func warmTotals(cur, base []CacheEntry) (curV, baseV float64) {
 	return curV, baseV
 }
 
-// checkAllocs holds every kernel's cold-compile allocs/op to the baseline's.
-// A deterministic compile allocates the same objects on any host, but the
-// count depends on the toolchain's runtime and standard library, so the gate
-// applies only when both artifacts name the same Go version.
+// checkAllocs holds every kernel's cold-compile and predecode allocs/op to
+// the baseline's. A deterministic compile allocates the same objects on any
+// host, but the count depends on the toolchain's runtime and standard
+// library, so the gate applies only when both artifacts name the same Go
+// version.
 func checkAllocs(cur, base Artifact) []string {
 	if cur.Provenance.GoVersion != base.Provenance.GoVersion {
 		fmt.Fprintf(os.Stderr, "hotpath: allocation gate skipped: Go version %s vs baseline %s\n",
 			cur.Provenance.GoVersion, base.Provenance.GoVersion)
 		return nil
 	}
-	baseAllocs := make(map[string]float64, len(base.Cache))
+	type row struct{ kernel, what string }
+	baseAllocs := make(map[row]float64, len(base.Cache)+len(base.Predecode))
 	for _, e := range base.Cache {
-		baseAllocs[e.Kernel] = e.ColdAllocsPerOp
+		baseAllocs[row{e.Kernel, "cold compile"}] = e.ColdAllocsPerOp
+	}
+	for _, e := range base.Predecode {
+		baseAllocs[row{e.Kernel, "predecode"}] = e.AllocsPerOp
 	}
 	var failures []string
-	for _, e := range cur.Cache {
-		if b, ok := baseAllocs[e.Kernel]; ok && e.ColdAllocsPerOp > b {
+	gate := func(r row, n float64) {
+		if b, ok := baseAllocs[r]; ok && n > b {
 			failures = append(failures, fmt.Sprintf(
-				"%s cold compile allocates %.0f objects/op, baseline %.0f", e.Kernel, e.ColdAllocsPerOp, b))
+				"%s %s allocates %.0f objects/op, baseline %.0f", r.kernel, r.what, n, b))
 		}
+	}
+	for _, e := range cur.Cache {
+		gate(row{e.Kernel, "cold compile"}, e.ColdAllocsPerOp)
+	}
+	for _, e := range cur.Predecode {
+		gate(row{e.Kernel, "predecode"}, e.AllocsPerOp)
 	}
 	return failures
 }

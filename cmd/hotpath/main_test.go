@@ -45,6 +45,31 @@ func TestCheckGatesColdAllocsPerKernel(t *testing.T) {
 	}
 }
 
+func TestCheckGatesPredecodeAllocsPerKernel(t *testing.T) {
+	withPredecode := func(allocs map[string]float64) Artifact {
+		a := artifact("go1.24.0", nil)
+		for k, n := range allocs {
+			a.Predecode = append(a.Predecode, PredecodeEntry{Kernel: k, AllocsPerOp: n})
+		}
+		return a
+	}
+	base := withPredecode(map[string]float64{"convolution": 20, "dotproduct": 20})
+
+	if err := check(withPredecode(map[string]float64{"convolution": 19, "dotproduct": 20}), base); err != nil {
+		t.Errorf("fewer or equal predecode allocations must pass: %v", err)
+	}
+	err := check(withPredecode(map[string]float64{"convolution": 21, "dotproduct": 20}), base)
+	if err == nil || !strings.Contains(err.Error(), "convolution predecode") || strings.Contains(err.Error(), "dotproduct") {
+		t.Errorf("one kernel's predecode allocating more must fail naming only that kernel, got %v", err)
+	}
+
+	// An artifact from before the predecode section has no rows to hold
+	// the current ones to.
+	if err := check(withPredecode(map[string]float64{"convolution": 99}), artifact("go1.24.0", nil)); err != nil {
+		t.Errorf("a baseline without predecode rows must not gate them: %v", err)
+	}
+}
+
 // timed builds a same-host artifact whose memory-tier and disk-tier rows
 // carry the given cold and warm ns/op, with the speedups derived from them
 // as measure derives them.
@@ -105,8 +130,8 @@ func TestCheckGatesWarmHitCostNotSpeedup(t *testing.T) {
 }
 
 // TestColdAllocsAreDeterministic measures every paper kernel's cold-compile
-// allocation count twice: the gate compares counts exactly, so the two
-// measurements must agree.
+// and predecode allocation counts twice: the gate compares counts exactly,
+// so the two measurements must agree.
 func TestColdAllocsAreDeterministic(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not reproducible under -race")
@@ -124,6 +149,13 @@ func TestColdAllocsAreDeterministic(t *testing.T) {
 		}
 		if first != second {
 			t.Errorf("%s: cold compile allocs measured %.0f then %.0f", bm.Entry, first, second)
+		}
+		p, err := macc.Compile(bm.Src, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", bm.Name, err)
+		}
+		if first, second := predecodeAllocs(p), predecodeAllocs(p); first != second {
+			t.Errorf("%s: predecode allocs measured %.0f then %.0f", bm.Entry, first, second)
 		}
 	}
 }

@@ -37,6 +37,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -76,17 +77,20 @@ func ParseKey(s string) (Key, error) {
 
 // KeyOf derives the content address of a compilation from the source text,
 // the canonical configuration fingerprint, and the machine fingerprint.
-// Fields are length-prefixed so no two distinct triples collide by
-// concatenation.
+// Fields are length-prefixed ("<len>:<field>") so no two distinct triples
+// collide by concatenation. The hashed message is built in one buffer.
 func KeyOf(source, configFP, machineFP string) Key {
-	h := sha256.New()
-	for _, s := range []string{SchemaVersion, source, configFP, machineFP} {
-		fmt.Fprintf(h, "%d:", len(s))
-		h.Write([]byte(s))
+	fields := [...]string{SchemaVersion, source, configFP, machineFP}
+	n := 0
+	for _, s := range fields {
+		n += len(s) + 21 // a decimal int64 and the colon
 	}
-	var k Key
-	h.Sum(k[:0])
-	return k
+	msg := make([]byte, 0, n)
+	for _, s := range fields {
+		msg = strconv.AppendInt(msg, int64(len(s)), 10)
+		msg = append(append(msg, ':'), s...)
+	}
+	return sha256.Sum256(msg)
 }
 
 // Entry is one cached compilation: the optimized program in flat form plus

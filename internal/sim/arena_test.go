@@ -106,9 +106,32 @@ func TestReleaseReturnsZeroedArena(t *testing.T) {
 		t.Fatal("Release must detach Mem")
 	}
 	buf := arenaGet(memBytes)
-	for i, b := range buf {
+	for i, b := range *buf {
 		if b != 0 {
 			t.Fatalf("recycled arena byte %d = %d, want 0", i, b)
 		}
+	}
+}
+
+// TestArenaRecycleAllocatesNothing: the pool holds *[]byte and each Sim
+// keeps the pointer it drew, so drawing a pooled arena and releasing it
+// allocates nothing. The minimum over samples ignores the pool dropping a
+// buffer, which it does at random under the race detector.
+func TestArenaRecycleAllocatesNothing(t *testing.T) {
+	const memBytes = 1 << 16
+	var s Sim
+	cycle := func() {
+		s.arena = arenaGet(memBytes)
+		s.Mem = *s.arena
+		s.dirtyLo = memBytes
+		s.Release()
+	}
+	cycle()
+	best := 1.0
+	for range 20 {
+		best = min(best, testing.AllocsPerRun(1, cycle))
+	}
+	if best != 0 {
+		t.Errorf("an arena draw and Release allocate %.0f objects, want 0", best)
 	}
 }

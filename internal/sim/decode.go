@@ -36,25 +36,32 @@ type dOp struct {
 // dInstr is one predecoded instruction. Everything the hot loop needs is
 // resolved: costs from the machine's Exec table, icache line and set for the
 // static address, register source slots for readiness tracking, and branch
-// targets as block indices.
+// targets as block indices. It holds no pointers — a call's callee and
+// arguments live in the image's call table — so the code array is memory
+// the garbage collector never scans.
 type dInstr struct {
-	op         rtl.Op
-	width      rtl.Width
-	signed     bool
-	nsrc       uint8    // live entries in srcs
-	dst        int32    // destination register, -1 when none
-	srcs       [3]int32 // register sources (readiness); Call reads args instead
-	a, b, c    dOp
-	disp       int64
-	lat        int64 // Exec latency
-	occ        int64 // Exec occupancy (pipelined machines)
-	iline      int64 // icache line of the static address
-	iset       int32 // icache set of that line
-	target     int32 // taken-branch block index
-	els        int32 // fall-through block index
-	callee     *dFn
-	calleeName string
-	args       []dOp
+	op      rtl.Op
+	width   rtl.Width
+	signed  bool
+	nsrc    uint8    // live entries in srcs
+	dst     int32    // destination register, -1 when none
+	srcs    [3]int32 // register sources (readiness); Call reads args instead
+	a, b, c dOp
+	disp    int64
+	lat     int64 // Exec latency
+	occ     int64 // Exec occupancy (pipelined machines)
+	iline   int64 // icache line of the static address
+	iset    int32 // icache set of that line
+	target  int32 // taken-branch block index
+	els     int32 // fall-through block index
+	call    int32 // Call: index into image.calls
+}
+
+// dCall is one decoded call site.
+type dCall struct {
+	callee *dFn // nil traps at execution
+	name   string
+	args   []dOp
 }
 
 // dBlock ties a decoded block to its code range, plus the name and length
@@ -82,6 +89,7 @@ type dFn struct {
 type image struct {
 	fns    []*dFn
 	byName map[string]*dFn
+	calls  []dCall // every call site, in code order
 }
 
 func decodeOperand(o rtl.Operand) dOp {
@@ -101,71 +109,107 @@ func decodeOperand(o rtl.Operand) dOp {
 // the instruction-cache geometry. Each function's block table ends with a
 // phantom entry whose code is one sentinel; Flatten rejects edges that leave
 // the function, so no flat edge reaches it.
+//
+// The image is carved from one slab per kind: a first pass sizes the code,
+// block, parameter and argument arrays of every function, and the second
+// fills them in place, so decoding allocates the same handful of objects
+// whatever the program's size.
 func (s *Sim) decodeFlat(fp *rtl.FlatProgram) *image {
-	img := &image{byName: make(map[string]*dFn, len(fp.Fns))}
+	var ncode, nblocks, nparams, ncalls, nargs int
 	for i := range fp.Fns {
 		f := &fp.Fns[i]
-		df := &dFn{
+		nparams += len(f.Params)
+		nblocks += len(f.Blocks) + 1
+		ncode += len(f.Blocks) + 1 // one sentinel per block, one phantom
+		for bi := range f.Blocks {
+			fb := &f.Blocks[bi]
+			ncode += int(fb.InstrEnd - fb.InstrStart)
+			for _, ci := range f.CallIdx[fb.InstrStart:fb.InstrEnd] {
+				if ci >= 0 {
+					ncalls++
+					nargs += int(f.Calls[ci].ArgEnd - f.Calls[ci].ArgStart)
+				}
+			}
+		}
+	}
+	fns := make([]dFn, len(fp.Fns))
+	code := make([]dInstr, ncode)
+	blocks := make([]dBlock, nblocks)
+	params := make([]int32, nparams)
+	args := make([]dOp, nargs)
+
+	img := &image{
+		fns:    make([]*dFn, len(fp.Fns)),
+		byName: make(map[string]*dFn, len(fp.Fns)),
+		calls:  make([]dCall, 0, ncalls),
+	}
+	for i := range fp.Fns {
+		f := &fp.Fns[i]
+		df := &fns[i]
+		*df = dFn{
 			name:       fp.SymName(f.Name),
 			nregs:      int(f.NextReg),
 			frameBytes: f.FrameBytes,
 			frameReg:   int32(f.FrameReg),
 		}
-		for _, p := range f.Params {
-			df.params = append(df.params, int32(p))
+		df.params = carve(&params, len(f.Params))
+		for pi, p := range f.Params {
+			df.params[pi] = int32(p)
 		}
-		img.fns = append(img.fns, df)
+		img.fns[i] = df
 		img.byName[df.name] = df
 	}
 	costs := &s.mach.Exec
 	nsets := int64(len(s.icache))
 	addr := int64(0)
+	// probe carries the only fields the cost tables read, so the machine's
+	// cost rules apply unchanged without building an instruction record.
+	var probe rtl.Instr
 	for fi := range fp.Fns {
 		f := &fp.Fns[fi]
 		df := img.fns[fi]
+		n := len(f.Blocks) + 1
 		for bi := range f.Blocks {
 			fb := &f.Blocks[bi]
-			df.blocks = append(df.blocks, dBlock{
+			n += int(fb.InstrEnd - fb.InstrStart)
+		}
+		df.code = carve(&code, n)
+		df.blocks = carve(&blocks, len(f.Blocks)+1)
+		pc := int32(0)
+		for bi := range f.Blocks {
+			fb := &f.Blocks[bi]
+			df.blocks[bi] = dBlock{
 				name:   fp.SymName(fb.Name),
-				start:  int32(len(df.code)),
+				start:  pc,
 				ninstr: fb.InstrEnd - fb.InstrStart,
-			})
+			}
 			for i := fb.InstrStart; i < fb.InstrEnd; i++ {
-				// Reconstruct one instruction record so the machine's cost
-				// table and the operand-source rules apply unchanged.
-				in := &rtl.Instr{
-					Op:     f.Op[i],
-					Dst:    f.Dst[i],
-					A:      f.A[i],
-					B:      f.B[i],
-					C:      f.C[i],
-					Width:  f.Width[i],
-					Signed: f.Signed[i],
-					Disp:   f.Disp[i],
-				}
+				probe.Op, probe.Width = f.Op[i], f.Width[i]
 				line := addr / icacheLineBytes
-				d := dInstr{
-					op:     in.Op,
-					width:  in.Width,
-					signed: in.Signed,
-					dst:    int32(in.Dst),
-					a:      decodeOperand(in.A),
-					b:      decodeOperand(in.B),
-					c:      decodeOperand(in.C),
-					disp:   in.Disp,
-					lat:    int64(costs.Of(in)),
-					occ:    int64(costs.OccOf(in)),
+				d := &df.code[pc]
+				pc++
+				*d = dInstr{
+					op:     f.Op[i],
+					width:  f.Width[i],
+					signed: f.Signed[i],
+					dst:    int32(f.Dst[i]),
+					a:      decodeOperand(f.A[i]),
+					b:      decodeOperand(f.B[i]),
+					c:      decodeOperand(f.C[i]),
+					disp:   f.Disp[i],
+					lat:    int64(costs.Of(&probe)),
+					occ:    int64(costs.OccOf(&probe)),
 					iline:  line,
 					iset:   int32(line % nsets),
 				}
 				addr += int64(s.mach.BytesPerInstr)
-				if in.Op != rtl.Call {
-					for _, o := range in.SrcOperands() {
+				if d.op != rtl.Call {
+					f.SrcSlots(i, func(o *rtl.Operand) {
 						if r, ok := o.IsReg(); ok {
 							d.srcs[d.nsrc] = int32(r)
 							d.nsrc++
 						}
-					}
+					})
 				}
 				if t := f.Target[i]; t >= 0 {
 					d.target = t
@@ -175,20 +219,31 @@ func (s *Sim) decodeFlat(fp *rtl.FlatProgram) *image {
 				}
 				if ci := f.CallIdx[i]; ci >= 0 {
 					c := &f.Calls[ci]
-					d.calleeName = fp.SymName(c.Callee)
-					d.callee = img.byName[d.calleeName] // nil traps at execution
-					for _, a := range f.Args[c.ArgStart:c.ArgEnd] {
-						d.args = append(d.args, decodeOperand(a))
+					dc := dCall{name: fp.SymName(c.Callee)}
+					dc.callee = img.byName[dc.name]
+					dc.args = carve(&args, int(c.ArgEnd-c.ArgStart))
+					for ai, a := range f.Args[c.ArgStart:c.ArgEnd] {
+						dc.args[ai] = decodeOperand(a)
 					}
+					d.call = int32(len(img.calls))
+					img.calls = append(img.calls, dc)
 				}
-				df.code = append(df.code, d)
 			}
-			df.code = append(df.code, dInstr{op: opBadBlock})
+			df.code[pc] = dInstr{op: opBadBlock}
+			pc++
 		}
-		df.blocks = append(df.blocks, dBlock{start: int32(len(df.code))})
-		df.code = append(df.code, dInstr{op: opBadBlock})
+		df.blocks[len(f.Blocks)] = dBlock{start: pc}
+		df.code[pc] = dInstr{op: opBadBlock}
 	}
 	return img
+}
+
+// carve hands out the next n elements of *slab, capacity-limited so no
+// slice carved from it can grow into its neighbour's.
+func carve[T any](slab *[]T, n int) []T {
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
 }
 
 // exec is the hot loop: it interprets one decoded function (issue when
@@ -250,8 +305,9 @@ func (s *Sim) exec(df *dFn, args []int64, depth int) (ret int64, cycles int64, e
 		// Issue when the operands are ready.
 		issue := clock
 		if d.op == rtl.Call {
-			for i := range d.args {
-				if r := d.args[i].reg; r >= 0 && ready[r] > issue {
+			args := s.img.calls[d.call].args
+			for i := range args {
+				if r := args[i].reg; r >= 0 && ready[r] > issue {
 					issue = ready[r]
 				}
 			}
@@ -335,15 +391,16 @@ func (s *Sim) exec(df *dFn, args []int64, depth int) (ret int64, cycles int64, e
 			}
 			return val(d.a), clock, nil
 		case rtl.Call:
-			if d.callee == nil {
+			c := &s.img.calls[d.call]
+			if c.callee == nil {
 				return 0, clock, &Trap{Kind: TrapBadProgram, Fn: df.name,
-					Msg: "call to undefined function " + d.calleeName}
+					Msg: "call to undefined function " + c.name}
 			}
 			var cargs []int64
-			for i := range d.args {
-				cargs = append(cargs, val(d.args[i]))
+			for i := range c.args {
+				cargs = append(cargs, val(c.args[i]))
 			}
-			rv, sub, cerr := s.exec(d.callee, cargs, depth+1)
+			rv, sub, cerr := s.exec(c.callee, cargs, depth+1)
 			if cerr != nil {
 				return 0, clock, cerr
 			}

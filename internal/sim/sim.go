@@ -137,13 +137,15 @@ type Sim struct {
 	// against miscompiled infinite loops in tests). Zero means default.
 	Fuel int64
 
+	arena *[]byte // the pooled buffer backing Mem; Release returns it
+
 	img *image // predecoded program, built once in NewFlat
 	// badProgram, when non-nil, is why New could not load the program;
 	// every Run traps with it.
 	badProgram error
-	globals    []*rtl.Global // static data materialized at the start of each Run
-	icache     []int64       // per-set tag, -1 invalid
-	dcache     []int64       // per-set tag, -1 invalid; nil when disabled
+	globals    []rtl.Global // static data materialized at the start of each Run
+	icache     []int64      // per-set tag, -1 invalid
+	dcache     []int64      // per-set tag, -1 invalid; nil when disabled
 	fuel       int64
 	stats      *Stats
 	stackTop   int64 // grows down from the top of memory for spill frames
@@ -215,26 +217,31 @@ func (s *Sim) flushMetrics(st *Stats) {
 
 // arena recycles simulated-memory buffers between measurements. Buffers in
 // the pool are always fully zero: Release zeroes the dirty range before
-// returning one.
+// returning one. The pool holds *[]byte, and each Sim keeps the pointer it
+// drew, so a Get/Put cycle boxes no slice header.
 var arenaPool sync.Pool
 
-func arenaGet(n int) []byte {
-	if v := arenaPool.Get(); v != nil {
-		buf := v.([]byte)
-		if cap(buf) >= n {
-			return buf[:n]
-		}
-		// Too small for this simulator; drop it and allocate fresh.
+// arenaGet returns a pooled buffer resliced to n bytes, or a fresh one.
+func arenaGet(n int) *[]byte {
+	buf, _ := arenaPool.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
 	}
-	return make([]byte, n)
+	if cap(*buf) < n {
+		*buf = make([]byte, n) // empty, or too small for this simulator
+	}
+	*buf = (*buf)[:n]
+	return buf
 }
 
 // newSim allocates the machine state (memory arena, cache tag arrays)
 // shared by both constructors.
 func newSim(mach *machine.Machine, memBytes int) *Sim {
+	arena := arenaGet(memBytes)
 	s := &Sim{
 		mach:    mach,
-		Mem:     arenaGet(memBytes),
+		Mem:     *arena,
+		arena:   arena,
 		dirtyLo: int64(memBytes),
 	}
 	sets := mach.ICacheBytes / icacheLineBytes
@@ -274,14 +281,15 @@ func New(prog *rtl.Program, mach *machine.Machine, memBytes int) *Sim {
 // executed.
 func NewFlat(fp *rtl.FlatProgram, mach *machine.Machine, memBytes int) *Sim {
 	s := newSim(mach, memBytes)
+	s.globals = make([]rtl.Global, len(fp.Globals))
 	for i := range fp.Globals {
 		g := &fp.Globals[i]
-		s.globals = append(s.globals, &rtl.Global{
+		s.globals[i] = rtl.Global{
 			Name: fp.SymName(g.Name),
 			Addr: g.Addr,
 			Size: g.Size,
 			Init: g.Init,
-		})
+		}
 	}
 	s.img = s.decodeFlat(fp)
 	return s
@@ -296,8 +304,9 @@ func (s *Sim) Release() {
 		return
 	}
 	s.zeroDirty()
-	arenaPool.Put(s.Mem[:cap(s.Mem)])
-	s.Mem = nil
+	*s.arena = s.Mem[:cap(s.Mem)]
+	arenaPool.Put(s.arena)
+	s.Mem, s.arena = nil, nil
 }
 
 // markDirty widens the watermark to cover [addr, addr+n).
@@ -388,7 +397,8 @@ func (s *Sim) foldWidths(st *Stats) {
 // loadGlobals materializes the program's static data. It runs at the start
 // of every Run so a prior run's stores cannot leak into the next.
 func (s *Sim) loadGlobals() {
-	for _, g := range s.globals {
+	for i := range s.globals {
+		g := &s.globals[i]
 		if g.Addr < 0 || g.Addr+g.Size > int64(len(s.Mem)) {
 			continue // impossible layout; execution will trap on access
 		}

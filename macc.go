@@ -23,7 +23,7 @@ package macc
 import (
 	"context"
 	"fmt"
-	"strings"
+	"strconv"
 
 	"macc/internal/ccache"
 	"macc/internal/cfg"
@@ -253,36 +253,71 @@ func (cfg Config) usesCache() bool {
 }
 
 // fingerprint renders every semantics-affecting Config field canonically;
-// it is one of the three cache key components.
+// it is one of the three cache key components. The fingerprints are built
+// with strconv appends into one buffer: every cached compile renders them.
 func (cfg Config) fingerprint() string {
-	return fmt.Sprintf("opt=%t;unroll=%t;factor=%d;coalesce=%t/%t/%t/%t;sched=%t;regs=%d;strict=%t",
-		cfg.Optimize, cfg.Unroll, cfg.UnrollFactor,
-		cfg.Coalesce.Loads, cfg.Coalesce.Stores, cfg.Coalesce.Force,
-		cfg.Coalesce.NoRuntimeChecks, cfg.Schedule, cfg.Registers, cfg.Strict)
+	var buf [128]byte
+	b := appendBool(buf[:0], "opt=", cfg.Optimize)
+	b = appendBool(b, ";unroll=", cfg.Unroll)
+	b = appendInt(b, ";factor=", cfg.UnrollFactor)
+	b = appendBool(b, ";coalesce=", cfg.Coalesce.Loads)
+	b = appendBool(b, "/", cfg.Coalesce.Stores)
+	b = appendBool(b, "/", cfg.Coalesce.Force)
+	b = appendBool(b, "/", cfg.Coalesce.NoRuntimeChecks)
+	b = appendBool(b, ";sched=", cfg.Schedule)
+	b = appendInt(b, ";regs=", cfg.Registers)
+	b = appendBool(b, ";strict=", cfg.Strict)
+	return string(b)
 }
 
 // machineFingerprint renders the full machine description — capability
 // flags, cache geometry, and both cost tables — so two models sharing a
 // name but differing anywhere observable never share a cache key.
 func machineFingerprint(m *machine.Machine) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s;word=%d;align=%t;pipe=%t;icache=%d/%d/%d;dcache=%d/%d",
-		m.Name, m.WordBytes, m.MustAlign, m.Pipelined,
-		m.ICacheBytes, m.BytesPerInstr, m.ICacheMissPenalty,
-		m.DCacheBytes, m.DCacheMissPenalty)
-	costFingerprint(&sb, &m.Sched)
-	costFingerprint(&sb, &m.Exec)
-	return sb.String()
+	var buf [512]byte
+	b := append(buf[:0], m.Name...)
+	b = appendInt(b, ";word=", int(m.WordBytes))
+	b = appendBool(b, ";align=", m.MustAlign)
+	b = appendBool(b, ";pipe=", m.Pipelined)
+	b = appendInt(b, ";icache=", m.ICacheBytes)
+	b = appendInt(b, "/", m.BytesPerInstr)
+	b = appendInt(b, "/", m.ICacheMissPenalty)
+	b = appendInt(b, ";dcache=", m.DCacheBytes)
+	b = appendInt(b, "/", m.DCacheMissPenalty)
+	b = appendCostFingerprint(b, &m.Sched)
+	b = appendCostFingerprint(b, &m.Exec)
+	return string(b)
 }
 
-func costFingerprint(sb *strings.Builder, c *machine.Costs) {
-	fmt.Fprintf(sb, ";alu=%d,mul=%d,div=%d,x=%d,i=%d,br=%d,call=%d,xo=%d,io=%d",
-		c.Alu, c.Mul, c.Div, c.Extract, c.Insert, c.Branch, c.Call,
-		c.ExtractOcc, c.InsertOcc)
-	for _, w := range []rtl.Width{rtl.W1, rtl.W2, rtl.W4, rtl.W8} {
-		fmt.Fprintf(sb, ",l%d=%d/%d,s%d=%d/%d",
-			w, c.Load[w], c.LoadOcc[w], w, c.Store[w], c.StoreOcc[w])
+func appendCostFingerprint(b []byte, c *machine.Costs) []byte {
+	b = appendInt(b, ";alu=", c.Alu)
+	b = appendInt(b, ",mul=", c.Mul)
+	b = appendInt(b, ",div=", c.Div)
+	b = appendInt(b, ",x=", c.Extract)
+	b = appendInt(b, ",i=", c.Insert)
+	b = appendInt(b, ",br=", c.Branch)
+	b = appendInt(b, ",call=", c.Call)
+	b = appendInt(b, ",xo=", c.ExtractOcc)
+	b = appendInt(b, ",io=", c.InsertOcc)
+	for _, w := range [...]rtl.Width{rtl.W1, rtl.W2, rtl.W4, rtl.W8} {
+		b = appendInt(b, ",l", int(w))
+		b = appendInt(b, "=", c.Load[w])
+		b = appendInt(b, "/", c.LoadOcc[w])
+		b = appendInt(b, ",s", int(w))
+		b = appendInt(b, "=", c.Store[w])
+		b = appendInt(b, "/", c.StoreOcc[w])
 	}
+	return b
+}
+
+// appendInt appends key and then v in decimal.
+func appendInt(b []byte, key string, v int) []byte {
+	return strconv.AppendInt(append(b, key...), int64(v), 10)
+}
+
+// appendBool appends key and then v as "true" or "false".
+func appendBool(b []byte, key string, v bool) []byte {
+	return strconv.AppendBool(append(b, key...), v)
 }
 
 // compileCached serves the compile from cfg.Cache: a hit (memory, disk, or
