@@ -478,11 +478,6 @@ func measureCodec(a *Artifact, m *machine.Machine) error {
 			return fmt.Errorf("%s: compile: %v", bm.Name, err)
 		}
 		fp := p.Flat
-		if fp == nil {
-			if fp, err = rtl.Flatten(p.RTL); err != nil {
-				return fmt.Errorf("%s: flatten: %v", bm.Name, err)
-			}
-		}
 		enc := codec.EncodeProgram(fp)
 		text := p.RTL.String()
 

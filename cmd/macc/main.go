@@ -58,8 +58,8 @@
 //
 // Compiled programs round-trip through the binary flat-IR codec (the same
 // format the disk cache stores): -emit=bin writes the encoded program to -o,
-// and -in=bin loads such a file directly — checksum-verified, no pipeline
-// rerun — so -print and -run work on the decoded image:
+// and -in=bin loads such a file directly — checksummed and verified, no
+// pipeline rerun — so -print and -run work on the decoded image:
 //
 //	macc -emit=bin -o prog.bin prog.c
 //	macc -in=bin -print prog.bin        # byte-identical to macc -print prog.c
@@ -303,18 +303,15 @@ func main() {
 	var prog *macc.Program
 	if *inFmt == "bin" {
 		// A binary flat-IR file is an already-compiled program: decode it
-		// (checksum + structural validation) and load it directly — no
-		// pipeline run unless -reopt asks for one, in which case the passes
-		// execute on the flat image itself.
+		// (checksum, structural validation and verification) and load it
+		// through the driver with the passes off, unless -reopt asks for
+		// them, in which case they execute on the flat image itself.
 		fp, derr := codec.DecodeProgram(src)
 		if derr != nil {
 			fatal(derr)
 		}
-		if *reopt {
-			prog, err = macc.OptimizeFlat(fp, cfg)
-		} else {
-			prog, err = macc.FromFlat(fp, m)
-		}
+		cfg.Optimize = cfg.Optimize && *reopt
+		prog, err = macc.OptimizeFlat(fp, cfg)
 	} else if isRTL {
 		rp, perr := rtl.ParseProgram(string(src))
 		if perr != nil {
@@ -332,13 +329,7 @@ func main() {
 	}
 
 	if *emit == "bin" {
-		flat := prog.Flat
-		if flat == nil {
-			if flat, err = rtl.Flatten(prog.RTL); err != nil {
-				fatal(err)
-			}
-		}
-		data := codec.EncodeProgram(flat)
+		data := codec.EncodeProgram(prog.Flat)
 		if *output == "" || *output == "-" {
 			if _, err := os.Stdout.Write(data); err != nil {
 				fatal(err)

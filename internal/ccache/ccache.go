@@ -567,10 +567,10 @@ func EncodeEntry(key Key, e Entry) ([]byte, error) {
 
 // DecodeEntry parses and revalidates one envelope against the key it was
 // requested under: the trailer checksum must cover the bytes, schema and
-// key must match, and the program must pass the codec's structural decode
-// and the flat IR's index validation. Any violation is an error — the
-// caller treats it as a miss. This is the verification gate that makes a
-// corrupt or stale peer answer harmless. No text reparse happens here: a
+// key must match, and the program must pass the codec's structural decode,
+// the flat IR's index validation and the verifier. Any violation is an
+// error — the caller treats it as a miss. This is the verification gate that
+// makes a corrupt or stale peer answer harmless. No text reparse happens here: a
 // disk or peer hit decodes straight into the flat form.
 func DecodeEntry(key Key, data []byte) (Entry, error) {
 	if len(data) < len(envelopeMagic)+2+8 {

@@ -327,6 +327,17 @@ func TestDiskCorruptTruncatedAndStaleAreMisses(t *testing.T) {
 			Key:    key.String(),
 		}, []byte("MFP1 junk that is not a flat program"))
 	})
+	corrupt("unverifiable-program", func(t *testing.T, key Key, _ []byte) []byte {
+		// A well-formed image whose registers lie outside the function's
+		// pool: it decodes and validates, but must fail verification
+		// before a simulator could index its register file with them.
+		fp := flatOf(t, prog(t, "f", 3))
+		fp.Fns[0].Dst[0] = 40
+		return forgeEnvelope(t, entryMeta{
+			Schema: SchemaVersion,
+			Key:    key.String(),
+		}, codec.EncodeProgram(fp))
+	})
 }
 
 // TestDiskSchemaMigrationGC seeds a cache directory with old-schema files —

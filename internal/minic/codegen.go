@@ -7,16 +7,18 @@ import (
 	"macc/internal/rtl"
 )
 
-// Lower translates a checked file to an RTL program. Registers hold values
-// in a canonical form: every integer value is kept sign- or zero-extended to
-// 64 bits according to its static type, so arithmetic can proceed at full
-// register width (the Alpha convention the paper's code follows) while loads
-// and stores carry the narrow access widths the coalescer cares about.
 // GlobalBase is where file-scope data is laid out in simulated memory.
 // Harness-managed buffers should be placed above the program's data segment
 // (rtl.Program.Globals reports the extent).
 const GlobalBase = int64(64)
 
+// Lower translates a checked file to an RTL program. Registers hold values
+// in a canonical form: every integer value is kept sign- or zero-extended to
+// 64 bits according to its static type, so arithmetic can proceed at full
+// register width (the Alpha convention the paper's code follows) while loads
+// and stores carry the narrow access widths the coalescer cares about.
+// Lower does not verify its output; the compile driver (macc.OptimizeFlat)
+// verifies every function before any pass runs.
 func Lower(file *File) (*rtl.Program, error) {
 	prog := rtl.NewProgram()
 	addr := GlobalBase
@@ -36,9 +38,6 @@ func Lower(file *File) (*rtl.Program, error) {
 		fn, err := g.lowerFunc()
 		if err != nil {
 			return nil, err
-		}
-		if err := fn.Verify(); err != nil {
-			return nil, fmt.Errorf("codegen produced invalid RTL: %w", err)
 		}
 		prog.Add(fn)
 	}

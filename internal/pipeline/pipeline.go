@@ -44,9 +44,6 @@ type Options struct {
 	// (today's fail-fast behaviour). The default rolls the function back
 	// and continues with the remaining passes.
 	Strict bool
-	// NoVerify skips the post-pass verification checkpoints; panics are
-	// still recovered. Used by probes that apply their own predicate.
-	NoVerify bool
 	// OnPass, when non-nil, observes function fi of fp after each
 	// successful pass (the -dump hook).
 	OnPass func(name string, fp *rtl.FlatProgram, fi int)
@@ -126,11 +123,11 @@ func (d *Diagnostics) String() string {
 }
 
 // RunFlat executes the passes over function fi of fp. Each pass runs under
-// panic recovery and, unless NoVerify is set, is followed by a VerifyFn
-// checkpoint. On failure the function is restored from the flat snapshot
-// advanced after the last good pass (a range copy of the dense arrays); in
-// Strict mode the *PassError is returned instead and the function is left
-// rolled back to that same snapshot.
+// panic recovery and is followed by a VerifyFn checkpoint. On failure the
+// function is restored from the flat snapshot advanced after the last good
+// pass (a range copy of the dense arrays); in Strict mode the *PassError is
+// returned instead and the function is left rolled back to that same
+// snapshot.
 func RunFlat(fp *rtl.FlatProgram, fi int, passes []FlatPass, opts Options) error {
 	f := &fp.Fns[fi]
 	fnName := fp.Syms[f.Name]
@@ -140,7 +137,7 @@ func RunFlat(fp *rtl.FlatProgram, fi int, passes []FlatPass, opts Options) error
 			opts.Recorder.BeginPass(p.Name, fnName, f.NumInstrs(), len(f.Blocks))
 		}
 		perr := runOneFlat(p, fp, fi, fnName)
-		if perr == nil && !opts.NoVerify {
+		if perr == nil {
 			if verr := fp.VerifyFn(fi); verr != nil {
 				perr = &PassError{Pass: p.Name, Fn: fnName, Err: verr}
 			}

@@ -20,7 +20,8 @@
 // tables are derived state and are recomputed after decode, not stored.
 //
 // DecodeProgram validates everything — magic, version, checksum, section
-// structure, then rtl.(*FlatProgram).Validate for index consistency — and
+// structure, rtl.(*FlatProgram).Validate for index consistency, then
+// VerifyFn on every function, so a decoded image is safe to simulate — and
 // returns errors, never panics, on corrupt or truncated input. The fuzz
 // target FuzzFlatRoundTrip pins that property.
 package codec
@@ -304,8 +305,8 @@ func (r *reader) count(v uint64, min int) int {
 	return int(v)
 }
 
-// DecodeProgram parses an EncodeProgram buffer back into a validated
-// FlatProgram, recomputing the derived edge tables.
+// DecodeProgram parses an EncodeProgram buffer back into a validated and
+// verified FlatProgram, recomputing the derived edge tables.
 func DecodeProgram(data []byte) (*rtl.FlatProgram, error) {
 	if len(data) < len(magic)+1+8 {
 		return nil, corruptf("short buffer (%d bytes)", len(data))
@@ -372,6 +373,9 @@ func DecodeProgram(data []byte) (*rtl.FlatProgram, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	for fi := range fp.Fns {
+		if err := fp.VerifyFn(fi); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
 		fp.Fns[fi].ComputeEdges()
 	}
 	return fp, nil

@@ -2,6 +2,7 @@ package codec_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"macc/internal/rtl"
@@ -156,6 +157,30 @@ func TestCodecRejectsCorruption(t *testing.T) {
 				t.Fatal("corrupt buffer decoded successfully")
 			}
 		})
+	}
+}
+
+// TestCodecRejectsUnverifiableImage decodes an image that passes the index
+// validation but names registers outside its function's pool: the decoder
+// must reject it, because the simulator indexes its register file with
+// them.
+func TestCodecRejectsUnverifiableImage(t *testing.T) {
+	p, err := rtl.ParseProgram("func f(r0) {\nentry:\n\tr1 = r0 + 1\n\tret r1\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := rtl.Flatten(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &fp.Fns[0]
+	f.Dst[0] = 40
+	f.A[1] = rtl.R(40)
+	if err := fp.Validate(); err != nil {
+		t.Fatalf("index validation should accept the image: %v", err)
+	}
+	if _, err := codec.DecodeProgram(codec.EncodeProgram(fp)); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("decode = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -137,8 +137,8 @@ func (it *interner) intern(s string) Sym {
 
 // Flatten converts a pointer-graph program into its flat image. It is
 // strict: a Jump/Branch whose target block is not a member of the owning
-// function is an error (the verifier enforces the same invariant), as is a
-// function with more instructions or blocks than the 32-bit index space.
+// function is an error (Fn.Verify relies on this check), as is a function
+// with more instructions or blocks than the 32-bit index space.
 func Flatten(p *Program) (*FlatProgram, error) {
 	it := &interner{idx: make(map[string]Sym)}
 	fp := &FlatProgram{}

@@ -2,13 +2,28 @@ package rtl
 
 import "fmt"
 
-// VerifyFn checks one flat function against the same invariants Fn.Verify
-// enforces on the pointer graph — blocks end in exactly one terminator,
-// operand slots match the opcode's shape, registers come from the pool,
-// branch targets are real blocks — plus the flat-specific structural ones
-// (parallel arrays, contiguous block ranges, call-table consistency). It
-// allocates nothing on the success path; failure messages are formatted
-// lazily.
+// Verify checks f against the structural invariants every pass must
+// preserve by flattening it and running VerifyFn on the image, so the
+// pointer graph and the flat form obey one set of rules. A jump or branch
+// to a block outside f fails the flattening. It returns the first violation
+// found, naming the function.
+func (f *Fn) Verify() error {
+	fp, err := Flatten(NewProgram(f))
+	if err != nil {
+		return err
+	}
+	return fp.VerifyFn(0)
+}
+
+// VerifyFn checks one flat function against the structural invariants every
+// pass must preserve: blocks end in exactly one terminator, operand slots
+// match the opcode's shape, calls name a callee, registers come from the
+// pool, branch targets are real blocks, and the flat arrays are consistent
+// (parallel arrays, contiguous block ranges, call-table and symbol indices in
+// range). It is the only verifier: the compile driver runs it before any
+// pass, the pass manager after every pass, and the codec on every decoded
+// image. It allocates nothing on the success path; failure messages are
+// formatted lazily.
 func (fp *FlatProgram) VerifyFn(fi int) error {
 	f := &fp.Fns[fi]
 	if err := f.verifyStructure(fp, fi); err != nil {
@@ -64,6 +79,10 @@ func (fp *FlatProgram) VerifyFn(fi int) error {
 				if e := f.Else[i]; e < 0 || e >= nb {
 					return fmt.Errorf("%s: branch target outside function", where(i))
 				}
+			case Call:
+				if fp.Syms[f.Calls[f.CallIdx[i]].Callee] == "" {
+					return fmt.Errorf("%s: call without callee", where(i))
+				}
 			}
 		}
 	}
@@ -89,6 +108,9 @@ func (fp *FlatProgram) blockName(f *FlatFn, bi int32) string {
 // one function so the flat pipeline can checkpoint per fn without
 // revalidating the whole program.
 func (f *FlatFn) verifyStructure(fp *FlatProgram, fi int) error {
+	if f.Name < 0 || int(f.Name) >= len(fp.Syms) {
+		return fmt.Errorf("fn %d: name sym out of range", fi)
+	}
 	n := len(f.Op)
 	if len(f.Dst) != n || len(f.A) != n || len(f.B) != n || len(f.C) != n ||
 		len(f.Width) != n || len(f.Signed) != n || len(f.Disp) != n ||
@@ -133,7 +155,8 @@ func (f *FlatFn) verifyStructure(fp *FlatProgram, fi int) error {
 	return nil
 }
 
-// verifyFlatShape mirrors verifyShape over the arrays.
+// verifyFlatShape checks that instruction i fills the operand slots its
+// opcode reads and writes.
 func (f *FlatFn) verifyFlatShape(i int32) error {
 	needDst := f.Dst[i] != NoReg
 	needA := f.A[i].Kind != KindNone
@@ -163,7 +186,7 @@ func (f *FlatFn) verifyFlatShape(i int32) error {
 		}
 		return nil
 	case Call:
-		return nil // callee sym range is covered by verifyStructure
+		return nil // the callee is checked by VerifyFn
 	default:
 		if f.Op[i].IsBinary() {
 			return shapeErr(needDst, needA, needB, true, f.Width[i])

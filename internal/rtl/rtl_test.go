@@ -127,50 +127,40 @@ func TestSuccs(t *testing.T) {
 
 func TestVerifyCatchesBadShapes(t *testing.T) {
 	mk := func() *Fn {
-		f := NewFn("t", 1)
+		f := NewFn("victim", 1)
 		f.Entry().Instrs = append(f.Entry().Instrs, RetI(R(f.Params[0])))
 		return f
 	}
 	if err := mk().Verify(); err != nil {
 		t.Fatalf("valid fn rejected: %v", err)
 	}
-
-	f := mk()
-	f.Entry().Instrs = nil
-	if err := f.Verify(); err == nil {
-		t.Error("empty block accepted")
+	cases := map[string]func(f *Fn){
+		"empty block": func(f *Fn) { f.Entry().Instrs = nil },
+		"terminator in middle": func(f *Fn) {
+			f.Entry().Instrs = append(f.Entry().Instrs, MovI(f.NewReg(), C(0)))
+		},
+		"missing terminator": func(f *Fn) { f.Entry().Instrs = []*Instr{MovI(f.NewReg(), C(0))} },
+		"invalid width": func(f *Fn) {
+			f.Entry().Instrs = []*Instr{LoadI(f.NewReg(), R(0), 0, 3, false), RetI(C(0))}
+		},
+		"register outside pool": func(f *Fn) { f.Entry().Instrs = []*Instr{MovI(999, C(0)), RetI(C(0))} },
+		"jump to foreign block": func(f *Fn) {
+			foreign := NewFn("o", 0).NewBlock("x")
+			f.Entry().Instrs = []*Instr{JumpI(foreign)}
+		},
+		"call without callee": func(f *Fn) {
+			f.Entry().Instrs = []*Instr{CallI(NoReg, ""), RetI(C(0))}
+		},
 	}
-
-	f = mk()
-	f.Entry().Instrs = append(f.Entry().Instrs, MovI(f.NewReg(), C(0)))
-	if err := f.Verify(); err == nil {
-		t.Error("terminator in middle accepted")
-	}
-
-	f = mk()
-	f.Entry().Instrs = []*Instr{MovI(f.NewReg(), C(0))}
-	if err := f.Verify(); err == nil {
-		t.Error("missing terminator accepted")
-	}
-
-	f = mk()
-	f.Entry().Instrs = []*Instr{LoadI(f.NewReg(), R(0), 0, 3, false), RetI(C(0))}
-	if err := f.Verify(); err == nil {
-		t.Error("invalid width accepted")
-	}
-
-	f = mk()
-	f.Entry().Instrs = []*Instr{MovI(999, C(0)), RetI(C(0))}
-	if err := f.Verify(); err == nil {
-		t.Error("register outside pool accepted")
-	}
-
-	f = mk()
-	other := NewFn("o", 0)
-	foreign := other.NewBlock("x")
-	f.Entry().Instrs = []*Instr{JumpI(foreign)}
-	if err := f.Verify(); err == nil {
-		t.Error("jump to foreign block accepted")
+	for name, breakIt := range cases {
+		f := mk()
+		breakIt(f)
+		err := f.Verify()
+		if err == nil {
+			t.Errorf("%s accepted", name)
+		} else if !strings.Contains(err.Error(), "victim") {
+			t.Errorf("%s: error %q does not name the function", name, err)
+		}
 	}
 }
 

@@ -20,14 +20,7 @@ func flatOf(t *testing.T, src string, cfg macc.Config) *rtl.FlatProgram {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Flat != nil {
-		return p.Flat
-	}
-	fp, err := rtl.Flatten(p.RTL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fp
+	return p.Flat
 }
 
 // TestDecodePaperKernels holds the decoder to the pointer-graph rules on

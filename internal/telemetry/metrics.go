@@ -166,55 +166,6 @@ func bucketOf(v int64) int {
 	return bits.Len64(uint64(v - 1))
 }
 
-// Quantile returns an upper bound on the q-quantile (0 <= q <= 1) of the
-// observed samples, resolved to the power-of-two bucket boundaries and
-// tightened by the observed min/max. An empty histogram returns 0. The
-// estimate is deliberately conservative (never below the true quantile's
-// bucket).
-func (h *Histogram) Quantile(q float64) int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.min
-	}
-	if q >= 1 {
-		return h.max
-	}
-	target := int64(math.Ceil(q * float64(h.count)))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i, n := range h.buckets {
-		cum += n
-		if cum < target {
-			continue
-		}
-		if i >= 63 { // 1<<i would overflow; the max is the tightest bound
-			return h.max
-		}
-		ub := int64(1) << uint(i)
-		if ub > h.max {
-			ub = h.max
-		}
-		if ub < h.min {
-			ub = h.min
-		}
-		return ub
-	}
-	return h.max
-}
-
-// Count returns the number of observed samples.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
 // HistogramSnapshot is one histogram's frozen state.
 type HistogramSnapshot struct {
 	Count int64 `json:"count"`

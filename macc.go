@@ -152,13 +152,11 @@ func NativeConfig(m *machine.Machine) Config {
 type Program struct {
 	RTL     *rtl.Program
 	Machine *machine.Machine
-	// Flat is the program's flat (struct-of-arrays) image: the form every
-	// optimization pass runs on and the pipeline's own output, the cached
-	// image for cache hits, and the decoded image for FromFlat. NewSim
-	// predecodes from it directly (sim.NewFlat); RTL is a pointer-graph view
-	// of the same program, materialized once when the pipeline finishes.
-	// Nil only for unoptimized (Optimize: false) compiles made without a
-	// cache, whose RTL is the front end's output.
+	// Flat is the program's verified flat (struct-of-arrays) image: the form
+	// every optimization pass runs on and the pipeline's own output, or the
+	// cached image for cache hits. It is never nil. NewSim predecodes from it
+	// directly (sim.NewFlat); RTL is a pointer-graph view of the same
+	// program, materialized once when the pipeline finishes.
 	Flat *rtl.FlatProgram
 	// Reports holds one entry per loop the coalescer examined.
 	Reports []core.LoopReport
@@ -230,10 +228,15 @@ func CompileRTLCtx(ctx context.Context, rp *rtl.Program, cfg Config) (*Program, 
 	return compileProgram(ctx, rp, cfg)
 }
 
+// compileProgram is the cold path: flatten the front end's output once and
+// hand the image to OptimizeFlat. The input program is left untouched.
 func compileProgram(ctx context.Context, rp *rtl.Program, cfg Config) (*Program, error) {
-	p := newProgram(rp, cfg.Machine)
-	p.Telemetry = cfg.Telemetry
-	if err := p.optimize(rp, cfg); err != nil {
+	fp, err := rtl.Flatten(rp)
+	if err != nil {
+		return nil, err
+	}
+	p, err := OptimizeFlat(fp, cfg)
+	if err != nil {
 		return nil, err
 	}
 	// Link the pipeline's per-pass spans under the request trace: children
@@ -346,20 +349,10 @@ func compileCached(ctx context.Context, keySrc string, cfg Config, cold func(con
 		for k, v := range p.Unrolled {
 			snap.Unrolled[k] = v
 		}
-		// The cache owns its entry outright: the flat image is a snapshot,
-		// so no later mutation through the caller's pointer can poison it.
-		// An optimizing compile already holds the final image — store it
-		// directly instead of re-flattening; otherwise a program the
-		// flattener rejects (it should not exist past the verifier) is
-		// simply not cached.
-		if p.Flat != nil {
-			snap.Flat = p.Flat
-		} else if flat, ferr := rtl.Flatten(p.RTL); ferr == nil {
-			snap.Flat = flat
-			p.Flat = flat
-		} else {
-			snap.Uncacheable = true
-		}
+		// The compile's own flat image is the entry's program: the pipeline
+		// built it from a private Flatten of the input, so the caller's RTL
+		// shares nothing with it.
+		snap.Flat = p.Flat
 		return snap, nil
 	})
 	if err != nil {
@@ -389,25 +382,8 @@ func compileCached(ctx context.Context, keySrc string, cfg Config, cold func(con
 	}, nil
 }
 
-// FromFlat wraps an already-compiled flat program image (e.g. decoded from
-// a .bin file emitted by cmd/macc -emit=bin) as a runnable Program without
-// re-running the pipeline. The image is validated and materialized; the
-// simulator predecodes from the flat form directly.
-func FromFlat(fp *rtl.FlatProgram, m *machine.Machine) (*Program, error) {
-	if m == nil {
-		m = machine.Alpha()
-	}
-	rp, err := fp.Unflatten()
-	if err != nil {
-		return nil, err
-	}
-	p := newProgram(rp, m)
-	p.Flat = fp
-	return p, nil
-}
-
-func newProgram(rp *rtl.Program, m *machine.Machine) *Program {
-	return &Program{RTL: rp, Machine: m, Unrolled: make(map[string]int),
+func newProgram(m *machine.Machine) *Program {
+	return &Program{Machine: m, Unrolled: make(map[string]int),
 		Diagnostics: &pipeline.Diagnostics{}}
 }
 
@@ -522,66 +498,36 @@ func unrollLoops(conf Config, fp *rtl.FlatProgram, fi int) map[string]int {
 	return staged
 }
 
-// optimize is the cold path: verify every function, then — when optimizing —
-// flatten the front end's output once and run every pass of the pipeline on
-// the struct-of-arrays form, function by function. The only pointer-graph
-// work left is the final Unflatten, which fills p.RTL for callers that read
-// it (printing, Fn, the tables); the flat image itself rides along on
-// p.Flat for the cache and the simulator. The input program is left
-// untouched.
-func (p *Program) optimize(rp *rtl.Program, cfg Config) error {
-	for _, f := range rp.Fns {
-		if err := f.Verify(); err != nil {
-			return fmt.Errorf("%s: %w", f.Name, err)
-		}
-	}
-	if !cfg.Optimize {
-		if cfg.DumpStage != nil {
-			for _, f := range rp.Fns {
-				cfg.DumpStage("codegen", f)
-			}
-		}
-		return nil
-	}
-	fp, err := rtl.Flatten(rp)
-	if err != nil {
-		return err
-	}
-	passes, opts := p.pipelineFor(cfg)
-	for fi := range fp.Fns {
-		if err := runPipeline(fp, fi, cfg, passes, opts); err != nil {
-			return err
-		}
-	}
-	out, err := fp.Unflatten()
-	if err != nil {
-		return err
-	}
-	p.RTL = out
-	p.Flat = fp
-	return nil
-}
-
-// OptimizeFlat runs the optimization pipeline directly over an already-flat
-// program image — e.g. one decoded from a .bin emitted by cmd/macc —
-// mutating it in place; every pass runs on the flat form, so the image is
-// materialized only once, at the end. The returned Program carries the
-// optimized image on Flat and that materialized view on RTL.
+// OptimizeFlat is the compile driver: every compile — from source, from RTL,
+// or from an image decoded from a .bin emitted by cmd/macc — runs through
+// it. It verifies every function of fp with VerifyFn, then, when
+// cfg.Optimize is set, runs the pass pipeline over each function under the
+// hardened pass manager (panic recovery, a verification checkpoint after
+// every pass, and in non-strict mode rollback with the incident recorded in
+// Diagnostics). The image is mutated in place and materialized only once,
+// at the end. The returned Program carries the image on Flat and that
+// materialized view on RTL.
 func OptimizeFlat(fp *rtl.FlatProgram, cfg Config) (*Program, error) {
 	if cfg.Machine == nil {
 		cfg.Machine = machine.Alpha()
 	}
-	p := &Program{Machine: cfg.Machine, Unrolled: make(map[string]int),
-		Diagnostics: &pipeline.Diagnostics{}, Telemetry: cfg.Telemetry}
-	if cfg.Optimize {
-		passes, opts := p.pipelineFor(cfg)
-		for fi := range fp.Fns {
-			if err := fp.VerifyFn(fi); err != nil {
-				return nil, fmt.Errorf("%s: %w", fp.Syms[fp.Fns[fi].Name], err)
-			}
-			if err := runPipeline(fp, fi, cfg, passes, opts); err != nil {
-				return nil, err
-			}
+	for fi := range fp.Fns {
+		if err := fp.VerifyFn(fi); err != nil {
+			return nil, fmt.Errorf("%s: %w", fp.SymName(fp.Fns[fi].Name), err)
+		}
+	}
+	p := newProgram(cfg.Machine)
+	p.Telemetry = cfg.Telemetry
+	passes, opts := p.pipelineFor(cfg)
+	for fi := range fp.Fns {
+		if cfg.DumpStage != nil {
+			cfg.DumpStage("codegen", fp.UnflattenFn(fi))
+		}
+		if !cfg.Optimize {
+			continue
+		}
+		if err := pipeline.RunFlat(fp, fi, passes, opts); err != nil {
+			return nil, fmt.Errorf("%s: %w", fp.SymName(fp.Fns[fi].Name), err)
 		}
 	}
 	rp, err := fp.Unflatten()
@@ -614,20 +560,6 @@ func (p *Program) pipelineFor(cfg Config) ([]pipeline.FlatPass, pipeline.Options
 		}
 	}
 	return passes, opts
-}
-
-// runPipeline runs the pass pipeline over function fi of fp under the hardened
-// pass manager: every stage gets panic recovery, a post-stage verification
-// checkpoint, and (in non-strict mode) rollback to the last-known-good form
-// with the incident recorded in the program's Diagnostics.
-func runPipeline(fp *rtl.FlatProgram, fi int, cfg Config, passes []pipeline.FlatPass, opts pipeline.Options) error {
-	if cfg.DumpStage != nil {
-		cfg.DumpStage("codegen", fp.UnflattenFn(fi))
-	}
-	if err := pipeline.RunFlat(fp, fi, passes, opts); err != nil {
-		return fmt.Errorf("%s: %w", fp.Syms[fp.Fns[fi].Name], err)
-	}
-	return nil
 }
 
 // stages builds the pass sequence for cfg. Every stage runs natively on the
@@ -699,7 +631,7 @@ func Passes(cfg Config) []string {
 	if cfg.Machine == nil {
 		cfg.Machine = machine.Alpha()
 	}
-	p := newProgram(rtl.NewProgram(), cfg.Machine)
+	p := newProgram(cfg.Machine)
 	var names []string
 	for _, ps := range p.stages(cfg) {
 		names = append(names, ps.Name)
@@ -736,7 +668,7 @@ func Bisect(rp *rtl.Program, name string, cfg Config, bad pipeline.Predicate) (p
 		fp, _ := rtl.Flatten(rp) // rp flattened cleanly above and is never mutated
 		return fp, fi
 	}
-	passes, _ := newProgram(rp, cfg.Machine).pipelineFor(cfg)
+	passes, _ := newProgram(cfg.Machine).pipelineFor(cfg)
 	return pipeline.Bisect(fresh, passes, bad)
 }
 
@@ -779,18 +711,12 @@ func DifferentialPredicate(rp *rtl.Program, name string, cfg Config, memBytes in
 }
 
 // NewSim builds a simulator for the compiled program with memBytes of RAM.
-// Programs carrying a flat image (every optimizing compile, cache hits,
-// FromFlat) predecode from it directly — no pointer-graph walk; the decode
-// is bit-identical to decoding RTL, including instruction-cache geometry. When the program was
-// compiled with a telemetry recorder, the simulator publishes its dynamic
-// counters into the same metrics registry.
+// It predecodes the program's verified flat image directly (sim.NewFlat),
+// with no pointer-graph walk. When the program was compiled with a
+// telemetry recorder, the simulator publishes its dynamic counters into the
+// same metrics registry.
 func (p *Program) NewSim(memBytes int) *sim.Sim {
-	var s *sim.Sim
-	if p.Flat != nil {
-		s = sim.NewFlat(p.Flat, p.Machine, memBytes)
-	} else {
-		s = sim.New(p.RTL, p.Machine, memBytes)
-	}
+	s := sim.NewFlat(p.Flat, p.Machine, memBytes)
 	if p.Telemetry != nil {
 		s.AttachMetrics(p.Telemetry.Metrics())
 	}
