@@ -305,11 +305,12 @@ func predecodeAllocs(p *macc.Program) float64 {
 
 // minAllocs counts the objects one call of f allocates: one warm-up call,
 // then the minimum over allocSamples runs of testing.AllocsPerRun. A
-// compile's output never varies, but the runtime seeds every map's hash at
-// random, and how the compile's maps grow and the order they are walked in
-// can put a single sample a few objects high; the minimum does not move.
-// (The simulator's arena pool can likewise drop a buffer, which costs one
-// allocation.)
+// compile's output never varies, but two things can put a single sample a
+// few objects high: the runtime seeds every map's hash at random, so how
+// the compile's maps grow varies, and a garbage collection empties the
+// pools of pass and simulator storage (the scheduler's scratch, the
+// cleaner, the simulator's arena), so the next call regrows what it draws.
+// The minimum does not move.
 func minAllocs(f func() error) (float64, error) {
 	var err error
 	call := func() {

@@ -1,6 +1,7 @@
 package cfg_test
 
 import (
+	"slices"
 	"testing"
 
 	"macc/internal/cfg"
@@ -147,13 +148,15 @@ func TestFindLoops(t *testing.T) {
 	}
 }
 
-func TestNestedLoopsInnermostFirst(t *testing.T) {
-	// entry -> oh -> ih -> ib -> ih (inner back) ; ih -> ol -> oh (outer back); oh -> exit
-	f := rtl.NewFn("nest", 1)
+// buildNestFn constructs two nested loops:
+// entry -> oh -> ih -> ib -> ih (inner back); ih -> ol -> oh (outer back);
+// oh -> exit.
+func buildNestFn() (f *rtl.Fn, oh, ih, ib *rtl.Block) {
+	f = rtl.NewFn("nest", 1)
 	entry := f.Entry()
-	oh := f.NewBlock("outerHeader")
-	ih := f.NewBlock("innerHeader")
-	ib := f.NewBlock("innerBody")
+	oh = f.NewBlock("outerHeader")
+	ih = f.NewBlock("innerHeader")
+	ib = f.NewBlock("innerBody")
 	ol := f.NewBlock("outerLatch")
 	exit := f.NewBlock("exit")
 	c1, c2, c3 := f.NewReg(), f.NewReg(), f.NewReg()
@@ -163,7 +166,11 @@ func TestNestedLoopsInnermostFirst(t *testing.T) {
 	ib.Instrs = []*rtl.Instr{rtl.JumpI(ih)}
 	ol.Instrs = []*rtl.Instr{rtl.JumpI(oh)}
 	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.C(0))}
+	return f, oh, ih, ib
+}
 
+func TestNestedLoopsInnermostFirst(t *testing.T) {
+	f, oh, ih, ib := buildNestFn()
 	g, at := flatGraph(t, f)
 	loops := g.FindLoops()
 	if len(loops) != 2 {
@@ -243,5 +250,55 @@ func TestEnsurePreheaderInsertsBlock(t *testing.T) {
 	}
 	if err := g.P.VerifyFn(0); err != nil {
 		t.Errorf("function invalid after preheader insertion: %v", err)
+	}
+}
+
+// sameGraph reports where two graphs of the same function disagree.
+func sameGraph(t *testing.T, what string, got, want *cfg.FlatGraph) {
+	t.Helper()
+	if !slices.Equal(got.RPO, want.RPO) {
+		t.Errorf("%s: RPO %v, want %v", what, got.RPO, want.RPO)
+	}
+	if len(got.Preds) != len(want.Preds) {
+		t.Fatalf("%s: %d pred lists, want %d", what, len(got.Preds), len(want.Preds))
+	}
+	for bi := range want.Preds {
+		b := int32(bi)
+		if !slices.Equal(got.Preds[bi], want.Preds[bi]) {
+			t.Errorf("%s: block %d preds %v, want %v", what, bi, got.Preds[bi], want.Preds[bi])
+		}
+		if got.Reachable(b) != want.Reachable(b) || got.Idom(b) != want.Idom(b) {
+			t.Errorf("%s: block %d reachable/idom %t/%d, want %t/%d", what, bi,
+				got.Reachable(b), got.Idom(b), want.Reachable(b), want.Idom(b))
+		}
+	}
+}
+
+// TestNewFlatIntoReusesStorage rebuilds one graph across functions of
+// different sizes: each rebuild must equal a fresh NewFlat, and a rebuild
+// on a graph already sized for the function must allocate nothing.
+func TestNewFlatIntoReusesStorage(t *testing.T) {
+	nest, _, _, _ := buildNestFn()
+	loop, _ := buildLoopFn()
+	dead := loop.NewBlock("dead")
+	dead.Instrs = []*rtl.Instr{rtl.RetI(rtl.C(0))}
+	var fps []*rtl.FlatProgram
+	for _, f := range []*rtl.Fn{nest, loop} {
+		fp, err := rtl.Flatten(rtl.NewProgram(f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fps = append(fps, fp)
+	}
+	g := new(cfg.FlatGraph)
+	for _, fp := range []*rtl.FlatProgram{fps[0], fps[1], fps[0], fps[1]} {
+		what := fp.Syms[fp.Fns[0].Name]
+		sameGraph(t, what, cfg.NewFlatInto(fp, 0, g), cfg.NewFlat(fp, 0))
+	}
+	for _, fp := range fps {
+		cfg.NewFlatInto(fp, 0, g)
+		if n := testing.AllocsPerRun(20, func() { cfg.NewFlatInto(fp, 0, g) }); n != 0 {
+			t.Errorf("%s: NewFlatInto on a sized graph allocates %.0f objects", fp.Syms[fp.Fns[0].Name], n)
+		}
 	}
 }

@@ -203,9 +203,8 @@ func doProfitabilityAnalysisAndModifyFlat(fp *rtl.FlatProgram, fi int, g *cfg.Fl
 	applyChunksFlat(f, bodyCopy, chunks, rep)
 
 	// Schedule both loops and compare.
-	var sc sched.FlatScratch
-	rep.CyclesOriginal = sched.EstimateFlat(f, bodyBi, m, &sc)
-	rep.CyclesCoalesced = sched.EstimateFlat(f, bodyCopy, m, &sc)
+	rep.CyclesOriginal = sched.EstimateFlat(f, bodyBi, m)
+	rep.CyclesCoalesced = sched.EstimateFlat(f, bodyCopy, m)
 	if !opts.Force && rep.CyclesCoalesced >= rep.CyclesOriginal {
 		f.TruncateBlocks(nBlocks)
 		return false

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"macc/internal/cfg"
+	"macc/internal/reuse"
 	"macc/internal/rtl"
 )
 
@@ -37,10 +38,10 @@ func ComputeFlatDefUse(f *rtl.FlatFn) *FlatDefUse {
 // tables' storage; whatever du held before is overwritten.
 func ComputeFlatDefUseInto(f *rtl.FlatFn, du *FlatDefUse) {
 	n := f.NumRegs()
-	du.defCount = resize(du.defCount, n)
-	du.useCount = resize(du.useCount, n)
-	du.single = resize(du.single, n)
-	du.isParam = resize(du.isParam, n)
+	du.defCount = reuse.Zeroed(du.defCount, n)
+	du.useCount = reuse.Zeroed(du.useCount, n)
+	du.single = reuse.Zeroed(du.single, n)
+	du.isParam = reuse.Zeroed(du.isParam, n)
 	for _, p := range f.Params {
 		du.isParam[p] = true
 		du.defCount[p]++
@@ -59,17 +60,6 @@ func ComputeFlatDefUseInto(f *rtl.FlatFn, du *FlatDefUse) {
 			}
 		}
 	}
-}
-
-// resize returns s with length n and every element zero, reusing s's
-// storage when it is large enough.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 // DefCount returns how many definitions register r has (parameters count
@@ -122,9 +112,9 @@ func ComputeFlatLivenessInto(g *cfg.FlatGraph, lv *FlatLiveness) {
 	f := g.F
 	nb := len(f.Blocks)
 	w := (f.NumRegs() + 63) / 64
-	lv.words = resize(lv.words, (4*nb+1)*w)
+	lv.words = reuse.Zeroed(lv.words, (4*nb+1)*w)
 	carve := func(sets []BitSet, at int) []BitSet {
-		sets = resize(sets, nb)
+		sets = reuse.Zeroed(sets, nb)
 		for bi := range sets {
 			off := (at*nb + bi) * w
 			sets[bi] = lv.words[off : off+w : off+w]

@@ -41,20 +41,20 @@ type Costs struct {
 	InsertOcc  int
 }
 
-// OccOf returns how many issue slots the instruction occupies on a
-// pipelined machine.
-func (c *Costs) OccOf(in *rtl.Instr) int {
+// OccOf returns how many issue slots an instruction with opcode op and
+// access width w occupies on a pipelined machine.
+func (c *Costs) OccOf(op rtl.Op, w rtl.Width) int {
 	occ := 1
-	switch in.Op {
+	switch op {
 	case rtl.Load:
 		if c.LoadOcc != nil {
-			if v := c.LoadOcc[in.Width]; v > 0 {
+			if v := c.LoadOcc[w]; v > 0 {
 				occ = v
 			}
 		}
 	case rtl.Store:
 		if c.StoreOcc != nil {
-			if v := c.StoreOcc[in.Width]; v > 0 {
+			if v := c.StoreOcc[w]; v > 0 {
 				occ = v
 			}
 		}
@@ -70,9 +70,10 @@ func (c *Costs) OccOf(in *rtl.Instr) int {
 	return occ
 }
 
-// Of returns the latency of one instruction under this table.
-func (c *Costs) Of(in *rtl.Instr) int {
-	switch in.Op {
+// Of returns the latency of an instruction with opcode op and access width
+// w under this table.
+func (c *Costs) Of(op rtl.Op, w rtl.Width) int {
+	switch op {
 	case rtl.Nop:
 		return 1
 	case rtl.Mul:
@@ -80,9 +81,9 @@ func (c *Costs) Of(in *rtl.Instr) int {
 	case rtl.Div, rtl.Rem:
 		return c.Div
 	case rtl.Load:
-		return c.Load[in.Width]
+		return c.Load[w]
 	case rtl.Store:
-		return c.Store[in.Width]
+		return c.Store[w]
 	case rtl.Extract:
 		return c.Extract
 	case rtl.Insert:

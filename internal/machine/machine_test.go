@@ -42,15 +42,15 @@ func TestMaxCoalesceFactor(t *testing.T) {
 func TestOccupancyDefaultsToOne(t *testing.T) {
 	m := machine.M68030()
 	in := rtl.LoadI(1, rtl.R(0), 0, rtl.W1, false)
-	if got := m.Exec.OccOf(in); got != 1 {
+	if got := m.Exec.OccOf(in.Op, in.Width); got != 1 {
 		t.Errorf("occupancy default = %d, want 1", got)
 	}
 	alpha := machine.Alpha()
-	if got := alpha.Exec.OccOf(in); got <= 1 {
+	if got := alpha.Exec.OccOf(in.Op, in.Width); got <= 1 {
 		t.Errorf("alpha narrow load occupancy = %d, want the emulation sequence", got)
 	}
 	wide := rtl.LoadI(1, rtl.R(0), 0, rtl.W8, false)
-	if got := alpha.Exec.OccOf(wide); got != 1 {
+	if got := alpha.Exec.OccOf(wide.Op, wide.Width); got != 1 {
 		t.Errorf("alpha wide load occupancy = %d, want 1", got)
 	}
 }

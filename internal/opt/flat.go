@@ -2,9 +2,11 @@ package opt
 
 import (
 	"math/bits"
+	"sync"
 
 	"macc/internal/cfg"
 	"macc/internal/dataflow"
+	"macc/internal/reuse"
 	"macc/internal/rtl"
 )
 
@@ -15,7 +17,10 @@ import (
 // FlatClean runs the full clean-up pipeline to a fixpoint (bounded) and reports
 // whether anything changed.
 func FlatClean(fp *rtl.FlatProgram, fi int) bool {
-	c := newCleaner(fp, fi)
+	return withCleaner(fp, fi, (*cleaner).clean)
+}
+
+func (c *cleaner) clean() bool {
 	changedEver := false
 	for i := 0; i < 8; i++ {
 		changed := false
@@ -38,18 +43,21 @@ func FlatClean(fp *rtl.FlatProgram, fi int) bool {
 }
 
 // cleaner runs FlatClean's sub-passes over one function. It owns every
-// analysis and scratch buffer they use, so one FlatClean call builds each
-// into storage reused across its sub-passes and rounds. The exported Flat*
-// sub-passes each run on a fresh cleaner.
+// analysis and scratch buffer they use. Cleaners come from cleanerPool, so
+// that storage outlives the call: FlatClean and the exported Flat*
+// sub-passes each draw one, and a compile's many calls reuse what earlier
+// calls grew.
 type cleaner struct {
 	fp *rtl.FlatProgram
 	fi int
 	f  *rtl.FlatFn
 
-	// g is the function's CFG and edges each block's ordered successors
-	// (-1 pads a missing one) as they were when g was built; g is reused
-	// while every block's successors still match.
+	// g is the function's CFG (nil until built) and edges each block's
+	// ordered successors (-1 pads a missing one) as they were when g was
+	// built; g is reused while every block's successors still match. Every
+	// build rebuilds gs, the graph's storage, in place.
 	g     *cfg.FlatGraph
+	gs    cfg.FlatGraph
 	edges [][2]int32
 
 	du   dataflow.FlatDefUse
@@ -60,33 +68,39 @@ type cleaner struct {
 	uses, defs []int32 // per-register counts
 	selfOnly   []bool
 
-	// propagateLocal's per-block state: val[r] is r's known constant or
-	// copy source where has[r]; touched lists every r with has[r] set.
+	// Per-block register state. propagateLocal's val[r] is r's known
+	// constant or copy source where has[r]; collapseMovChains' defAt[r] is
+	// the index of r's last definition in the block (-1 none). touched lists
+	// every r with an entry set, and is empty between blocks.
 	val     []rtl.Operand
 	has     []bool
+	defAt   []int32
 	touched []rtl.Reg
 
 	cse cseTable
 }
 
-func newCleaner(fp *rtl.FlatProgram, fi int) *cleaner {
-	return &cleaner{fp: fp, fi: fi, f: &fp.Fns[fi]}
-}
+// cleanerPool recycles cleaners between calls.
+var cleanerPool = sync.Pool{New: func() any { return new(cleaner) }}
 
-// reuse returns s with length n and every element zero, reusing s's
-// storage when it is large enough.
-func reuse[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
+// withCleaner runs pass over function fi of fp on a pooled cleaner. The
+// cleaner goes back to the pool with no program, function or CFG in it, so
+// the next call can neither see nor retain them. Only a pass that returns
+// puts its cleaner back: one abandoned by a panic may hold half-reset
+// tables, so it is left to the collector.
+func withCleaner(fp *rtl.FlatProgram, fi int, pass func(*cleaner) bool) bool {
+	c := cleanerPool.Get().(*cleaner)
+	c.fp, c.fi, c.f = fp, fi, &fp.Fns[fi]
+	changed := pass(c)
+	c.fp, c.f, c.g = nil, nil, nil
+	c.gs.P, c.gs.F = nil, nil
+	cleanerPool.Put(c)
+	return changed
 }
 
 // marks returns the cleaner's mark buffer, cleared, with n entries.
 func (c *cleaner) marks(n int) []bool {
-	c.mask = reuse(c.mask, n)
+	c.mask = reuse.Zeroed(c.mask, n)
 	return c.mask
 }
 
@@ -98,7 +112,7 @@ func (c *cleaner) graph() *cfg.FlatGraph {
 	if c.g != nil && c.edgesUnchanged() {
 		return c.g
 	}
-	c.g = cfg.NewFlat(c.fp, c.fi)
+	c.g = cfg.NewFlatInto(c.fp, c.fi, &c.gs)
 	c.edges = c.edges[:0]
 	for bi := range c.f.Blocks {
 		c.edges = append(c.edges, c.succs(int32(bi)))
@@ -129,7 +143,7 @@ func (c *cleaner) succs(bi int32) [2]int32 {
 
 // FlatRemoveUnreachable drops blocks that cannot be reached from the entry.
 func FlatRemoveUnreachable(fp *rtl.FlatProgram, fi int) bool {
-	return newCleaner(fp, fi).removeUnreachable()
+	return withCleaner(fp, fi, (*cleaner).removeUnreachable)
 }
 
 func (c *cleaner) removeUnreachable() bool {
@@ -148,7 +162,7 @@ func (c *cleaner) removeUnreachable() bool {
 // FlatFoldConstants evaluates instructions whose operands are constants and
 // simplifies algebraic identities (x+0, x*1, x*0, x<<0, branch-on-constant).
 func FlatFoldConstants(fp *rtl.FlatProgram, fi int) bool {
-	return newCleaner(fp, fi).foldConstants()
+	return withCleaner(fp, fi, (*cleaner).foldConstants)
 }
 
 func (c *cleaner) foldConstants() bool {
@@ -280,14 +294,14 @@ func flatFoldInstr(f *rtl.FlatFn, i int32) bool {
 // kills precisely, so chains like "t=2; u=t; v=a+u" collapse without any
 // global analysis.
 func FlatPropagateLocal(fp *rtl.FlatProgram, fi int) bool {
-	return newCleaner(fp, fi).propagateLocal()
+	return withCleaner(fp, fi, (*cleaner).propagateLocal)
 }
 
 func (c *cleaner) propagateLocal() bool {
 	f := c.f
 	n := f.NumRegs()
-	c.val = reuse(c.val, n)
-	c.has = reuse(c.has, n)
+	c.val = reuse.Zeroed(c.val, n)
+	c.has = reuse.Zeroed(c.has, n)
 	val, has := c.val, c.has
 	changed := false
 	for bi := range f.Blocks {
@@ -339,7 +353,7 @@ func (c *cleaner) propagateLocal() bool {
 // constant, or as a copy of another immutable register, its uses dominated
 // by the definition are rewritten.
 func FlatPropagateImmutable(fp *rtl.FlatProgram, fi int) bool {
-	return newCleaner(fp, fi).propagateImmutable()
+	return withCleaner(fp, fi, (*cleaner).propagateImmutable)
 }
 
 func (c *cleaner) propagateImmutable() bool {
@@ -398,7 +412,7 @@ func flatDominatesUse(g *cfg.FlatGraph, site dataflow.FlatDefSite, useBlock, use
 // register visits only the entries that mention it, so a definition costs
 // O(mentions) rather than a sweep of every available expression.
 func FlatLocalCSE(fp *rtl.FlatProgram, fi int) bool {
-	return newCleaner(fp, fi).localCSE()
+	return withCleaner(fp, fi, (*cleaner).localCSE)
 }
 
 // cseKey is the value-numbering key of one pure computation.
@@ -579,13 +593,13 @@ func (c *cleaner) localCSE() bool {
 // induction updates ("i = i + 1" arrives as "t = i + 1; i = t") from the
 // loop analyses; this pass restores the canonical form.
 func FlatCollapseMovChains(fp *rtl.FlatProgram, fi int) bool {
-	return newCleaner(fp, fi).collapseMovChains()
+	return withCleaner(fp, fi, (*cleaner).collapseMovChains)
 }
 
 func (c *cleaner) collapseMovChains() bool {
 	f := c.f
-	c.defs = reuse(c.defs, f.NumRegs())
-	c.uses = reuse(c.uses, f.NumRegs())
+	c.defs = reuse.Zeroed(c.defs, f.NumRegs())
+	c.uses = reuse.Zeroed(c.uses, f.NumRegs())
 	defCount, useCount := c.defs, c.uses
 	for i := int32(0); i < int32(len(f.Op)); i++ {
 		if d, ok := f.Def(i); ok {
@@ -601,16 +615,20 @@ func (c *cleaner) collapseMovChains() bool {
 		defCount[p]++
 	}
 
+	for len(c.defAt) < f.NumRegs() {
+		c.defAt = append(c.defAt, -1)
+	}
+	defAt := c.defAt
+
 	changed := false
 	kill := c.marks(len(f.Op))
 	anyKill := false
 	for bi := range f.Blocks {
 		b := &f.Blocks[bi]
-		defAt := make(map[rtl.Reg]int32) // reg -> absolute index of def within this block
 		for i := b.InstrStart; i < b.InstrEnd; i++ {
 			if f.Op[i] == rtl.Mov {
 				if t, ok := f.A[i].IsReg(); ok && defCount[t] == 1 && useCount[t] == 1 {
-					if di, here := defAt[t]; here && flatMovable(f, di, i, f.Dst[i]) {
+					if di := defAt[t]; di >= 0 && flatMovable(f, di, i, f.Dst[i]) {
 						if flatFusable(f, di) {
 							nd := f.Dst[i]
 							def := f.Instr(di)
@@ -623,9 +641,16 @@ func (c *cleaner) collapseMovChains() bool {
 				}
 			}
 			if d, ok := f.Def(i); ok {
+				if defAt[d] < 0 {
+					c.touched = append(c.touched, d)
+				}
 				defAt[d] = i
 			}
 		}
+		for _, r := range c.touched {
+			defAt[r] = -1
+		}
+		c.touched = c.touched[:0]
 		if changed {
 			for i := b.InstrStart; i < b.InstrEnd; i++ {
 				if f.Op[i] == rtl.Nop {
@@ -678,7 +703,7 @@ func flatMovable(f *rtl.FlatFn, di, j int32, v rtl.Reg) bool {
 // estimates honest, since multiplies are the slowest ALU operation on all
 // three machine models.
 func FlatPeephole(fp *rtl.FlatProgram, fi int) bool {
-	return newCleaner(fp, fi).peephole()
+	return withCleaner(fp, fi, (*cleaner).peephole)
 }
 
 func (c *cleaner) peephole() bool {
@@ -795,14 +820,14 @@ func (c *cleaner) simplifyBranches() bool {
 // FlatDeadCodeElim removes pure instructions whose results are never used,
 // iterating so chains of dead temporaries disappear.
 func FlatDeadCodeElim(fp *rtl.FlatProgram, fi int) bool {
-	return newCleaner(fp, fi).deadCodeElim()
+	return withCleaner(fp, fi, (*cleaner).deadCodeElim)
 }
 
 func (c *cleaner) deadCodeElim() bool {
 	f := c.f
 	changedEver := false
 	for {
-		c.uses = reuse(c.uses, f.NumRegs())
+		c.uses = reuse.Zeroed(c.uses, f.NumRegs())
 		use := c.uses
 		for i := int32(0); i < int32(len(f.Op)); i++ {
 			f.SrcSlots(i, func(o *rtl.Operand) {
@@ -843,7 +868,7 @@ func flatSideEffectFree(op rtl.Op) bool {
 // never live — use-count DCE keeps them, liveness kills them. Iterates to a
 // fixpoint since removing one dead definition can kill the chain feeding it.
 func FlatGlobalDCE(fp *rtl.FlatProgram, fi int) bool {
-	return newCleaner(fp, fi).globalDCE()
+	return withCleaner(fp, fi, (*cleaner).globalDCE)
 }
 
 func (c *cleaner) globalDCE() bool {
@@ -861,7 +886,7 @@ func (c *cleaner) globalDCE() bool {
 			}
 			b := &f.Blocks[bi]
 			out := lv.LiveOutSet(int32(bi))
-			c.live = reuse(c.live, len(out))
+			c.live = reuse.Zeroed(c.live, len(out))
 			live := c.live
 			live.Copy(out)
 			for i := b.InstrEnd - 1; i >= b.InstrStart; i-- {
@@ -896,12 +921,12 @@ func (c *cleaner) globalDCE() bool {
 // use count never reaches zero. This is the paper's
 // EliminateInductionVariables step.
 func FlatEliminateDeadIVs(fp *rtl.FlatProgram, fi int) bool {
-	return newCleaner(fp, fi).eliminateDeadIVs()
+	return withCleaner(fp, fi, (*cleaner).eliminateDeadIVs)
 }
 
 func (c *cleaner) eliminateDeadIVs() bool {
 	f := c.f
-	c.selfOnly = reuse(c.selfOnly, f.NumRegs())
+	c.selfOnly = reuse.Zeroed(c.selfOnly, f.NumRegs())
 	selfOnly := c.selfOnly // candidate: all uses are self-updates
 	for i := range selfOnly {
 		selfOnly[i] = true

@@ -1,8 +1,12 @@
 package sched_test
 
 import (
+	"math"
 	"testing"
 
+	"macc"
+	"macc/internal/bench"
+	"macc/internal/cfg"
 	"macc/internal/machine"
 	"macc/internal/rtl"
 	"macc/internal/sched"
@@ -27,16 +31,14 @@ func flatten(t *testing.T, f *rtl.Fn) *rtl.FlatProgram {
 func schedule(t *testing.T, f *rtl.Fn, m *machine.Machine) (*rtl.Block, int) {
 	t.Helper()
 	fp := flatten(t, f)
-	var sc sched.FlatScratch
-	cycles := sched.ScheduleFlat(&fp.Fns[0], 0, m, &sc)
+	cycles := sched.ScheduleFlat(&fp.Fns[0], 0, m)
 	return fp.UnflattenFn(0).Entry(), cycles
 }
 
 // estimate is the scheduled cycle count of f's entry block.
 func estimate(t *testing.T, f *rtl.Fn, m *machine.Machine) int {
 	t.Helper()
-	var sc sched.FlatScratch
-	return sched.EstimateFlat(&flatten(t, f).Fns[0], 0, m, &sc)
+	return sched.EstimateFlat(&flatten(t, f).Fns[0], 0, m)
 }
 
 // positions maps each instruction (by its printed form, unique in these
@@ -186,12 +188,11 @@ func TestEstimateDoesNotMutate(t *testing.T) {
 	block(f, i1, i2, rtl.RetI(rtl.R(t2)))
 	fp := flatten(t, f)
 	before := fp.UnflattenFn(0).String()
-	var sc sched.FlatScratch
-	c1 := sched.EstimateFlat(&fp.Fns[0], 0, machine.Alpha(), &sc)
+	c1 := sched.EstimateFlat(&fp.Fns[0], 0, machine.Alpha())
 	if fp.UnflattenFn(0).String() != before {
 		t.Fatal("EstimateFlat reordered the block")
 	}
-	c2 := sched.ScheduleFlat(&fp.Fns[0], 0, machine.Alpha(), &sc)
+	c2 := sched.ScheduleFlat(&fp.Fns[0], 0, machine.Alpha())
 	if c1 != c2 {
 		t.Errorf("EstimateFlat (%d) and ScheduleFlat (%d) disagree", c1, c2)
 	}
@@ -235,5 +236,53 @@ func TestSchedulingReducesEstimatedCycles(t *testing.T) {
 	}
 	if after <= 0 {
 		t.Error("bad cycle estimate")
+	}
+}
+
+// minAllocs is the fewest objects one call of f allocated over a few
+// single-call samples: the scratch pool may drop an item now and then (the
+// race detector's runtime does so on purpose), which costs a sample one
+// fresh scratch.
+func minAllocs(f func()) float64 {
+	best := math.Inf(1)
+	for range 20 {
+		best = min(best, testing.AllocsPerRun(1, f))
+	}
+	return best
+}
+
+// TestSchedulingAllocatesNothingWhenWarm schedules every block of every
+// loop of each paper kernel's optimized compile: once the scratch pool is
+// warm, neither an estimate nor a reordering allocates.
+func TestSchedulingAllocatesNothingWhenWarm(t *testing.T) {
+	for _, bm := range append(bench.Benchmarks(), bench.DotProduct()) {
+		for _, m := range machine.All() {
+			conf := macc.DefaultConfig()
+			conf.Machine = m
+			p, err := macc.Compile(bm.Src, conf)
+			if err != nil {
+				t.Fatalf("%s: %v", bm.Name, err)
+			}
+			fp := p.Flat
+			bodies := 0
+			for fi := range fp.Fns {
+				f := &fp.Fns[fi]
+				for _, l := range cfg.NewFlat(fp, fi).FindLoops() {
+					for _, bi := range l.Blocks {
+						bodies++
+						at := bm.Name + "/" + m.Name + "/" + fp.Syms[f.Blocks[bi].Name]
+						if n := minAllocs(func() { sched.EstimateFlat(f, bi, m) }); n != 0 {
+							t.Errorf("%s: EstimateFlat allocates %.0f objects", at, n)
+						}
+						if n := minAllocs(func() { sched.ScheduleFlat(f, bi, m) }); n != 0 {
+							t.Errorf("%s: ScheduleFlat allocates %.0f objects", at, n)
+						}
+					}
+				}
+			}
+			if bodies == 0 {
+				t.Errorf("%s/%s: no loop blocks to schedule", bm.Name, m.Name)
+			}
+		}
 	}
 }

@@ -162,9 +162,6 @@ func (s *Sim) decodeFlat(fp *rtl.FlatProgram) *image {
 	costs := &s.mach.Exec
 	nsets := int64(len(s.icache))
 	addr := int64(0)
-	// probe carries the only fields the cost tables read, so the machine's
-	// cost rules apply unchanged without building an instruction record.
-	var probe rtl.Instr
 	for fi := range fp.Fns {
 		f := &fp.Fns[fi]
 		df := img.fns[fi]
@@ -184,7 +181,6 @@ func (s *Sim) decodeFlat(fp *rtl.FlatProgram) *image {
 				ninstr: fb.InstrEnd - fb.InstrStart,
 			}
 			for i := fb.InstrStart; i < fb.InstrEnd; i++ {
-				probe.Op, probe.Width = f.Op[i], f.Width[i]
 				line := addr / icacheLineBytes
 				d := &df.code[pc]
 				pc++
@@ -197,8 +193,8 @@ func (s *Sim) decodeFlat(fp *rtl.FlatProgram) *image {
 					b:      decodeOperand(f.B[i]),
 					c:      decodeOperand(f.C[i]),
 					disp:   f.Disp[i],
-					lat:    int64(costs.Of(&probe)),
-					occ:    int64(costs.OccOf(&probe)),
+					lat:    int64(costs.Of(f.Op[i], f.Width[i])),
+					occ:    int64(costs.OccOf(f.Op[i], f.Width[i])),
 					iline:  line,
 					iset:   int32(line % nsets),
 				}

@@ -83,10 +83,10 @@ func checkInstr(t testing.TB, at string, img *image, d *dInstr, in *rtl.Instr, i
 	if !operandIs(d.a, in.A) || !operandIs(d.b, in.B) || !operandIs(d.c, in.C) {
 		t.Errorf("%s: decoded operands %+v %+v %+v", at, d.a, d.b, d.c)
 	}
-	if want := int64(costs.Of(in)); d.lat != want {
+	if want := int64(costs.Of(in.Op, in.Width)); d.lat != want {
 		t.Errorf("%s: lat %d, want %d", at, d.lat, want)
 	}
-	if want := int64(costs.OccOf(in)); d.occ != want {
+	if want := int64(costs.OccOf(in.Op, in.Width)); d.occ != want {
 		t.Errorf("%s: occ %d, want %d", at, d.occ, want)
 	}
 	var srcs []int32
