@@ -264,16 +264,6 @@ func (in *Instr) SrcOperands() []*Operand {
 	return ops
 }
 
-// Uses appends the registers read by the instruction to dst and returns it.
-func (in *Instr) Uses(dst []Reg) []Reg {
-	for _, o := range in.SrcOperands() {
-		if r, ok := o.IsReg(); ok {
-			dst = append(dst, r)
-		}
-	}
-	return dst
-}
-
 // UsesReg reports whether the instruction reads register r.
 func (in *Instr) UsesReg(r Reg) bool {
 	for _, o := range in.SrcOperands() {
