@@ -55,10 +55,7 @@ func TestFlatDifferentialRandomRTL(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: flatten: %v", seed, err)
 		}
-		back, err := fp.Unflatten()
-		if err != nil {
-			t.Fatalf("seed %d: unflatten: %v", seed, err)
-		}
+		back := fp.Unflatten()
 		if got := back.String(); got != want {
 			t.Fatalf("seed %d: Flatten/Unflatten not lossless:\n%s\nvs\n%s", seed, got, want)
 		}
@@ -67,10 +64,7 @@ func TestFlatDifferentialRandomRTL(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: codec round trip: %v", seed, err)
 		}
-		decBack, err := dec.Unflatten()
-		if err != nil {
-			t.Fatalf("seed %d: unflatten decoded: %v", seed, err)
-		}
+		decBack := dec.Unflatten()
 		if got := decBack.String(); got != want {
 			t.Fatalf("seed %d: codec round trip not lossless:\n%s\nvs\n%s", seed, got, want)
 		}
@@ -98,10 +92,7 @@ func TestFlatDifferentialKernels(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: codec round trip: %v", bm.Name, err)
 				}
-				back, err := dec.Unflatten()
-				if err != nil {
-					t.Fatalf("%s: unflatten: %v", bm.Name, err)
-				}
+				back := dec.Unflatten()
 				if got := back.String(); got != want {
 					t.Fatalf("%s: flat round trip not lossless:\n%s\nvs\n%s", bm.Name, got, want)
 				}

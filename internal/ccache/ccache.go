@@ -123,7 +123,7 @@ func (e Entry) Materialize() (*rtl.Program, error) {
 	if e.Flat == nil {
 		return nil, errors.New("ccache: entry has no program")
 	}
-	return e.Flat.Unflatten()
+	return e.Flat.Unflatten(), nil
 }
 
 // CloneReports returns a private copy of the report slice.

@@ -76,10 +76,7 @@ func TestStructuralFaultsAreCaughtAndRolledBack(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: flatten: %v", seed, err)
 				}
-				before, err := fp.Unflatten()
-				if err != nil {
-					t.Fatalf("seed %d: unflatten: %v", seed, err)
-				}
+				before := fp.Unflatten()
 				nsyms := len(fp.Syms)
 
 				inj := &faultinject.Injector{Pass: "victim-pass", Kind: kind, Seed: seed}
@@ -104,10 +101,10 @@ func TestStructuralFaultsAreCaughtAndRolledBack(t *testing.T) {
 					diags.Incidents[0].Fn != "victim" {
 					t.Fatalf("seed %d: fault not caught/attributed: %+v", seed, diags.Incidents)
 				}
-				after, err := fp.Unflatten()
-				if err != nil {
-					t.Fatalf("seed %d: unflatten after rollback: %v", seed, err)
+				if err := fp.Verify(); err != nil {
+					t.Fatalf("seed %d: verify after rollback: %v", seed, err)
 				}
+				after := fp.Unflatten()
 				if after.String() != before.String() || len(fp.Syms) != nsyms {
 					t.Fatalf("seed %d: program not rolled back", seed)
 				}
@@ -257,10 +254,7 @@ func TestFlatStructuralFaultsAreCaughtAndRolledBack(t *testing.T) {
 				}
 				want := behavior(t, f)
 				fp := flatten(t, f)
-				orig, err := fp.Unflatten()
-				if err != nil {
-					t.Fatalf("seed %d: unflatten: %v", seed, err)
-				}
+				orig := fp.Unflatten()
 				origText := orig.String()
 
 				inj := &faultinject.Injector{Pass: "victim", Kind: kind, Seed: seed}
@@ -282,10 +276,10 @@ func TestFlatStructuralFaultsAreCaughtAndRolledBack(t *testing.T) {
 				if len(diags.Incidents) != 1 || diags.Incidents[0].Pass != "victim" {
 					t.Fatalf("seed %d: fault not caught/attributed: %+v", seed, diags.Incidents)
 				}
-				back, err := fp.Unflatten()
-				if err != nil {
-					t.Fatalf("seed %d: unflatten after rollback: %v", seed, err)
+				if err := fp.Verify(); err != nil {
+					t.Fatalf("seed %d: verify after rollback: %v", seed, err)
 				}
+				back := fp.Unflatten()
 				if back.String() != origText {
 					t.Fatalf("seed %d: flat image not rolled back", seed)
 				}

@@ -44,10 +44,7 @@ func runPreserves(t *testing.T, name string, flatPass func(*rtl.FlatProgram, int
 		if err := fp.VerifyFn(0); err != nil {
 			t.Fatalf("%s seed %d: flat verify: %v", name, seed, err)
 		}
-		back, err := fp.Unflatten()
-		if err != nil {
-			t.Fatalf("%s seed %d: unflatten: %v", name, seed, err)
-		}
+		back := fp.Unflatten()
 		after, err := behavior(back)
 		if err != nil {
 			t.Fatalf("%s seed %d: behaviour after pass: %v", name, seed, err)

@@ -19,11 +19,12 @@
 // FlatFn arrays with tight per-field loops. Successor/predecessor edge
 // tables are derived state and are recomputed after decode, not stored.
 //
-// DecodeProgram validates everything — magic, version, checksum, section
-// structure, rtl.(*FlatProgram).Validate for index consistency, then
-// VerifyFn on every function, so a decoded image is safe to simulate — and
-// returns errors, never panics, on corrupt or truncated input. The fuzz
-// target FuzzFlatRoundTrip pins that property.
+// DecodeProgram checks everything — magic, version, checksum, section
+// structure, then rtl.(*FlatProgram).Verify, which checks every index and
+// every function's structural invariants once, so a decoded image is safe
+// to optimize, unflatten and simulate with no further check — and returns
+// errors, never panics, on corrupt or truncated input. The fuzz target
+// FuzzFlatRoundTrip pins that property.
 package codec
 
 import (
@@ -305,8 +306,8 @@ func (r *reader) count(v uint64, min int) int {
 	return int(v)
 }
 
-// DecodeProgram parses an EncodeProgram buffer back into a validated and
-// verified FlatProgram, recomputing the derived edge tables.
+// DecodeProgram parses an EncodeProgram buffer back into a FlatProgram that
+// has passed Verify, recomputing the derived edge tables.
 func DecodeProgram(data []byte) (*rtl.FlatProgram, error) {
 	if len(data) < len(magic)+1+8 {
 		return nil, corruptf("short buffer (%d bytes)", len(data))
@@ -369,13 +370,10 @@ func DecodeProgram(data []byte) (*rtl.FlatProgram, error) {
 	if !sawSyms {
 		return nil, corruptf("missing symbol section")
 	}
-	if err := fp.Validate(); err != nil {
+	if err := fp.Verify(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	for fi := range fp.Fns {
-		if err := fp.VerifyFn(fi); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
 		fp.Fns[fi].ComputeEdges()
 	}
 	return fp, nil

@@ -9,18 +9,17 @@ package codec_test
 //     bytes.
 //  2. Robustness: DecodeProgram on corrupted, truncated, or arbitrary
 //     buffers returns an error (or, for full-checksum-valid mutations, a
-//     validated program) — it never panics and never produces an image
-//     Unflatten rejects.
+//     program that passed Verify) — it never panics, and a decoded image
+//     unflattens without panicking.
 //  3. Pass safety, in two legs over every decoded image. The clean sweep
 //     (opt.FlatClean) runs directly on every image the codec accepts and
-//     must leave it index-safe — Validate still accepts it. The production
-//     pass pipeline (macc.OptimizeFlat, coalescing loads and stores) runs in
-//     strict mode on every image whose functions verify, so a pass panic,
-//     pass error, or verifier break fails the fuzz instead of being rolled
-//     back, and afterwards every function must verify and the program must
-//     validate. No pass may ever produce unparallel arrays, broken block
-//     ranges, dangling call indices, or malformed blocks, whatever image the
-//     codec hands it.
+//     must leave it passing Verify. The production pass pipeline
+//     (macc.OptimizeFlat, coalescing loads and stores) runs in strict mode
+//     on every image the codec accepts, so a pass panic, pass error, or
+//     verifier break fails the fuzz instead of being rolled back, and
+//     afterwards the program must still pass Verify. No pass may ever
+//     produce unparallel arrays, broken block ranges, dangling call
+//     indices, or malformed blocks, whatever image the codec hands it.
 
 import (
 	"bytes"
@@ -35,32 +34,23 @@ import (
 
 // runFlatClean applies one flat pass directly (the clean sweep, which
 // exercises the in-place rewrite, kill-marker compaction, and block-removal
-// primitives) to every function of a decoded image and asserts index safety.
+// primitives) to every function of a decoded image and asserts that the
+// image still passes Verify.
 func runFlatClean(t *testing.T, fp *rtl.FlatProgram, what string) {
 	t.Helper()
 	for fi := range fp.Fns {
 		opt.FlatClean(fp, fi)
 	}
-	if err := fp.Validate(); err != nil {
-		t.Fatalf("flat clean over %s broke index safety: %v", what, err)
+	if err := fp.Verify(); err != nil {
+		t.Fatalf("flat clean over %s broke the image: %v", what, err)
 	}
 }
 
 // runPipeline optimizes a decoded image in place with the production pass
-// pipeline in strict mode and asserts that the result verifies and stays
-// index-safe. An image whose functions do not verify is not a pipeline input
-// (OptimizeFlat rejects it before any pass runs); mustAccept says whether
-// such an image is a failure.
-func runPipeline(t *testing.T, fp *rtl.FlatProgram, what string, mustAccept bool) {
+// pipeline in strict mode and asserts that the result still passes Verify.
+// The decoder ran Verify, so OptimizeFlat must accept every decoded image.
+func runPipeline(t *testing.T, fp *rtl.FlatProgram, what string) {
 	t.Helper()
-	for fi := range fp.Fns {
-		if err := fp.VerifyFn(fi); err != nil {
-			if mustAccept {
-				t.Fatalf("%s does not verify: %v", what, err)
-			}
-			return
-		}
-	}
 	cfg := macc.DefaultConfig()
 	cfg.Strict = true
 	p, err := macc.OptimizeFlat(fp, cfg)
@@ -70,25 +60,32 @@ func runPipeline(t *testing.T, fp *rtl.FlatProgram, what string, mustAccept bool
 	if p.Diagnostics.Degraded() {
 		t.Fatalf("pipeline over %s degraded: %v", what, p.Diagnostics)
 	}
-	for fi := range fp.Fns {
-		if err := fp.VerifyFn(fi); err != nil {
-			t.Fatalf("pipeline over %s left function %d unverifiable: %v", what, fi, err)
-		}
-	}
-	if err := fp.Validate(); err != nil {
-		t.Fatalf("pipeline over %s broke index safety: %v", what, err)
+	if err := fp.Verify(); err != nil {
+		t.Fatalf("pipeline over %s broke the image: %v", what, err)
 	}
 }
 
+// unflattens materializes a decoded image and fails the fuzz if that
+// panics.
+func unflattens(t *testing.T, fp *rtl.FlatProgram) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("a decoded image does not unflatten: %v", r)
+		}
+	}()
+	fp.Unflatten()
+}
+
 // runPassLegs runs both pass-safety legs over buf, each on its own decode.
-func runPassLegs(t *testing.T, buf []byte, first *rtl.FlatProgram, what string, mustAccept bool) {
+func runPassLegs(t *testing.T, buf []byte, first *rtl.FlatProgram, what string) {
 	t.Helper()
 	again, err := codec.DecodeProgram(buf)
 	if err != nil {
 		t.Fatalf("second decode of %s: %v", what, err)
 	}
 	runFlatClean(t, first, what)
-	runPipeline(t, again, what, mustAccept)
+	runPipeline(t, again, what)
 }
 
 func FuzzFlatRoundTrip(f *testing.F) {
@@ -114,17 +111,14 @@ func FuzzFlatRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of valid encoding: %v", err)
 		}
-		back, err := dec.Unflatten()
-		if err != nil {
-			t.Fatalf("unflatten of valid decode: %v", err)
-		}
+		back := dec.Unflatten()
 		if got := back.String(); got != want {
 			t.Fatalf("round trip not byte-identical:\n--- got ---\n%s--- want ---\n%s", got, want)
 		}
 		if re := codec.EncodeProgram(dec); !bytes.Equal(re, enc) {
 			t.Fatal("re-encode differs from original encoding")
 		}
-		runPassLegs(t, enc, dec, "valid decode", true)
+		runPassLegs(t, enc, dec, "valid decode")
 
 		// Truncations of a valid encoding must error, never panic.
 		if len(corrupt) > 0 {
@@ -135,17 +129,15 @@ func FuzzFlatRoundTrip(f *testing.F) {
 		}
 
 		// Arbitrary mutations and raw junk: decode must not panic, and
-		// anything it does accept must be safe to materialize.
+		// anything it does accept must be safe to materialize and optimize.
 		mut := append([]byte(nil), enc...)
 		for i, b := range corrupt {
 			mut[i%len(mut)] ^= b
 		}
 		for _, buf := range [][]byte{mut, corrupt} {
 			if got, err := codec.DecodeProgram(buf); err == nil {
-				if _, err := got.Unflatten(); err != nil {
-					t.Fatalf("decode accepted an image Unflatten rejects: %v", err)
-				}
-				runPassLegs(t, buf, got, "accepted mutation", false)
+				unflattens(t, got)
+				runPassLegs(t, buf, got, "accepted mutation")
 			}
 		}
 	})

@@ -6,12 +6,12 @@ package rtl
 // deletion passes, and block-range splicing for the surgery passes
 // (preheaders, loop replication, preheader checks, spill code).
 //
-// Invariants preserved by every primitive here (and checked by VerifyFn /
-// Validate): instruction arrays stay parallel, block ranges stay contiguous
-// in block order, and (Op==Call) == (CallIdx>=0). The Succs/Preds edge
-// tables are derived state; primitives that change control flow leave them
-// stale and callers recompute with ComputeEdges when needed (the flat
-// analyses read Target/Else directly, so most passes never need the tables).
+// Invariants preserved by every primitive here (and checked by VerifyFn):
+// instruction arrays stay parallel, block ranges stay contiguous in block
+// order, and (Op==Call) == (CallIdx>=0). The Succs/Preds edge tables are
+// derived state; primitives that change control flow leave them stale and
+// callers recompute with ComputeEdges when needed (the flat analyses read
+// Target/Else directly, so most passes never need the tables).
 
 // FlatInstr is the value form of one instruction, gathered from / scattered
 // to the parallel arrays. Target and Else are block indices (-1 none);

@@ -30,10 +30,7 @@ func operandIs(d dOp, o rtl.Operand) bool {
 // phantom sentinels.
 func checkDecode(t testing.TB, fp *rtl.FlatProgram, mach *machine.Machine) {
 	t.Helper()
-	g, err := fp.Unflatten()
-	if err != nil {
-		t.Fatalf("unflatten: %v", err)
-	}
+	g := fp.Unflatten()
 	img := NewFlat(fp, mach, 1<<12).img
 	if len(img.fns) != len(g.Fns) {
 		t.Fatalf("decoded %d functions, program has %d", len(img.fns), len(g.Fns))
