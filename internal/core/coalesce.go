@@ -10,16 +10,17 @@
 // keeping the faster (Figure 3).
 //
 // The optimizer runs on the flat (struct-of-arrays) RTL form, so the driver
-// is too. The procedure names follow the paper: CoalesceMemoryAccessesFlat
-// is the Figure 2 driver; classifyPartitions is
+// is too. The procedure names follow the paper: CoalesceMemoryAccesses is
+// the Figure 2 driver; classifyPartitions is
 // ClassifyMemoryReferencesIntoPartitions; IsHazard is Figure 4's safety
-// walk; doProfitabilityAnalysisAndModifyFlat is Figure 3.
+// walk; doProfitabilityAnalysisAndModify is Figure 3.
 package core
 
 import (
 	"fmt"
 	"sort"
 
+	"macc/internal/iv"
 	"macc/internal/machine"
 	"macc/internal/rtl"
 	"macc/internal/telemetry"
@@ -66,14 +67,15 @@ type LoopReport struct {
 
 // ref is one narrow memory reference inside the loop body.
 type ref struct {
-	in    *rtl.Instr
 	index int // position within the body block
 	disp  int64
+	width rtl.Width
 }
 
 // partition groups the references that share a base register, the paper's
 // "unique identifier" (most probably the register containing the start
-// address of the array).
+// address of the array). Its step and displacement envelope are the
+// footprint the run-time alias checks bound.
 type partition struct {
 	base     rtl.Reg
 	step     int64 // bytes of base motion per loop iteration (0 = invariant)
@@ -150,14 +152,14 @@ func emitLoopRemark(em telemetry.Emitter, rep *LoopReport) {
 // restriction on alias checking. Each rejection is surfaced as an Analysis
 // remark and a counter, so Table-IV-style "why not" questions have answers.
 // On an empty result rep.Reason carries the first rejection.
-func filterChunks(body []*rtl.Instr, chunks []*chunk, parts map[rtl.Reg]*partition,
-	src flatIV, m *machine.Machine, opts Options, em telemetry.Emitter,
+func filterChunks(f *rtl.FlatFn, body int32, chunks []*chunk, parts map[rtl.Reg]*partition,
+	info *iv.FlatInfo, m *machine.Machine, opts Options, em telemetry.Emitter,
 	rep *LoopReport) []*chunk {
 
 	var safe []*chunk
 	firstReject := ""
 	for _, c := range chunks {
-		hz, verdict := IsHazard(body, c, parts, src)
+		hz, verdict := IsHazard(f, body, c, parts)
 		reason := "hazard:" + verdict
 		switch {
 		case hz == hazardUnsafe:
@@ -186,7 +188,7 @@ func filterChunks(body []*rtl.Instr, chunks []*chunk, parts map[rtl.Reg]*partiti
 	}
 	// Run-time alias ranges need the loop trip count; without a recognized
 	// control test, keep only chunks that need no alias checks.
-	if _, _, haveTrips := src.ControlInfo(); !haveTrips {
+	if info.Control == nil {
 		var kept []*chunk
 		for _, c := range safe {
 			if len(c.needsAliasCheck) == 0 {
@@ -241,44 +243,43 @@ func finishReport(em telemetry.Emitter, rep *LoopReport, opts Options) {
 	}
 }
 
-// classifyPartitions groups the body's memory references by base register.
-// Only bases that are loop invariant or basic induction variables qualify;
-// anything else cannot be described relative to the induction variable and
-// is unsafe to coalesce (CalculateRelativeOffsets failing in the paper).
-func classifyPartitions(body []*rtl.Instr, info flatIV) map[rtl.Reg]*partition {
+// classifyPartitions groups the memory references of block body by base
+// register. Only bases that are loop invariant or basic induction variables
+// qualify; anything else cannot be described relative to the induction
+// variable and is unsafe to coalesce (CalculateRelativeOffsets failing in
+// the paper).
+func classifyPartitions(f *rtl.FlatFn, body int32, info *iv.FlatInfo) map[rtl.Reg]*partition {
 	parts := make(map[rtl.Reg]*partition)
-	for i, in := range body {
-		if !in.IsMem() {
+	b := &f.Blocks[body]
+	for i := b.InstrStart; i < b.InstrEnd; i++ {
+		if !f.IsMem(i) {
 			continue
 		}
-		base, ok := in.A.IsReg()
+		base, ok := f.A[i].IsReg()
 		if !ok {
 			continue
 		}
-		step, isIV := info.IVStep(base)
-		if !isIV && !info.Invariant(base) {
+		var step int64
+		if biv := info.BasicIVs[base]; biv != nil {
+			step = biv.Step
+		} else if !info.Invariant(base) {
 			continue
 		}
+		disp, w := f.Disp[i], f.Width[i]
 		p := parts[base]
 		if p == nil {
-			p = &partition{base: base, step: step, minDisp: in.Disp, maxDisp: in.Disp}
+			p = &partition{base: base, step: step, minDisp: disp, maxDisp: disp}
 			parts[base] = p
 		}
-		r := ref{in: in, index: i, disp: in.Disp}
-		if in.Op == rtl.Load {
+		r := ref{index: int(i - b.InstrStart), disp: disp, width: w}
+		if f.Op[i] == rtl.Load {
 			p.loads = append(p.loads, r)
 		} else {
 			p.stores = append(p.stores, r)
 		}
-		if in.Disp < p.minDisp {
-			p.minDisp = in.Disp
-		}
-		if in.Disp > p.maxDisp {
-			p.maxDisp = in.Disp
-		}
-		if int64(in.Width) > p.maxWidth {
-			p.maxWidth = int64(in.Width)
-		}
+		p.minDisp = min(p.minDisp, disp)
+		p.maxDisp = max(p.maxDisp, disp)
+		p.maxWidth = max(p.maxWidth, int64(w))
 	}
 	return parts
 }
@@ -318,10 +319,10 @@ func chunkRefs(p *partition, refs []ref, isLoad bool, m *machine.Machine) []*chu
 	// that reuse is precisely the redundancy the paper's Figure 1 removes.
 	byWidth := make(map[rtl.Width]map[int64][]ref)
 	for _, r := range refs {
-		m := byWidth[r.in.Width]
+		m := byWidth[r.width]
 		if m == nil {
 			m = make(map[int64][]ref)
-			byWidth[r.in.Width] = m
+			byWidth[r.width] = m
 		}
 		m[r.disp] = append(m[r.disp], r)
 	}
@@ -388,6 +389,17 @@ func cutRun(p *partition, run []dispSlot, isLoad bool, w rtl.Width, m *machine.M
 		i += c
 	}
 	return out
+}
+
+// holds reports whether the instruction at body position index is one of
+// the chunk's references.
+func (c *chunk) holds(index int) bool {
+	for _, r := range c.refs {
+		if r.index == index {
+			return true
+		}
+	}
+	return false
 }
 
 // firstIndex and lastIndex give the chunk's extent in program order.

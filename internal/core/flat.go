@@ -12,42 +12,19 @@ import (
 )
 
 // The driver for memory access coalescing: the Figure 2/3/4/5 pipeline run
-// natively on rtl.FlatProgram. Classification, the hazard walk, and check
-// generation read a decoded view of the body block; the surgery stages —
+// natively on rtl.FlatProgram. Every stage reads the flat arrays by index:
+// classification and the hazard walk read the body block in place, check
+// generation reads the partitions' footprints, and the surgery stages —
 // loop replication, wide-reference insertion, preheader check emission, and
 // terminator retargeting — edit the dense arrays in place.
 
-// flatIV exposes the induction-variable facts the coalescer reads —
-// invariance, basic-IV steps, and the loop-control test — from
-// iv.FlatInfo.
-type flatIV struct{ info *iv.FlatInfo }
-
-func (s flatIV) Invariant(r rtl.Reg) bool { return s.info.Invariant(r) }
-
-// IVStep returns the per-iteration step of basic induction variable r.
-func (s flatIV) IVStep(r rtl.Reg) (int64, bool) {
-	if biv := s.info.BasicIVs[r]; biv != nil {
-		return biv.Step, true
-	}
-	return 0, false
-}
-
-// ControlInfo returns the loop-control IV register and its invariant bound;
-// ok is false when no control test was recognized.
-func (s flatIV) ControlInfo() (ctl rtl.Reg, bound rtl.Operand, ok bool) {
-	if c := s.info.Control; c != nil {
-		return c.IV, c.Bound, true
-	}
-	return rtl.NoReg, rtl.Operand{}, false
-}
-
-// CoalesceMemoryAccessesFlat walks every loop of function fi of fp
+// CoalesceMemoryAccesses walks every loop of function fi of fp
 // innermost-first and applies memory access coalescing where safe and
 // profitable. It returns one report per loop examined, and emits exactly one
 // Passed or Missed optimization remark per examined loop into em (plus
 // Analysis remarks for per-chunk hazard verdicts and run-time check
 // emission). A nil em disables remarks.
-func CoalesceMemoryAccessesFlat(fp *rtl.FlatProgram, fi int, m *machine.Machine, opts Options, em telemetry.Emitter) []LoopReport {
+func CoalesceMemoryAccesses(fp *rtl.FlatProgram, fi int, m *machine.Machine, opts Options, em telemetry.Emitter) []LoopReport {
 	if !opts.Loads && !opts.Stores {
 		return nil
 	}
@@ -56,7 +33,7 @@ func CoalesceMemoryAccessesFlat(fp *rtl.FlatProgram, fi int, m *machine.Machine,
 	g := cfg.NewFlat(fp, fi)
 	loops := g.FindLoops()
 	for _, l := range loops {
-		rep := coalesceLoopFlat(fp, fi, g, l, m, opts, em)
+		rep := coalesceLoop(fp, fi, g, l, m, opts, em)
 		reports = append(reports, *rep)
 		emitLoopRemark(em, rep)
 		if rep.Applied {
@@ -67,11 +44,11 @@ func CoalesceMemoryAccessesFlat(fp *rtl.FlatProgram, fi int, m *machine.Machine,
 	return reports
 }
 
-// flatBodyBlock finds the single block carrying the loop's memory
+// bodyBlock finds the single block carrying the loop's memory
 // references; coalescing requires them all in one block (IsHazard's first
 // test). It returns -1 and a reason token distinguishing the two failure
 // shapes when no single body block carries them.
-func flatBodyBlock(f *rtl.FlatFn, l *cfg.FlatLoop) (int32, string) {
+func bodyBlock(f *rtl.FlatFn, l *cfg.FlatLoop) (int32, string) {
 	body := int32(-1)
 	for _, bi := range l.Blocks {
 		b := &f.Blocks[bi]
@@ -90,42 +67,12 @@ func flatBodyBlock(f *rtl.FlatFn, l *cfg.FlatLoop) (int32, string) {
 	return body, ""
 }
 
-// decodeFlatBlock materializes block bi as instruction views for the shared
-// read-only analyses (classification, hazard walk, check ranges). The
-// decoded values are snapshots: later preheader emission moves absolute
-// instruction offsets but never changes the body's content.
-func decodeFlatBlock(fp *rtl.FlatProgram, f *rtl.FlatFn, bi int32) []*rtl.Instr {
-	b := &f.Blocks[bi]
-	n := int(b.InstrEnd - b.InstrStart)
-	slab := make([]rtl.Instr, n)
-	views := make([]*rtl.Instr, n)
-	for j := 0; j < n; j++ {
-		i := b.InstrStart + int32(j)
-		in := &slab[j]
-		in.Op = f.Op[i]
-		in.Dst = f.Dst[i]
-		in.A = f.A[i]
-		in.B = f.B[i]
-		in.C = f.C[i]
-		in.Width = f.Width[i]
-		in.Signed = f.Signed[i]
-		in.Disp = f.Disp[i]
-		if ci := f.CallIdx[i]; ci >= 0 {
-			c := &f.Calls[ci]
-			in.Callee = fp.Syms[c.Callee]
-			in.Args = f.Args[c.ArgStart:c.ArgEnd]
-		}
-		views[j] = in
-	}
-	return views
-}
-
-func coalesceLoopFlat(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph, l *cfg.FlatLoop,
+func coalesceLoop(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph, l *cfg.FlatLoop,
 	m *machine.Machine, opts Options, em telemetry.Emitter) *LoopReport {
 
 	f := &fp.Fns[fi]
 	rep := &LoopReport{Header: fp.Syms[f.Blocks[l.Header].Name], Fn: fp.Syms[f.Name]}
-	bodyBi, why := flatBodyBlock(f, l)
+	bodyBi, why := bodyBlock(f, l)
 	if bodyBi < 0 {
 		rep.Reason = why
 		return rep
@@ -140,10 +87,7 @@ func coalesceLoopFlat(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph, l *cfg.Flat
 		return rep
 	}
 	info := iv.AnalyzeFlat(g, l)
-	src := flatIV{info}
-
-	body := decodeFlatBlock(fp, f, bodyBi)
-	parts := classifyPartitions(body, src)
+	parts := classifyPartitions(f, bodyBi, info)
 	if len(parts) == 0 {
 		rep.Reason = "partition:no-analyzable-bases"
 		return rep
@@ -153,7 +97,7 @@ func coalesceLoopFlat(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph, l *cfg.Flat
 		rep.Reason = "partition:no-consecutive-runs"
 		return rep
 	}
-	safe := filterChunks(body, chunks, parts, src, m, opts, em, rep)
+	safe := filterChunks(f, bodyBi, chunks, parts, info, m, opts, em, rep)
 	if len(safe) == 0 {
 		return rep
 	}
@@ -161,20 +105,25 @@ func coalesceLoopFlat(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph, l *cfg.Flat
 	if l.Preheader < 0 {
 		g.EnsurePreheader(l)
 	}
-	rep.Applied = doProfitabilityAnalysisAndModifyFlat(fp, fi, g, l, bodyBi, body, m, opts, safe, rep)
+	rep.Applied = doProfitabilityAnalysisAndModify(fp, fi, l, bodyBi, m, opts, safe, parts, info, rep)
 	finishReport(em, rep, opts)
 	return rep
 }
 
-// doProfitabilityAnalysisAndModifyFlat is the paper's Figure 3: replicate
+// doProfitabilityAnalysisAndModify is the paper's Figure 3: replicate
 // the loop, insert the wide references into the copy, statically schedule
 // both bodies, and adopt the copy only if it is faster (or Force is set). On
 // adoption the preheader gains the run-time alignment and alias checks that
 // select between the coalesced copy and the original safe loop at run time
 // (Figure 5's flow graph).
-func doProfitabilityAnalysisAndModifyFlat(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph,
-	l *cfg.FlatLoop, bodyBi int32, body []*rtl.Instr, m *machine.Machine, opts Options,
-	chunks []*chunk, rep *LoopReport) bool {
+//
+// info is the loop's induction analysis from before the preheader and the
+// copy were added. Neither changes the loop's own blocks, so its registers,
+// steps and control test still hold; its instruction indices may not, and
+// the checks read none of them.
+func doProfitabilityAnalysisAndModify(fp *rtl.FlatProgram, fi int, l *cfg.FlatLoop,
+	bodyBi int32, m *machine.Machine, opts Options, chunks []*chunk,
+	parts map[rtl.Reg]*partition, info *iv.FlatInfo, rep *LoopReport) bool {
 
 	f := &fp.Fns[fi]
 	// Static alignment feasibility: the pointer must advance by a multiple
@@ -200,7 +149,7 @@ func doProfitabilityAnalysisAndModifyFlat(fp *rtl.FlatProgram, fi int, g *cfg.Fl
 	bodyCopy := cmap[bodyBi]
 
 	// InsertWideReferences on the copy.
-	applyChunksFlat(f, bodyCopy, chunks, rep)
+	applyChunks(f, bodyCopy, chunks, rep)
 
 	// Schedule both loops and compare.
 	rep.CyclesOriginal = sched.EstimateFlat(f, bodyBi, m)
@@ -213,9 +162,7 @@ func doProfitabilityAnalysisAndModifyFlat(fp *rtl.FlatProgram, fi int, g *cfg.Fl
 	// Build the run-time checks in the preheader and point its terminator
 	// at the check branch: coalesced copy when every check passes, original
 	// safe loop otherwise.
-	info := reanalyzeFlat(fp, fi, g, l)
-	okCond, nInstrs, nPairs, nAligns, ok := emitChecks(flatChecks{f: f, bi: l.Preheader},
-		body, m, chunks, flatIV{info})
+	okCond, nInstrs, nPairs, nAligns, ok := emitChecks(f, l.Preheader, m, chunks, parts, info)
 	if !ok {
 		f.TruncateBlocks(nBlocks)
 		rep.Reason = "checks:ungeneratable"
@@ -246,29 +193,14 @@ func doProfitabilityAnalysisAndModifyFlat(fp *rtl.FlatProgram, fi int, g *cfg.Fl
 	return true
 }
 
-// reanalyzeFlat recomputes induction info for the loop for check
-// generation: a fresh CFG (on which the just-appended clone region is
-// unreachable), the same loop found again by header, and fresh induction
-// info.
-func reanalyzeFlat(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph, l *cfg.FlatLoop) *iv.FlatInfo {
-	g2 := cfg.NewFlat(fp, fi)
-	for _, l2 := range g2.FindLoops() {
-		if l2.Header == l.Header {
-			l2.Preheader = l.Preheader
-			return iv.AnalyzeFlat(g2, l2)
-		}
-	}
-	return iv.AnalyzeFlat(g, l)
-}
-
-// applyChunksFlat rewrites the flat copy of the body block: narrow loads
+// applyChunks rewrites the flat copy of the body block: narrow loads
 // become extracts fed by a wide load placed before the first of the group;
 // narrow stores become an insert chain completed by a wide store after the
 // last of the group. The refs' indices are block-relative positions recorded
 // on the original body, valid in the copy because replication preserves
-// layout; reads of the replaced instructions' fields come from the decoded
-// snapshot (identical to the copy's content until the rewrite).
-func applyChunksFlat(f *rtl.FlatFn, bodyCopy int32, chunks []*chunk, rep *LoopReport) {
+// layout; each replaced instruction's fields are read from the copy just
+// before it is overwritten.
+func applyChunks(f *rtl.FlatFn, bodyCopy int32, chunks []*chunk, rep *LoopReport) {
 	type insertion struct {
 		pos   int // index in the original instruction numbering
 		after bool
@@ -289,13 +221,14 @@ func applyChunksFlat(f *rtl.FlatFn, bodyCopy int32, chunks []*chunk, rep *LoopRe
 			insertions = append(insertions, insertion{pos: c.firstIndex(), in: wl})
 			for _, r := range c.refs {
 				off := r.disp - c.minDisp
+				at := start + int32(r.index)
 				ex := rtl.MkInstr(rtl.Extract)
-				ex.Dst = r.in.Dst
+				ex.Dst = f.Dst[at]
 				ex.A = rtl.R(wideReg)
 				ex.B = rtl.C(off)
 				ex.Width = c.width
-				ex.Signed = r.in.Signed
-				f.SetInstr(start+int32(r.index), ex)
+				ex.Signed = f.Signed[at]
+				f.SetInstr(at, ex)
 			}
 			rep.WideLoads++
 			rep.NarrowLoads += len(c.refs)
@@ -306,16 +239,16 @@ func applyChunksFlat(f *rtl.FlatFn, bodyCopy int32, chunks []*chunk, rep *LoopRe
 			sort.Slice(ordered, func(i, j int) bool { return ordered[i].index < ordered[j].index })
 			cur := rtl.Operand{Kind: rtl.KindConst, Const: 0}
 			for _, r := range ordered {
-				val := r.in.B
+				at := start + int32(r.index)
 				off := r.disp - c.minDisp
 				nr := f.NewReg()
 				ii := rtl.MkInstr(rtl.Insert)
 				ii.Dst = nr
 				ii.A = cur
-				ii.B = val
+				ii.B = f.B[at]
 				ii.C = rtl.C(off)
 				ii.Width = c.width
-				f.SetInstr(start+int32(r.index), ii)
+				f.SetInstr(at, ii)
 				cur = rtl.R(nr)
 			}
 			ws := rtl.MkInstr(rtl.Store)

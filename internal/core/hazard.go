@@ -20,7 +20,7 @@ const (
 // instruction between that position and the later narrow loads is examined;
 // for a store chunk, the wide store lands after the last (dominated) narrow
 // store, so the span between the first store and that position is examined.
-// Within the span:
+// The span is read in place from block body of f. Within it:
 //
 //   - a same-partition store overlapping a coalesced load's slot would make
 //     a later narrow load see a value the earlier wide load missed: unsafe;
@@ -29,61 +29,48 @@ const (
 //   - a same-partition store overlapping the deferred store range would be
 //     clobbered out of order: unsafe;
 //   - any reference from a different partition may alias: resolvable only
-//     at run time, so the partition pair is recorded for check generation;
+//     at run time, so the partition pair is recorded for check generation
+//     (a base with no partition has no footprint to check: unsafe);
 //   - a call, or a modification of the base register, is unsafe.
 //
 // The result is hazardSafe, hazardNeedsChecks (with c.needsAliasCheck
 // filled), or hazardUnsafe; the second return is the machine-readable
 // verdict token ("intervening-store", "unknown-base", ...) that feeds the
 // optimization remark for the rejection.
-func IsHazard(body []*rtl.Instr, c *chunk, parts map[rtl.Reg]*partition, info flatIV) (hazardResult, string) {
+func IsHazard(f *rtl.FlatFn, body int32, c *chunk, parts map[rtl.Reg]*partition) (hazardResult, string) {
+	start := f.Blocks[body].InstrStart
 	lo, hi := c.firstIndex(), c.lastIndex()
-	inChunk := make(map[*rtl.Instr]bool, len(c.refs))
-	for _, r := range c.refs {
-		inChunk[r.in] = true
-	}
 	rangeLo, rangeHi := c.minDisp, c.minDisp+int64(c.wide)
 	result := hazardSafe
 
-	for i := lo; i <= hi; i++ {
-		in := body[i]
-		if inChunk[in] {
+	for j := lo; j <= hi; j++ {
+		if c.holds(j) {
 			continue
 		}
-		switch in.Op {
+		i := start + int32(j)
+		switch op := f.Op[i]; op {
 		case rtl.Call:
 			return hazardUnsafe, "intervening-call"
-		case rtl.Load:
-			if c.isLoad {
+		case rtl.Load, rtl.Store:
+			if op == rtl.Load && c.isLoad {
 				continue // loads never conflict with a wide load
 			}
-			base, ok := in.A.IsReg()
+			base, ok := f.A[i].IsReg()
 			if !ok {
 				return hazardUnsafe, "unknown-base"
 			}
 			if base == c.part.base {
 				// Same partition: exact displacement disambiguation.
-				if in.Disp < rangeHi && in.Disp+int64(in.Width) > rangeLo {
-					return hazardUnsafe, "intervening-load"
-				}
-			} else {
-				if !knownPartition(base, parts, info) {
-					return hazardUnsafe, "unknown-base"
-				}
-				c.needsAliasCheck[base] = true
-				result = hazardNeedsChecks
-			}
-		case rtl.Store:
-			base, ok := in.A.IsReg()
-			if !ok {
-				return hazardUnsafe, "unknown-base"
-			}
-			if base == c.part.base {
-				if in.Disp < rangeHi && in.Disp+int64(in.Width) > rangeLo {
+				if f.Disp[i] < rangeHi && f.Disp[i]+int64(f.Width[i]) > rangeLo {
+					if op == rtl.Load {
+						return hazardUnsafe, "intervening-load"
+					}
 					return hazardUnsafe, "intervening-store"
 				}
 			} else {
-				if !knownPartition(base, parts, info) {
+				// A different partition may alias; run-time range checks
+				// can be generated only for an analyzable partition.
+				if parts[base] == nil {
 					return hazardUnsafe, "unknown-base"
 				}
 				c.needsAliasCheck[base] = true
@@ -92,7 +79,7 @@ func IsHazard(body []*rtl.Instr, c *chunk, parts map[rtl.Reg]*partition, info fl
 		default:
 			// IsModifiedBase: redefining the base register inside the span
 			// breaks the displacement arithmetic.
-			if d, ok := in.Def(); ok && d == c.part.base {
+			if d, ok := f.Def(i); ok && d == c.part.base {
 				return hazardUnsafe, "base-modified"
 			}
 		}
@@ -105,18 +92,4 @@ func IsHazard(body []*rtl.Instr, c *chunk, parts map[rtl.Reg]*partition, info fl
 		return result, "alias-needs-runtime-check"
 	}
 	return result, "safe"
-}
-
-// knownPartition reports whether the base register belongs to an analyzable
-// partition (invariant or basic IV), i.e. run-time range checks can be
-// generated for it.
-func knownPartition(base rtl.Reg, parts map[rtl.Reg]*partition, info flatIV) bool {
-	if _, ok := parts[base]; ok {
-		return true
-	}
-	if info.Invariant(base) {
-		return true
-	}
-	_, isIV := info.IVStep(base)
-	return isIV
 }

@@ -605,7 +605,7 @@ func (p *Program) stages(cfg Config) []pipeline.FlatPass {
 		passes = append(passes, pipeline.FlatPass{
 			Name: "coalesce",
 			Run: func(fp *rtl.FlatProgram, fi int) error {
-				staged = core.CoalesceMemoryAccessesFlat(fp, fi, cfg.Machine, cfg.Coalesce, cfg.emitter())
+				staged = core.CoalesceMemoryAccesses(fp, fi, cfg.Machine, cfg.Coalesce, cfg.emitter())
 				opt.FlatClean(fp, fi)
 				return nil
 			},
