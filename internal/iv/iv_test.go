@@ -274,8 +274,11 @@ func TestReplaceTestEliminatesCounter(t *testing.T) {
 			if d, ok := in.Def(); ok && d == i {
 				t.Errorf("counter definition survives in %s: %s", b, in)
 			}
-			if in.UsesReg(i) {
-				t.Errorf("counter use survives in %s: %s", b, in)
+			for _, o := range in.SrcOperands() {
+				if r, ok := o.IsReg(); ok && r == i {
+					t.Errorf("counter use survives in %s: %s", b, in)
+					break
+				}
 			}
 		}
 	}

@@ -264,19 +264,6 @@ func (in *Instr) SrcOperands() []*Operand {
 	return ops
 }
 
-// UsesReg reports whether the instruction reads register r.
-func (in *Instr) UsesReg(r Reg) bool {
-	for _, o := range in.SrcOperands() {
-		if rr, ok := o.IsReg(); ok && rr == r {
-			return true
-		}
-	}
-	return false
-}
-
-// IsMem reports whether the instruction touches memory.
-func (in *Instr) IsMem() bool { return in.Op == Load || in.Op == Store }
-
 // Clone returns a deep copy of the instruction. Block targets still point at
 // the original blocks; callers rewire them when cloning regions.
 func (in *Instr) Clone() *Instr {
