@@ -55,8 +55,8 @@ func (f *FlatFn) Instr(i int32) FlatInstr {
 }
 
 // SetInstr scatters value in into instruction slot i. Operands are
-// canonicalized exactly as Flatten does, so a flat rewrite and a graph
-// rewrite of the same instruction flatten to identical bytes.
+// canonicalized exactly as Flatten does, so a rewritten slot holds the same
+// bytes Flatten would write for that instruction.
 func (f *FlatFn) SetInstr(i int32, in FlatInstr) {
 	f.Op[i] = in.Op
 	f.Dst[i] = in.Dst
@@ -74,9 +74,8 @@ func (f *FlatFn) SetInstr(i int32, in FlatInstr) {
 // NumRegs mirrors Fn.NumRegs: the size of the virtual register pool.
 func (f *FlatFn) NumRegs() int { return int(f.NextReg) }
 
-// NewReg allocates a fresh virtual register, advancing the same counter the
-// pointer graph would, so flat and graph transforms name new registers
-// identically.
+// NewReg allocates a fresh virtual register from the function's pool,
+// numbering registers in allocation order.
 func (f *FlatFn) NewReg() Reg {
 	r := f.NextReg
 	f.NextReg++
@@ -96,9 +95,8 @@ func (f *FlatFn) Def(i int32) (Reg, bool) {
 }
 
 // SrcSlots invokes fn on a pointer to every source operand slot instruction
-// i actually uses, mirroring Instr.SrcOperands' opcode shapes — but without
-// allocating the slice of pointers, which is one of the graph walk's hottest
-// allocation sites.
+// i actually uses, with the same opcode shapes as Instr.SrcOperands; it
+// allocates nothing.
 func (f *FlatFn) SrcSlots(i int32, fn func(o *Operand)) {
 	add := func(o *Operand) {
 		if o.Kind != KindNone {

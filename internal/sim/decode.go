@@ -1,12 +1,10 @@
-// Predecoded execution core. The interpreter used to walk the RTL object
-// graph on every dynamic instruction: a map lookup per fetch for the static
-// address, a SrcOperands() slice allocation per instruction for operand
-// readiness, and cost-table lookups per execution. Decoding happens once per
-// Sim instead: each function is compiled into a dense []dInstr array with
-// resolved block indices, operand slots, precomputed Exec-table costs, and
-// precomputed instruction-cache geometry. The decoded image is retained
-// across Reset() and every subsequent Run, so repeated measurements pay the
-// decode exactly once.
+// Predecoded execution core. Decoding happens once per Sim: each function
+// of the flat image is compiled into a dense []dInstr array with resolved
+// block indices, operand slots, precomputed Exec-table costs, and
+// precomputed instruction-cache geometry, so executing an instruction needs
+// no lookup and no allocation. The decoded image is retained across Reset()
+// and every subsequent Run, so repeated measurements pay the decode exactly
+// once.
 package sim
 
 import (
