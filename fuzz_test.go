@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"macc"
+	"macc/internal/bench"
 	"macc/internal/core"
 	"macc/internal/faultinject"
 	"macc/internal/machine"
@@ -107,6 +108,45 @@ func FuzzPipelinePreservation(f *testing.F) {
 		r2, m2 := run(fn2)
 		if r1 != r2 || !bytes.Equal(m1, m2) {
 			t.Fatalf("seed %d: pipeline changed behaviour (%d vs %d)", seed, r1, r2)
+		}
+	})
+}
+
+// FuzzCorpusPreservation compiles one program of the seeded mini-C corpus
+// with loads+stores coalescing on every machine. Unlike rtlgen.Generate's
+// programs, which the coalescer never transforms, the corpus is built from
+// the array loops the paper targets, so this target drives the coalescer's
+// rewrite and its run-time checks. The optimized image must verify and
+// behave exactly like the unoptimized compile.
+func FuzzCorpusPreservation(f *testing.F) {
+	for s := int64(0); s < 8; s++ {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		p := rtlgen.Corpus(seed, 1)[0]
+		for _, m := range machine.All() {
+			ref, err := macc.Compile(p.Src, macc.Config{Machine: m})
+			if err != nil {
+				t.Fatalf("seed %d/%s: reference compile: %v", seed, m.Name, err)
+			}
+			want, err := pipeline.Behavior(ref.RTL, m, p.MemBytes, p.Entry, [][]int64{p.Args})
+			if err != nil {
+				t.Fatalf("seed %d/%s: reference run: %v", seed, m.Name, err)
+			}
+			opt, err := macc.Compile(p.Src, bench.NamedConfig("loads+stores", m))
+			if err != nil {
+				t.Fatalf("seed %d/%s: compile: %v", seed, m.Name, err)
+			}
+			if err := opt.Flat.Verify(); err != nil {
+				t.Fatalf("seed %d/%s: optimized image: %v", seed, m.Name, err)
+			}
+			got, err := pipeline.Behavior(opt.RTL, m, p.MemBytes, p.Entry, [][]int64{p.Args})
+			if err != nil {
+				t.Fatalf("seed %d/%s: optimized run: %v", seed, m.Name, err)
+			}
+			if got != want {
+				t.Fatalf("seed %d/%s: coalesced program diverges from unoptimized build\n%s", seed, m.Name, p.Src)
+			}
 		}
 	})
 }
