@@ -46,14 +46,15 @@ func ComputeFlatDefUseInto(f *rtl.FlatFn, du *FlatDefUse) {
 		du.isParam[p] = true
 		du.defCount[p]++
 	}
+	var buf [8]rtl.Reg
+	regs := buf[:0]
 	for bi := range f.Blocks {
 		b := &f.Blocks[bi]
 		for i := b.InstrStart; i < b.InstrEnd; i++ {
-			f.SrcSlots(i, func(o *rtl.Operand) {
-				if o.Kind == rtl.KindReg {
-					du.useCount[o.Reg]++
-				}
-			})
+			regs = f.SrcRegs(i, regs[:0])
+			for _, r := range regs {
+				du.useCount[r]++
+			}
 			if d, ok := f.Def(i); ok {
 				du.defCount[d]++
 				du.single[d] = FlatDefSite{Block: int32(bi), Index: i - b.InstrStart, Instr: i}
@@ -68,6 +69,10 @@ func (du *FlatDefUse) DefCount(r rtl.Reg) int { return int(du.defCount[r]) }
 
 // UseCount returns how many operand slots read register r.
 func (du *FlatDefUse) UseCount(r rtl.Reg) int { return int(du.useCount[r]) }
+
+// UseCounts returns every register's use count, indexed by register
+// (shared, do not mutate).
+func (du *FlatDefUse) UseCounts() []int32 { return du.useCount }
 
 // IsParam reports whether r is a function parameter.
 func (du *FlatDefUse) IsParam(r rtl.Reg) bool { return du.isParam[r] }
@@ -126,15 +131,18 @@ func ComputeFlatLivenessInto(g *cfg.FlatGraph, lv *FlatLiveness) {
 	lv.use = carve(lv.use, 2)
 	lv.def = carve(lv.def, 3)
 	tmp := BitSet(lv.words[4*nb*w:])
+	var buf [8]rtl.Reg
+	regs := buf[:0]
 	for bi := range f.Blocks {
 		u, d := lv.use[bi], lv.def[bi]
 		b := &f.Blocks[bi]
 		for i := b.InstrStart; i < b.InstrEnd; i++ {
-			f.SrcSlots(i, func(o *rtl.Operand) {
-				if o.Kind == rtl.KindReg && !d.Has(int(o.Reg)) {
-					u.Set(int(o.Reg))
+			regs = f.SrcRegs(i, regs[:0])
+			for _, r := range regs {
+				if !d.Has(int(r)) {
+					u.Set(int(r))
 				}
-			})
+			}
 			if dr, ok := f.Def(i); ok {
 				d.Set(int(dr))
 			}

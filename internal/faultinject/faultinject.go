@@ -121,11 +121,11 @@ func (in *Injector) applyFlat(fp *rtl.FlatProgram, fi int) {
 	case ClobberReg:
 		var cands []*rtl.Operand
 		for i := int32(0); i < int32(f.NumInstrs()); i++ {
-			f.SrcSlots(i, func(o *rtl.Operand) {
-				if o.Kind == rtl.KindReg {
+			for k, n := 0, f.NumSrcs(i); k < n; k++ {
+				if o := f.Src(i, k); o.Kind == rtl.KindReg {
 					cands = append(cands, o)
 				}
-			})
+			}
 		}
 		if len(cands) == 0 {
 			return

@@ -1,6 +1,7 @@
 package opt_test
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"macc/internal/opt"
 	"macc/internal/pipeline"
 	"macc/internal/rtl"
+	"macc/internal/rtl/codec"
 	"macc/internal/rtlgen"
 )
 
@@ -85,16 +87,15 @@ func TestFlatCleanRebuildsGraphAfterFold(t *testing.T) {
 	}
 }
 
-// TestFlatCleanMatchesFreshSubPasses compiles rtlgen corpus programs on
-// every machine and, on entry to every pipeline stage (the first sees the
-// front end's output), requires FlatClean's printed result to equal the
-// exported sub-passes run to the same fixpoint.
-func TestFlatCleanMatchesFreshSubPasses(t *testing.T) {
+// sweepStageInputs compiles rtlgen corpus programs on every machine and
+// calls check on the function entering every pipeline stage (the first
+// sees the front end's output). It fails the test at the first error.
+func sweepStageInputs(t *testing.T, check func(fn *rtl.Fn) error) {
+	t.Helper()
 	seeds := int64(200)
 	if testing.Short() {
 		seeds = 25
 	}
-	checks, changes := 0, 0
 	for seed := int64(1); seed <= seeds; seed++ {
 		p := rtlgen.Corpus(seed, 1)[0]
 		for _, m := range machine.All() {
@@ -104,16 +105,8 @@ func TestFlatCleanMatchesFreshSubPasses(t *testing.T) {
 				run := pass.Run
 				pass.Run = func(fp *rtl.FlatProgram, fi int) error {
 					if mismatch == nil {
-						got, want, err := cleanBoth(fp.UnflattenFn(fi))
-						switch {
-						case err != nil:
+						if err := check(fp.UnflattenFn(fi)); err != nil {
 							mismatch = fmt.Errorf("before %s: %w", pass.Name, err)
-						case got != want:
-							mismatch = fmt.Errorf("before %s: FlatClean gives\n%s\nfresh sub-passes give\n%s", pass.Name, got, want)
-						}
-						checks++
-						if strings.HasPrefix(got, "changed=true") {
-							changes++
 						}
 					}
 					return run(fp, fi)
@@ -128,7 +121,84 @@ func TestFlatCleanMatchesFreshSubPasses(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFlatCleanMatchesFreshSubPasses requires FlatClean's printed result on
+// every stage input of the sweep to equal the exported sub-passes run to
+// the same fixpoint.
+func TestFlatCleanMatchesFreshSubPasses(t *testing.T) {
+	checks, changes := 0, 0
+	sweepStageInputs(t, func(fn *rtl.Fn) error {
+		got, want, err := cleanBoth(fn)
+		if err != nil {
+			return err
+		}
+		if got != want {
+			return fmt.Errorf("FlatClean gives\n%s\nfresh sub-passes give\n%s", got, want)
+		}
+		checks++
+		if strings.HasPrefix(got, "changed=true") {
+			changes++
+		}
+		return nil
+	})
 	if changes == 0 || changes == checks {
 		t.Fatalf("FlatClean changed %d of %d inputs: the sweep must cover both outcomes", changes, checks)
+	}
+}
+
+// TestIdleSubPassLeavesFunctionAlone checks the premise that lets FlatClean
+// stop after one idle lap. On every stage input of the sweep it runs
+// freshClean's laps step by step: each exported sub-pass that reports no
+// change must leave the function's encoded image byte-identical.
+func TestIdleSubPassLeavesFunctionAlone(t *testing.T) {
+	subPasses := []struct {
+		name string
+		run  func(*rtl.FlatProgram, int) bool
+	}{
+		{"FlatRemoveUnreachable", opt.FlatRemoveUnreachable},
+		{"FlatFoldConstants", opt.FlatFoldConstants},
+		{"FlatPropagateLocal", opt.FlatPropagateLocal},
+		{"FlatPropagateImmutable", opt.FlatPropagateImmutable},
+		{"FlatLocalCSE", opt.FlatLocalCSE},
+		{"FlatCollapseMovChains", opt.FlatCollapseMovChains},
+		{"FlatPeephole", opt.FlatPeephole},
+		{"FlatDeadCodeElim", opt.FlatDeadCodeElim},
+		{"FlatGlobalDCE", opt.FlatGlobalDCE},
+		{"FlatEliminateDeadIVs", opt.FlatEliminateDeadIVs},
+	}
+	idle, busy := 0, 0
+	sweepStageInputs(t, func(fn *rtl.Fn) error {
+		fp, err := rtl.Flatten(rtl.NewProgram(fn))
+		if err != nil {
+			return err
+		}
+		for round := 0; round < 8; round++ {
+			changed := false
+			for _, sp := range subPasses {
+				before := codec.EncodeProgram(fp)
+				if sp.run(fp, 0) {
+					changed = true
+					busy++
+					continue
+				}
+				idle++
+				if after := codec.EncodeProgram(fp); !bytes.Equal(before, after) {
+					was, err := codec.DecodeProgram(before)
+					if err != nil {
+						return err
+					}
+					return fmt.Errorf("%s reported no change but rewrote\n%s\nas\n%s",
+						sp.name, was.UnflattenFn(0), fp.UnflattenFn(0))
+				}
+			}
+			if !changed {
+				break
+			}
+		}
+		return nil
+	})
+	if idle == 0 || busy == 0 {
+		t.Fatalf("%d idle and %d busy sub-pass runs: the sweep must cover both outcomes", idle, busy)
 	}
 }

@@ -20,24 +20,38 @@ func FlatClean(fp *rtl.FlatProgram, fi int) bool {
 	return withCleaner(fp, fi, (*cleaner).clean)
 }
 
+// cleanLap is FlatClean's sub-passes in the order each lap runs them.
+var cleanLap = [...]func(*cleaner) bool{
+	(*cleaner).removeUnreachable,
+	(*cleaner).foldConstants,
+	(*cleaner).propagateLocal,
+	(*cleaner).propagateImmutable,
+	(*cleaner).localCSE,
+	(*cleaner).collapseMovChains,
+	(*cleaner).peephole,
+	(*cleaner).deadCodeElim,
+	(*cleaner).globalDCE,
+	(*cleaner).eliminateDeadIVs,
+}
+
+// clean runs the lap's sub-passes in turn, for at most 8 laps. It stops
+// once a full lap's worth of consecutive sub-passes, one of each, reported
+// no change: a sub-pass that reports none leaves the function as it was,
+// so each has then seen the current function and would leave it alone
+// again. The result is the one that running whole laps until one changes
+// nothing gives, without that lap's tail. For the same reason the cached
+// analyses stay valid across sub-passes that report no change.
 func (c *cleaner) clean() bool {
 	changedEver := false
-	for i := 0; i < 8; i++ {
-		changed := false
-		changed = c.removeUnreachable() || changed
-		changed = c.foldConstants() || changed
-		changed = c.propagateLocal() || changed
-		changed = c.propagateImmutable() || changed
-		changed = c.localCSE() || changed
-		changed = c.collapseMovChains() || changed
-		changed = c.peephole() || changed
-		changed = c.deadCodeElim() || changed
-		changed = c.globalDCE() || changed
-		changed = c.eliminateDeadIVs() || changed
-		if !changed {
-			break
+	idle := 0 // sub-passes run since the last one that changed something
+	for run := 0; run < 8*len(cleanLap) && idle < len(cleanLap); run++ {
+		if cleanLap[run%len(cleanLap)](c) {
+			changedEver = true
+			c.dirty()
+			idle = 0
+		} else {
+			idle++
 		}
-		changedEver = true
 	}
 	return changedEver
 }
@@ -60,13 +74,18 @@ type cleaner struct {
 	gs    cfg.FlatGraph
 	edges [][2]int32
 
-	du   dataflow.FlatDefUse
+	// duFresh and edgesFresh are set while du, and the edges g was checked
+	// against, describe the function; dirty clears both.
+	duFresh, edgesFresh bool
+
+	du   dataflow.FlatDefUse // see defUse
 	lv   dataflow.FlatLiveness
 	live dataflow.BitSet
 
-	mask       []bool  // kill or keep marks, one per instruction or block
-	uses, defs []int32 // per-register counts
-	selfOnly   []bool
+	mask     []bool  // kill or keep marks, one per instruction or block
+	uses     []int32 // per-register use counts
+	selfOnly []bool
+	regs     []rtl.Reg // SrcRegs scratch
 
 	// Per-block register state. propagateLocal's val[r] is r's known
 	// constant or copy source where has[r]; collapseMovChains' defAt[r] is
@@ -91,11 +110,27 @@ var cleanerPool = sync.Pool{New: func() any { return new(cleaner) }}
 func withCleaner(fp *rtl.FlatProgram, fi int, pass func(*cleaner) bool) bool {
 	c := cleanerPool.Get().(*cleaner)
 	c.fp, c.fi, c.f = fp, fi, &fp.Fns[fi]
+	c.dirty()
 	changed := pass(c)
 	c.fp, c.f, c.g = nil, nil, nil
 	c.gs.P, c.gs.F = nil, nil
 	cleanerPool.Put(c)
 	return changed
+}
+
+// dirty records a change to the function, after which defUse and graph
+// check their analyses again. clean calls it whenever a sub-pass reports a
+// change, and a sub-pass that reads an analysis after changing the
+// function itself calls it first.
+func (c *cleaner) dirty() { c.duFresh, c.edgesFresh = false, false }
+
+// defUse returns the function's def-use, built again only after a change.
+func (c *cleaner) defUse() *dataflow.FlatDefUse {
+	if !c.duFresh {
+		dataflow.ComputeFlatDefUseInto(c.f, &c.du)
+		c.duFresh = true
+	}
+	return &c.du
 }
 
 // marks returns the cleaner's mark buffer, cleared, with n entries.
@@ -106,10 +141,11 @@ func (c *cleaner) marks(n int) []bool {
 
 // graph returns the function's CFG, rebuilding it only when some block's
 // ordered successor list differs from the one recorded at the last build.
-// The check reads the terminators themselves, so no sub-pass has to report
-// the edits it made.
+// The check reads the terminators themselves, and is skipped while nothing
+// has changed since the last one.
 func (c *cleaner) graph() *cfg.FlatGraph {
-	if c.g != nil && c.edgesUnchanged() {
+	if c.g != nil && (c.edgesFresh || c.edgesUnchanged()) {
+		c.edgesFresh = true
 		return c.g
 	}
 	c.g = cfg.NewFlatInto(c.fp, c.fi, &c.gs)
@@ -117,6 +153,7 @@ func (c *cleaner) graph() *cfg.FlatGraph {
 	for bi := range c.f.Blocks {
 		c.edges = append(c.edges, c.succs(int32(bi)))
 	}
+	c.edgesFresh = true
 	return c.g
 }
 
@@ -307,12 +344,12 @@ func (c *cleaner) propagateLocal() bool {
 	for bi := range f.Blocks {
 		b := &f.Blocks[bi]
 		for i := b.InstrStart; i < b.InstrEnd; i++ {
-			f.SrcSlots(i, func(o *rtl.Operand) {
-				if r, ok := o.IsReg(); ok && has[r] {
-					*o = val[r]
+			for k, n := 0, f.NumSrcs(i); k < n; k++ {
+				if o := f.Src(i, k); o.Kind == rtl.KindReg && has[o.Reg] {
+					*o = val[o.Reg]
 					changed = true
 				}
-			})
+			}
 			d, ok := f.Def(i)
 			if !ok {
 				continue
@@ -358,8 +395,10 @@ func FlatPropagateImmutable(fp *rtl.FlatProgram, fi int) bool {
 
 func (c *cleaner) propagateImmutable() bool {
 	f := c.f
-	du := &c.du
-	dataflow.ComputeFlatDefUseInto(f, du)
+	du := c.defUse()
+	if !hasImmutableCopy(f, du) {
+		return false
+	}
 	g := c.graph()
 	changed := false
 	for bi := range f.Blocks {
@@ -369,32 +408,54 @@ func (c *cleaner) propagateImmutable() bool {
 		b := &f.Blocks[bi]
 		for i := b.InstrStart; i < b.InstrEnd; i++ {
 			idx := i - b.InstrStart
-			f.SrcSlots(i, func(o *rtl.Operand) {
-				r, ok := o.IsReg()
-				if !ok {
-					return
+			for k, n := 0, f.NumSrcs(i); k < n; k++ {
+				o := f.Src(i, k)
+				if o.Kind != rtl.KindReg {
+					continue
 				}
-				site, ok := du.SingleDef(r)
-				if !ok || f.Op[site.Instr] != rtl.Mov {
-					return
+				repl, site, ok := immutableCopy(f, du, o.Reg)
+				if ok && flatDominatesUse(g, site, int32(bi), idx) {
+					*o = repl
+					changed = true
 				}
-				var repl rtl.Operand
-				if c, isC := f.A[site.Instr].IsConst(); isC {
-					repl = rtl.C(c)
-				} else if sr, isR := f.A[site.Instr].IsReg(); isR && du.Immutable(sr) {
-					repl = rtl.R(sr)
-				} else {
-					return
-				}
-				if !flatDominatesUse(g, site, int32(bi), idx) {
-					return
-				}
-				*o = repl
-				changed = true
-			})
+			}
 		}
 	}
 	return changed
+}
+
+// immutableCopy returns what a use of r may read instead of r, and where r
+// is defined, when r's single definition is a Mov of a constant or of an
+// immutable register.
+func immutableCopy(f *rtl.FlatFn, du *dataflow.FlatDefUse, r rtl.Reg) (rtl.Operand, dataflow.FlatDefSite, bool) {
+	site, ok := du.SingleDef(r)
+	if !ok || f.Op[site.Instr] != rtl.Mov {
+		return rtl.Operand{}, site, false
+	}
+	if c, isC := f.A[site.Instr].IsConst(); isC {
+		return rtl.C(c), site, true
+	}
+	if sr, isR := f.A[site.Instr].IsReg(); isR && du.Immutable(sr) {
+		return rtl.R(sr), site, true
+	}
+	return rtl.Operand{}, site, false
+}
+
+// hasImmutableCopy reports whether some Mov defines a register that
+// immutableCopy would replace; without one, propagateImmutable can change
+// nothing and skips its operand walk.
+func hasImmutableCopy(f *rtl.FlatFn, du *dataflow.FlatDefUse) bool {
+	for i := range f.Op {
+		if f.Op[i] != rtl.Mov {
+			continue
+		}
+		if d, ok := f.Def(int32(i)); ok {
+			if _, _, ok := immutableCopy(f, du, d); ok {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func flatDominatesUse(g *cfg.FlatGraph, site dataflow.FlatDefSite, useBlock, useIdx int32) bool {
@@ -598,23 +659,7 @@ func FlatCollapseMovChains(fp *rtl.FlatProgram, fi int) bool {
 
 func (c *cleaner) collapseMovChains() bool {
 	f := c.f
-	c.defs = reuse.Zeroed(c.defs, f.NumRegs())
-	c.uses = reuse.Zeroed(c.uses, f.NumRegs())
-	defCount, useCount := c.defs, c.uses
-	for i := int32(0); i < int32(len(f.Op)); i++ {
-		if d, ok := f.Def(i); ok {
-			defCount[d]++
-		}
-		f.SrcSlots(i, func(o *rtl.Operand) {
-			if o.Kind == rtl.KindReg {
-				useCount[o.Reg]++
-			}
-		})
-	}
-	for _, p := range f.Params {
-		defCount[p]++
-	}
-
+	du := c.defUse()
 	for len(c.defAt) < f.NumRegs() {
 		c.defAt = append(c.defAt, -1)
 	}
@@ -627,7 +672,7 @@ func (c *cleaner) collapseMovChains() bool {
 		b := &f.Blocks[bi]
 		for i := b.InstrStart; i < b.InstrEnd; i++ {
 			if f.Op[i] == rtl.Mov {
-				if t, ok := f.A[i].IsReg(); ok && defCount[t] == 1 && useCount[t] == 1 {
+				if t, ok := f.A[i].IsReg(); ok && du.DefCount(t) == 1 && du.UseCount(t) == 1 {
 					if di := defAt[t]; di >= 0 && flatMovable(f, di, i, f.Dst[i]) {
 						if flatFusable(f, di) {
 							nd := f.Dst[i]
@@ -712,6 +757,7 @@ func (c *cleaner) peephole() bool {
 	for i := int32(0); i < int32(len(f.Op)); i++ {
 		if flatReduceInstr(f, i) {
 			changed = true
+			c.dirty()
 		}
 	}
 	if c.simplifyBranches() {
@@ -764,8 +810,7 @@ func flatReduceInstr(f *rtl.FlatFn, i int32) bool {
 
 func (c *cleaner) simplifyBranches() bool {
 	f := c.f
-	du := &c.du
-	dataflow.ComputeFlatDefUseInto(f, du)
+	du := c.defUse()
 	changed := false
 	for bi := range f.Blocks {
 		ti, op, ok := f.TermIdx(int32(bi))
@@ -823,33 +868,36 @@ func FlatDeadCodeElim(fp *rtl.FlatProgram, fi int) bool {
 	return withCleaner(fp, fi, (*cleaner).deadCodeElim)
 }
 
+// deadCodeElim marks instructions dead and compacts once. Marking one
+// takes its reads out of the use counts, which can leave an earlier
+// definition unused, so it sweeps backward until a sweep marks nothing.
+// Removing an instruction only lowers use counts, so the marked set is the
+// one that removing and recounting until nothing is unused would reach.
 func (c *cleaner) deadCodeElim() bool {
 	f := c.f
-	changedEver := false
-	for {
-		c.uses = reuse.Zeroed(c.uses, f.NumRegs())
-		use := c.uses
-		for i := int32(0); i < int32(len(f.Op)); i++ {
-			f.SrcSlots(i, func(o *rtl.Operand) {
-				if o.Kind == rtl.KindReg {
-					use[o.Reg]++
-				}
-			})
-		}
-		kill := c.marks(len(f.Op))
-		changed := false
-		for i := int32(0); i < int32(len(f.Op)); i++ {
-			if d, ok := f.Def(i); ok && use[d] == 0 && flatSideEffectFree(f.Op[i]) {
-				kill[i] = true
-				changed = true
+	c.uses = append(c.uses[:0], c.defUse().UseCounts()...)
+	use := c.uses
+	kill := c.marks(len(f.Op))
+	changed := false
+	for swept := true; swept; {
+		swept = false
+		for i := int32(len(f.Op)) - 1; i >= 0; i-- {
+			d, ok := f.Def(i)
+			if !ok || kill[i] || use[d] != 0 || !flatSideEffectFree(f.Op[i]) {
+				continue
+			}
+			kill[i] = true
+			swept, changed = true, true
+			c.regs = f.SrcRegs(i, c.regs[:0])
+			for _, r := range c.regs {
+				use[r]--
 			}
 		}
-		if !changed {
-			return changedEver
-		}
-		f.Compact(kill)
-		changedEver = true
 	}
+	if changed {
+		f.Compact(kill)
+	}
+	return changed
 }
 
 func flatSideEffectFree(op rtl.Op) bool {
@@ -899,17 +947,17 @@ func (c *cleaner) globalDCE() bool {
 				if hasDef {
 					live.Clear(int(d))
 				}
-				f.SrcSlots(i, func(o *rtl.Operand) {
-					if o.Kind == rtl.KindReg {
-						live.Set(int(o.Reg))
-					}
-				})
+				c.regs = f.SrcRegs(i, c.regs[:0])
+				for _, r := range c.regs {
+					live.Set(int(r))
+				}
 			}
 		}
 		if !changed {
 			return changedEver
 		}
 		f.Compact(kill)
+		c.dirty()
 		changedEver = true
 	}
 }
@@ -933,17 +981,14 @@ func (c *cleaner) eliminateDeadIVs() bool {
 	}
 	for i := int32(0); i < int32(len(f.Op)); i++ {
 		d, hasDef := f.Def(i)
-		f.SrcSlots(i, func(o *rtl.Operand) {
-			if o.Kind != rtl.KindReg {
-				return
-			}
-			r := o.Reg
+		c.regs = f.SrcRegs(i, c.regs[:0])
+		for _, r := range c.regs {
 			// A use is harmless only if this instruction redefines the
 			// same register as a pure self-update.
 			if !(hasDef && d == r && flatIsSelfUpdate(f, i, r)) {
 				selfOnly[r] = false
 			}
-		})
+		}
 	}
 	kill := c.marks(len(f.Op))
 	changed := false
@@ -969,13 +1014,13 @@ func flatIsSelfUpdate(f *rtl.FlatFn, i int32, r rtl.Reg) bool {
 		return false
 	}
 	// Every register operand must be r itself.
-	pure := true
-	f.SrcSlots(i, func(o *rtl.Operand) {
-		if or, ok := o.IsReg(); ok && or != r {
-			pure = false
+	var buf [2]rtl.Reg // Add, Sub and Mov read at most two
+	for _, sr := range f.SrcRegs(i, buf[:0]) {
+		if sr != r {
+			return false
 		}
-	})
-	return pure
+	}
+	return true
 }
 
 // FlatThreadJumps redirects edges that point at blocks containing only an

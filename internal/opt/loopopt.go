@@ -37,13 +37,13 @@ func FlatHoistInvariants(fp *rtl.FlatProgram, fi int, l *cfg.FlatLoop) bool {
 				return false
 			}
 		}
-		invariant := true
-		f.SrcSlots(i, func(o *rtl.Operand) {
-			if r, ok := o.IsReg(); ok && defsInLoop[r] != 0 {
-				invariant = false
+		var buf [3]rtl.Reg // the opcodes above read at most three
+		for _, r := range f.SrcRegs(i, buf[:0]) {
+			if defsInLoop[r] != 0 {
+				return false
 			}
-		})
-		return invariant
+		}
+		return true
 	}
 	changed := false
 	for {

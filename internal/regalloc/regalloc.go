@@ -115,6 +115,7 @@ func buildIntervals(fp *rtl.FlatProgram, fi int) []*interval {
 		extend(p, 0)
 		ivs[p].pinned = rtl.Reg(i)
 	}
+	var regs []rtl.Reg
 	for bi := range f.Blocks {
 		b := &f.Blocks[bi]
 		first, last := int(b.InstrStart), int(b.InstrEnd)-1
@@ -125,11 +126,10 @@ func buildIntervals(fp *rtl.FlatProgram, fi int) []*interval {
 			extend(rtl.Reg(r), last)
 		})
 		for i := b.InstrStart; i < b.InstrEnd; i++ {
-			f.SrcSlots(i, func(o *rtl.Operand) {
-				if o.Kind == rtl.KindReg {
-					extend(o.Reg, int(i))
-				}
-			})
+			regs = f.SrcRegs(i, regs[:0])
+			for _, r := range regs {
+				extend(r, int(i))
+			}
 			if d, ok := f.Def(i); ok {
 				extend(d, int(i))
 			}
@@ -244,22 +244,23 @@ func rewrite(f *rtl.FlatFn, loc map[rtl.Reg]*interval, frameReg rtl.Reg, scratch
 			nextScratch := 0
 			// Reload spilled sources into scratch registers.
 			seen := map[rtl.Reg]rtl.Reg{} // vreg -> scratch already holding it
-			f.SrcSlots(i, func(o *rtl.Operand) {
+			for k, n := 0, f.NumSrcs(i); k < n; k++ {
+				o := f.Src(i, k)
 				r, ok := o.IsReg()
 				if !ok {
-					return
+					continue
 				}
 				iv := loc[r]
 				if iv == nil {
-					return // never-used register (defensive)
+					continue // never-used register (defensive)
 				}
 				if iv.phys != rtl.NoReg {
 					o.Reg = iv.phys
-					return
+					continue
 				}
 				if s, dup := seen[r]; dup {
 					o.Reg = s
-					return
+					continue
 				}
 				s := scratch[nextScratch]
 				nextScratch = (nextScratch + 1) % len(scratch)
@@ -269,7 +270,7 @@ func rewrite(f *rtl.FlatFn, loc map[rtl.Reg]*interval, frameReg rtl.Reg, scratch
 				out = append(out, reload)
 				seen[r] = s
 				o.Reg = s
-			})
+			}
 			var spill *rtl.FlatInstr
 			if d, ok := f.Def(i); ok {
 				iv := loc[d]

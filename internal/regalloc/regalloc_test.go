@@ -52,11 +52,11 @@ func maxRegUsed(f *rtl.FlatFn) rtl.Reg {
 		if d, ok := f.Def(i); ok && d > max {
 			max = d
 		}
-		f.SrcSlots(i, func(o *rtl.Operand) {
-			if r, ok := o.IsReg(); ok && r > max {
+		for _, r := range f.SrcRegs(i, nil) {
+			if r > max {
 				max = r
 			}
-		})
+		}
 	}
 	return max
 }

@@ -82,65 +82,6 @@ func (f *FlatFn) NewReg() Reg {
 	return r
 }
 
-// Def mirrors Instr.Def for instruction i: the register defined, if any.
-func (f *FlatFn) Def(i int32) (Reg, bool) {
-	if f.Dst[i] != NoReg {
-		switch f.Op[i] {
-		case Store, Jump, Branch, Ret, Nop:
-			return NoReg, false
-		}
-		return f.Dst[i], true
-	}
-	return NoReg, false
-}
-
-// SrcSlots invokes fn on a pointer to every source operand slot instruction
-// i actually uses, with the same opcode shapes as Instr.SrcOperands; it
-// allocates nothing.
-func (f *FlatFn) SrcSlots(i int32, fn func(o *Operand)) {
-	add := func(o *Operand) {
-		if o.Kind != KindNone {
-			fn(o)
-		}
-	}
-	switch f.Op[i] {
-	case Nop, Jump:
-	case Mov, Neg, Not, Load, Ret:
-		add(&f.A[i])
-	case Branch:
-		add(&f.A[i])
-	case Store:
-		add(&f.A[i])
-		add(&f.B[i])
-	case Extract:
-		add(&f.A[i])
-		add(&f.B[i])
-	case Insert:
-		add(&f.A[i])
-		add(&f.B[i])
-		add(&f.C[i])
-	case Call:
-		c := &f.Calls[f.CallIdx[i]]
-		for ai := c.ArgStart; ai < c.ArgEnd; ai++ {
-			add(&f.Args[ai])
-		}
-	default: // binary ops
-		add(&f.A[i])
-		add(&f.B[i])
-	}
-}
-
-// UsesReg reports whether instruction i reads register r.
-func (f *FlatFn) UsesReg(i int32, r Reg) bool {
-	used := false
-	f.SrcSlots(i, func(o *Operand) {
-		if o.Kind == KindReg && o.Reg == r {
-			used = true
-		}
-	})
-	return used
-}
-
 // IsMem reports whether instruction i touches memory.
 func (f *FlatFn) IsMem(i int32) bool { return f.Op[i] == Load || f.Op[i] == Store }
 

@@ -187,57 +187,3 @@ func (fp *FlatProgram) blockName(f *FlatFn, bi int32) string {
 	}
 	return fmt.Sprintf("b%d", b.ID)
 }
-
-// verifyFlatShape checks that instruction i fills the operand slots its
-// opcode reads and writes.
-func (f *FlatFn) verifyFlatShape(i int32) error {
-	needDst := f.Dst[i] != NoReg
-	needA := f.A[i].Kind != KindNone
-	needB := f.B[i].Kind != KindNone
-	widthOK := f.Width[i].Valid()
-	switch f.Op[i] {
-	case Nop, Ret:
-		return nil
-	case Mov, Neg, Not:
-		return shapeErr(needDst, needA, true, true, f.Width[i])
-	case Load:
-		return shapeErr(needDst, needA, true, widthOK, f.Width[i])
-	case Store:
-		return shapeErr(true, needA, needB, widthOK, f.Width[i])
-	case Extract:
-		return shapeErr(needDst, needA, needB, widthOK, f.Width[i])
-	case Insert:
-		if f.C[i].Kind == KindNone {
-			return fmt.Errorf("insert missing operand C")
-		}
-		return shapeErr(needDst, needA, needB, widthOK, f.Width[i])
-	case Jump:
-		return nil
-	case Branch:
-		if !needA {
-			return fmt.Errorf("missing operand A")
-		}
-		return nil
-	case Call:
-		return nil // the callee is checked by VerifyFn
-	default:
-		if f.Op[i].IsBinary() {
-			return shapeErr(needDst, needA, needB, true, f.Width[i])
-		}
-		return nil
-	}
-}
-
-func shapeErr(dst, a, b, width bool, w Width) error {
-	switch {
-	case !dst:
-		return fmt.Errorf("missing destination")
-	case !a:
-		return fmt.Errorf("missing operand A")
-	case !b:
-		return fmt.Errorf("missing operand B")
-	case !width:
-		return fmt.Errorf("invalid width %d", w)
-	}
-	return nil
-}

@@ -216,54 +216,6 @@ type Instr struct {
 	Args   []Operand // Call only
 }
 
-// Def returns the register this instruction defines, if any.
-func (in *Instr) Def() (Reg, bool) {
-	if in.Dst != NoReg {
-		switch in.Op {
-		case Store, Jump, Branch, Ret, Nop:
-			return NoReg, false
-		}
-		return in.Dst, true
-	}
-	return NoReg, false
-}
-
-// SrcOperands returns pointers to every source operand slot the instruction
-// actually uses, enabling in-place substitution by optimization passes.
-func (in *Instr) SrcOperands() []*Operand {
-	var ops []*Operand
-	add := func(o *Operand) {
-		if o.Kind != KindNone {
-			ops = append(ops, o)
-		}
-	}
-	switch in.Op {
-	case Nop, Jump:
-	case Mov, Neg, Not, Load, Ret:
-		add(&in.A)
-	case Branch:
-		add(&in.A)
-	case Store:
-		add(&in.A)
-		add(&in.B)
-	case Extract:
-		add(&in.A)
-		add(&in.B)
-	case Insert:
-		add(&in.A)
-		add(&in.B)
-		add(&in.C)
-	case Call:
-		for i := range in.Args {
-			add(&in.Args[i])
-		}
-	default: // binary ops
-		add(&in.A)
-		add(&in.B)
-	}
-	return ops
-}
-
 // Clone returns a deep copy of the instruction. Block targets still point at
 // the original blocks; callers rewire them when cloning regions.
 func (in *Instr) Clone() *Instr {

@@ -137,12 +137,7 @@ func (sc *scratch) build(f *rtl.FlatFn, start, end int32, costs *machine.Costs) 
 		sc.lat[j] = costs.Of(op, f.Width[i])
 
 		// Register RAW edges.
-		sc.regs = sc.regs[:0]
-		f.SrcSlots(i, func(o *rtl.Operand) {
-			if o.Kind == rtl.KindReg {
-				sc.regs = append(sc.regs, o.Reg)
-			}
-		})
+		sc.regs = f.SrcRegs(i, sc.regs[:0])
 		for _, r := range sc.regs {
 			if di := sc.lastDef[r]; di >= 0 {
 				edge(di, sc.lat[di])

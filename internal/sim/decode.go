@@ -198,12 +198,11 @@ func (s *Sim) decodeFlat(fp *rtl.FlatProgram) *image {
 				}
 				addr += int64(s.mach.BytesPerInstr)
 				if d.op != rtl.Call {
-					f.SrcSlots(i, func(o *rtl.Operand) {
-						if r, ok := o.IsReg(); ok {
-							d.srcs[d.nsrc] = int32(r)
-							d.nsrc++
-						}
-					})
+					var buf [3]rtl.Reg // A, B and C at most
+					for _, r := range f.SrcRegs(i, buf[:0]) {
+						d.srcs[d.nsrc] = int32(r)
+						d.nsrc++
+					}
 				}
 				if t := f.Target[i]; t >= 0 {
 					d.target = t

@@ -191,13 +191,13 @@ func Unroll(fp *rtl.FlatProgram, fi int, c Canonical, info *iv.FlatInfo, factor 
 	var renamed []rtl.Reg // in first-rename order
 	ub := f.Blocks[ubody]
 	for i := ub.InstrStart; i < ub.InstrEnd; i++ {
-		f.SrcSlots(i, func(o *rtl.Operand) {
-			if r, ok := o.IsReg(); ok {
-				if nr, exists := cur[r]; exists {
+		for k, n := 0, f.NumSrcs(i); k < n; k++ {
+			if o := f.Src(i, k); o.Kind == rtl.KindReg {
+				if nr, exists := cur[o.Reg]; exists {
 					o.Reg = nr
 				}
 			}
-		})
+		}
 		if d, ok := f.Def(i); ok {
 			if _, seen := cur[d]; !seen {
 				renamed = append(renamed, d)
