@@ -23,8 +23,13 @@ import (
 // The over-approximation only ever sends execution to the safe loop. The
 // trip count comes from info's loop-control test; every base in an alias
 // pair has a partition in parts (IsHazard rejects any other).
+//
+// Precondition: a chunk needs alias checks only when info.Control is set,
+// because filterChunks drops every such chunk otherwise, and the control IV
+// is then a basic IV, the only kind iv's findControl accepts. So the checks
+// can always be built.
 func emitChecks(f *rtl.FlatFn, pre int32, m *machine.Machine, chunks []*chunk,
-	parts map[rtl.Reg]*partition, info *iv.FlatInfo) (okCond rtl.Operand, nInstrs, nPairs, nAligns int, ok bool) {
+	parts map[rtl.Reg]*partition, info *iv.FlatInfo) (okCond rtl.Operand, nInstrs, nPairs, nAligns int) {
 
 	// Check instructions are pure ALU ops: no control flow, no calls.
 	emit := func(op rtl.Op, dst rtl.Reg, a, b rtl.Operand) {
@@ -93,9 +98,6 @@ func emitChecks(f *rtl.FlatFn, pre int32, m *machine.Machine, chunks []*chunk,
 	}
 	if len(pairs) > 0 {
 		ctl := info.Control
-		if ctl == nil || info.BasicIVs[ctl.IV] == nil {
-			return rtl.Operand{}, nInstrs, 0, nAligns, false
-		}
 		ctlStep := info.BasicIVs[ctl.IV].Step
 		// T = (bound - iv) / |step|  (signed; a non-positive result means
 		// the loop will not run, and the guard prevents entry anyway).
@@ -193,5 +195,5 @@ func emitChecks(f *rtl.FlatFn, pre int32, m *machine.Machine, chunks []*chunk,
 			nPairs++
 		}
 	}
-	return acc, nInstrs, nPairs, nAligns, true
+	return acc, nInstrs, nPairs, nAligns
 }

@@ -162,12 +162,7 @@ func doProfitabilityAnalysisAndModify(fp *rtl.FlatProgram, fi int, l *cfg.FlatLo
 	// Build the run-time checks in the preheader and point its terminator
 	// at the check branch: coalesced copy when every check passes, original
 	// safe loop otherwise.
-	okCond, nInstrs, nPairs, nAligns, ok := emitChecks(f, l.Preheader, m, chunks, parts, info)
-	if !ok {
-		f.TruncateBlocks(nBlocks)
-		rep.Reason = "checks:ungeneratable"
-		return false
-	}
+	okCond, nInstrs, nPairs, nAligns := emitChecks(f, l.Preheader, m, chunks, parts, info)
 	rep.CheckInstrs = nInstrs
 	rep.AliasCheckPairs = nPairs
 	rep.AlignmentChecks = nAligns
