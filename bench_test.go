@@ -17,6 +17,7 @@ import (
 	"macc/internal/core"
 	"macc/internal/machine"
 	"macc/internal/rtl"
+	"macc/internal/rtlgen"
 )
 
 var configNames = []string{"native", "vpo", "coalesce-loads", "coalesce-loads-stores"}
@@ -216,5 +217,34 @@ func BenchmarkAblationUnrollFactor(b *testing.B) {
 			}
 			b.ReportMetric(float64(cycles), "sim-cycles")
 		})
+	}
+}
+
+// BenchmarkCorpusCold is the serial cold-compile loop that ROADMAP item 5
+// profiles: each op compiles the next cell of rtlgen.Corpus(1, 100) ×
+// every machine × bench.CorpusConfigs, cycling through the 600 cells with
+// no cache. Re-make the profile with
+//
+//	go test -run '^$' -bench CorpusCold -benchtime 15000x -cpuprofile cpu.out .
+func BenchmarkCorpusCold(b *testing.B) {
+	type cell struct {
+		src string
+		cfg macc.Config
+	}
+	var cells []cell
+	for _, p := range rtlgen.Corpus(1, 100) {
+		for _, m := range machine.All() {
+			for _, name := range bench.CorpusConfigs {
+				cells = append(cells, cell{p.Src, bench.NamedConfig(name, m)})
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		c := &cells[n%len(cells)]
+		if _, err := macc.Compile(c.src, c.cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
