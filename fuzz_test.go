@@ -96,8 +96,7 @@ func FuzzPipelinePreservation(f *testing.F) {
 			return res.Ret, s.Mem[:rtlgen.MemWindow]
 		}
 		r1, m1 := run(gen)
-		optimized := gen.Clone()
-		p, err := macc.CompileRTL(rtl.NewProgram(optimized), macc.Config{
+		p, err := macc.CompileRTL(rtl.NewProgram(gen), macc.Config{
 			Machine: m, Optimize: true, Unroll: true, Schedule: true,
 			Coalesce: core.Options{Loads: true, Stores: true},
 		})
@@ -189,7 +188,7 @@ func FuzzCompile(f *testing.F) {
 		if err != nil {
 			t.Fatalf("seed %d: reference: %v", seed, err)
 		}
-		p, err := macc.CompileRTL(rtl.NewProgram(gen.Clone()), cfg)
+		p, err := macc.CompileRTL(rtl.NewProgram(gen), cfg)
 		if err != nil {
 			t.Fatalf("seed %d: non-strict compile failed: %v", seed, err)
 		}

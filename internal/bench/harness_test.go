@@ -32,6 +32,43 @@ func TestTablesSmall(t *testing.T) {
 		return
 	}
 	checkPaperClaims(t, tables)
+	checkCheckKinds(t, tables["alpha"])
+}
+
+// checkCheckKinds pins, per kernel, the split of the Alpha's preheader
+// checks with loads and stores coalesced (EXPERIMENTS.md §4): the alias
+// check pairs and alignment checks summed over the compile's loop reports.
+// The reports' check instructions must add up to the table's count.
+func checkCheckKinds(t *testing.T, rows []bench.Row) {
+	t.Helper()
+	type kinds struct{ instrs, aliasPairs, alignChecks int }
+	want := map[string]kinds{
+		"Convolution": {56, 3, 7}, "Image add": {27, 2, 3}, "Image add (16-bit)": {27, 2, 3},
+		"Image xor": {27, 2, 3}, "Translate": {17, 1, 2}, "Eqntott": {0, 0, 0}, "Mirror": {19, 1, 2},
+	}
+	table := make(map[string]int64, len(rows))
+	for _, r := range rows {
+		table[r.Name] = r.LoadsStores.CheckInstrs
+	}
+	cfg := bench.Configs(machine.Alpha())[3] // loads and stores coalesced
+	for _, b := range bench.Benchmarks() {
+		p, err := macc.Compile(b.Src, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		var got kinds
+		for _, r := range p.Reports {
+			got.instrs += r.CheckInstrs
+			got.aliasPairs += r.AliasCheckPairs
+			got.alignChecks += r.AlignmentChecks
+		}
+		if w, ok := want[b.Name]; !ok || got != w {
+			t.Errorf("alpha/%s: checks (instrs, alias pairs, alignment) = %v, want %v", b.Name, got, w)
+		}
+		if int64(got.instrs) != table[b.Name] {
+			t.Errorf("alpha/%s: loop reports hold %d check instructions, the table %d", b.Name, got.instrs, table[b.Name])
+		}
+	}
 }
 
 // checkPaperClaims asserts the shape checks EXPERIMENTS.md makes of the

@@ -18,8 +18,8 @@ import (
 // flat program: a depth-first traversal from the entry, reverse postorder,
 // Cooper–Harvey–Kennedy dominators, and natural-loop discovery, computed
 // over the FlatFn's dense arrays with block indices naming blocks.
-// Successors are read straight from the terminators' Target/Else fields, so
-// the graph never depends on the (possibly stale) Succs/Preds edge tables.
+// Successors are read straight from the terminators' Target/Else fields;
+// the flat image keeps no other edge state, so this is the only CFG.
 // It becomes stale when the function's blocks or terminators change;
 // recompute with NewFlat, or with NewFlatInto to reuse its storage. Existing block indices stay valid across the
 // edits passes make (appended blocks, spliced instructions), so a stale

@@ -56,11 +56,58 @@ func flatGraph(t *testing.T, f *rtl.Fn) (*cfg.FlatGraph, func(b *rtl.Block) int3
 	}
 }
 
+// TestFlatEdges pins the edge order of the one CFG: FlatSuccs reports a
+// branch's Target before its Else, and FlatGraph.Preds lists predecessors in
+// the order the depth-first walk from the entry discovers the edges, not in
+// block order.
+func TestFlatEdges(t *testing.T) {
+	p, err := rtl.ParseProgram(`func f(r0, r1) {
+entry:
+	r2 = M.4u[r0+8]
+	r3 = r2 + 17
+	if r3 goto body else exit
+body:
+	M.4[r1-4] = r3
+	jump exit
+exit:
+	ret r3
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := rtl.Flatten(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &fp.Fns[0]
+	names := func(bis []int32) []string {
+		var out []string
+		for _, bi := range bis {
+			out = append(out, fp.Syms[f.Blocks[bi].Name])
+		}
+		return out
+	}
+	for bi, want := range [][]string{{"body", "exit"}, {"exit"}, nil} {
+		if got := names(cfg.FlatSuccs(f, int32(bi), nil)); !slices.Equal(got, want) {
+			t.Errorf("block %d succs = %v, want %v", bi, got, want)
+		}
+	}
+	// entry's walk reaches exit through body first, then by its own Else.
+	g := cfg.NewFlat(fp, 0)
+	for bi, want := range [][]string{nil, {"entry"}, {"body", "entry"}} {
+		if got := names(g.Preds[bi]); !slices.Equal(got, want) {
+			t.Errorf("block %d preds = %v, want %v", bi, got, want)
+		}
+	}
+}
+
 func TestPredsAndReachability(t *testing.T) {
 	f, bs := buildLoopFn()
 	g, at := flatGraph(t, f)
-	if len(g.Preds[at(bs["header"])]) != 2 {
-		t.Errorf("header preds = %d, want 2", len(g.Preds[at(bs["header"])]))
+	// Discovery order: entry's jump first, then the back edge from latch.
+	if got, want := g.Preds[at(bs["header"])], []int32{at(bs["entry"]), at(bs["latch"])}; !slices.Equal(got, want) {
+		t.Errorf("header preds = %v, want %v", got, want)
 	}
 	for name, b := range bs {
 		if !g.Reachable(at(b)) {

@@ -212,7 +212,7 @@ func TestIntoReusesStaleBuffers(t *testing.T) {
 	shrank := false
 	prevRegs, prevBlocks := 0, 0
 	for k, fn := range fns {
-		fp := flatten(t, fn.Clone())
+		fp := flatten(t, fn)
 		f := &fp.Fns[0]
 		if f.NumRegs() < prevRegs && len(f.Blocks) < prevBlocks {
 			shrank = true

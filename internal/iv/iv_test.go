@@ -1,6 +1,7 @@
 package iv_test
 
 import (
+	"slices"
 	"testing"
 
 	"macc/internal/cfg"
@@ -188,9 +189,10 @@ func TestStrengthReduceCreatesPointerIV(t *testing.T) {
 	}
 	// The latch must advance the pointer.
 	foundStep := false
-	for _, in := range out.Blocks[l.Latch].Instrs {
-		if d, ok := in.Def(); ok && d == p.Reg && in.Op == rtl.Add {
-			if c, _ := in.B.IsConst(); c == 2 {
+	ff := &fp.Fns[0]
+	for k := ff.Blocks[l.Latch].InstrStart; k < ff.Blocks[l.Latch].InstrEnd; k++ {
+		if d, ok := ff.Def(k); ok && d == p.Reg && ff.Op[k] == rtl.Add {
+			if c, _ := ff.B[k].IsConst(); c == 2 {
 				foundStep = true
 			}
 		}
@@ -266,19 +268,18 @@ func TestReplaceTestEliminatesCounter(t *testing.T) {
 	opt.FlatClean(fp, 0)
 	out := materialize(t, fp)
 	preheader := fp.Syms[fp.Fns[0].Blocks[l.Preheader].Name]
-	for _, b := range out.Blocks {
+	ff := &fp.Fns[0]
+	for bi, b := range out.Blocks {
 		if b.Name == preheader {
 			continue // the preheader may still read i's initial value
 		}
-		for _, in := range b.Instrs {
-			if d, ok := in.Def(); ok && d == i {
+		for j, in := range b.Instrs {
+			k := ff.Blocks[bi].InstrStart + int32(j)
+			if d, ok := ff.Def(k); ok && d == i {
 				t.Errorf("counter definition survives in %s: %s", b, in)
 			}
-			for _, o := range in.SrcOperands() {
-				if r, ok := o.IsReg(); ok && r == i {
-					t.Errorf("counter use survives in %s: %s", b, in)
-					break
-				}
+			if slices.Contains(ff.SrcRegs(k, nil), i) {
+				t.Errorf("counter use survives in %s: %s", b, in)
 			}
 		}
 	}

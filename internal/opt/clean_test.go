@@ -39,11 +39,11 @@ func freshClean(fp *rtl.FlatProgram, fi int) bool {
 	return changedEver
 }
 
-// cleanBoth runs FlatClean and freshClean on copies of fn and returns each
+// cleanBoth runs FlatClean and freshClean on flat copies of fn and returns each
 // one's change flag and printed, verified result.
 func cleanBoth(fn *rtl.Fn) (got, want string, err error) {
 	run := func(clean func(*rtl.FlatProgram, int) bool) (string, error) {
-		fp, err := rtl.Flatten(rtl.NewProgram(fn.Clone()))
+		fp, err := rtl.Flatten(rtl.NewProgram(fn))
 		if err != nil {
 			return "", err
 		}
@@ -71,7 +71,7 @@ func TestFlatCleanRebuildsGraphAfterFold(t *testing.T) {
 	then.Instrs = []*rtl.Instr{rtl.RetI(rtl.R(f.Params[0]))}
 	els.Instrs = []*rtl.Instr{rtl.RetI(rtl.C(2))}
 
-	got, changed := runFlat(t, f.Clone(), opt.FlatClean)
+	got, changed := runFlat(t, f, opt.FlatClean)
 	if !changed {
 		t.Fatal("FlatClean reported no change")
 	}

@@ -31,6 +31,23 @@ func runFlat(t *testing.T, f *rtl.Fn, pass func(*rtl.FlatProgram, int) bool) (*r
 	return fp.UnflattenFn(0), changed
 }
 
+// defs flattens f and returns, in block order, the register each
+// instruction defines (rtl.NoReg where it defines none), read from the
+// flat form.
+func defs(t *testing.T, f *rtl.Fn) []rtl.Reg {
+	t.Helper()
+	fp, err := rtl.Flatten(rtl.NewProgram(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff := &fp.Fns[0]
+	out := make([]rtl.Reg, ff.NumInstrs())
+	for i := range out {
+		out[i], _ = ff.Def(int32(i))
+	}
+	return out
+}
+
 // block returns f's block labelled name.
 func block(t *testing.T, f *rtl.Fn, name string) *rtl.Block {
 	t.Helper()
@@ -328,12 +345,13 @@ func TestCollapseRefusesWhenUnsafe(t *testing.T) {
 	// the rewrite kept the read-before-write ordering. Simplest check: the
 	// mul still precedes any redefinition of v.
 	ins := f.Entry().Instrs
+	def := defs(t, f) // the entry block comes first
 	mulIdx, defIdx := -1, -1
 	for i, in := range ins {
 		if in.Op == rtl.Mul {
 			mulIdx = i
 		}
-		if d, ok := in.Def(); ok && d == ins[0].Dst && i > 0 && defIdx < 0 {
+		if def[i] != rtl.NoReg && def[i] == ins[0].Dst && i > 0 && defIdx < 0 {
 			defIdx = i
 		}
 	}
@@ -385,14 +403,14 @@ func TestEliminateDeadIVs(t *testing.T) {
 	if !changed {
 		t.Fatal("dead IV not found")
 	}
+	def := defs(t, f)
+	k := 0
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if d, ok := in.Def(); ok && d == i {
+			if def[k] == i {
 				t.Errorf("dead IV definition survives: %s", in)
 			}
-			if d, ok := in.Def(); ok && d == v && in.Op == rtl.Add {
-				// good: live accumulator kept
-			}
+			k++
 		}
 	}
 	if countOp(f, rtl.Add) != 1 {

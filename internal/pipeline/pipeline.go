@@ -158,13 +158,12 @@ func RunFlat(fp *rtl.FlatProgram, fi int, passes []FlatPass, opts Options) error
 			}
 			continue
 		}
-		dirty := good.Update()
+		good.Update()
 		if p.OnSuccess != nil {
 			p.OnSuccess()
 		}
 		if opts.Recorder != nil {
 			opts.Recorder.EndPass(f.NumInstrs(), len(f.Blocks), false, "")
-			opts.Recorder.Count("pipeline.snapshot_dirty_blocks", int64(dirty))
 		}
 		if opts.OnPass != nil {
 			opts.OnPass(p.Name, fp, fi)

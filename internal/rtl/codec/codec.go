@@ -16,8 +16,7 @@
 // Integers are unsigned varints; values that can be negative (registers,
 // displacements, constants, block ids) are zigzag varints. Per-instruction
 // fields are stored as struct-of-arrays streams so the decoder fills the
-// FlatFn arrays with tight per-field loops. Successor/predecessor edge
-// tables are derived state and are recomputed after decode, not stored.
+// FlatFn arrays with tight per-field loops.
 //
 // DecodeProgram checks everything — magic, version, checksum, section
 // structure, then rtl.(*FlatProgram).Verify, which checks every index and
@@ -57,8 +56,7 @@ func corruptf(format string, args ...any) error {
 }
 
 // EncodeProgram serializes fp. The result always carries a valid checksum
-// trailer and decodes back to an identical FlatProgram (modulo the derived
-// edge tables, which DecodeProgram recomputes).
+// trailer and decodes back to an identical FlatProgram.
 func EncodeProgram(fp *rtl.FlatProgram) []byte {
 	buf := make([]byte, 0, encSizeHint(fp))
 	buf = append(buf, magic[:]...)
@@ -307,7 +305,7 @@ func (r *reader) count(v uint64, min int) int {
 }
 
 // DecodeProgram parses an EncodeProgram buffer back into a FlatProgram that
-// has passed Verify, recomputing the derived edge tables.
+// has passed Verify.
 func DecodeProgram(data []byte) (*rtl.FlatProgram, error) {
 	if len(data) < len(magic)+1+8 {
 		return nil, corruptf("short buffer (%d bytes)", len(data))
@@ -372,9 +370,6 @@ func DecodeProgram(data []byte) (*rtl.FlatProgram, error) {
 	}
 	if err := fp.Verify(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	for fi := range fp.Fns {
-		fp.Fns[fi].ComputeEdges()
 	}
 	return fp, nil
 }

@@ -5,10 +5,10 @@ package rtl
 // per block, the flat form packs every function into a handful of parallel
 // slices indexed by a dense instruction number: one slice per field (opcode,
 // destination, operand slots, width, displacement, ...), block tables that
-// address instructions by [start,end) index ranges, successor/predecessor
-// edge tables as index ranges into shared edge arrays, and an interned
-// symbol table shared by function names, block labels, global names and call
-// targets.
+// address instructions by [start,end) index ranges, and an interned symbol
+// table shared by function names, block labels, global names and call
+// targets. Control flow lives only in the terminators' Target/Else block
+// indices; cfg.FlatGraph derives successors and predecessors from them.
 //
 // The flat form is the canonical at-rest representation: the compile cache
 // stores it (see internal/ccache and rtl/codec), the simulator predecodes
@@ -44,17 +44,13 @@ type FlatGlobal struct {
 	Init []byte
 }
 
-// FlatBlock addresses one basic block's instructions and CFG edges as index
-// ranges into the owning FlatFn's arrays.
+// FlatBlock addresses one basic block's instructions as an index range into
+// the owning FlatFn's arrays.
 type FlatBlock struct {
 	ID         int32
 	Name       Sym
 	InstrStart int32 // [InstrStart, InstrEnd) into the instruction arrays
 	InstrEnd   int32
-	SuccStart  int32 // [SuccStart, SuccEnd) into FlatFn.Succs
-	SuccEnd    int32
-	PredStart  int32 // [PredStart, PredEnd) into FlatFn.Preds
-	PredEnd    int32
 }
 
 // FlatCall is the variable-length tail of a Call instruction: the callee
@@ -78,8 +74,6 @@ type FlatFn struct {
 	NextBlk    int32 // block-id counter, preserved so NewBlock stays correct
 
 	Blocks []FlatBlock
-	Succs  []int32 // successor block indices, addressed by FlatBlock ranges
-	Preds  []int32 // predecessor block indices, addressed by FlatBlock ranges
 
 	Op      []Op
 	Dst     []Reg
@@ -248,73 +242,7 @@ func flattenFn(f *Fn, it *interner) (FlatFn, error) {
 		fb.InstrEnd = int32(len(ff.Op))
 		ff.Blocks = append(ff.Blocks, fb)
 	}
-	ff.ComputeEdges()
 	return ff, nil
-}
-
-// ComputeEdges (re)derives the successor/predecessor tables from each
-// block's terminator. The edge tables are derived state: the codec does not
-// transport them, it recomputes them after decode.
-func (f *FlatFn) ComputeEdges() {
-	nedge := 0
-	for bi := range f.Blocks {
-		b := &f.Blocks[bi]
-		if i, op, ok := f.termOf(b); ok {
-			switch op {
-			case Jump:
-				if f.Target[i] >= 0 {
-					nedge++
-				}
-			case Branch:
-				if f.Target[i] >= 0 {
-					nedge++
-				}
-				if f.Else[i] >= 0 {
-					nedge++
-				}
-			}
-		}
-	}
-	f.Succs = make([]int32, 0, nedge)
-	f.Preds = make([]int32, 0, nedge)
-	npred := make([]int32, len(f.Blocks))
-	for bi := range f.Blocks {
-		b := &f.Blocks[bi]
-		b.SuccStart = int32(len(f.Succs))
-		if i, op, ok := f.termOf(b); ok {
-			add := func(t int32) {
-				if t >= 0 && int(t) < len(f.Blocks) {
-					f.Succs = append(f.Succs, t)
-					npred[t]++
-				}
-			}
-			switch op {
-			case Jump:
-				add(f.Target[i])
-			case Branch:
-				add(f.Target[i])
-				add(f.Else[i])
-			}
-		}
-		b.SuccEnd = int32(len(f.Succs))
-	}
-	// Bucket predecessors by prefix-summed counts.
-	off := int32(0)
-	for bi := range f.Blocks {
-		b := &f.Blocks[bi]
-		b.PredStart = off
-		off += npred[bi]
-		b.PredEnd = b.PredStart
-	}
-	f.Preds = make([]int32, off)
-	for bi := range f.Blocks {
-		b := &f.Blocks[bi]
-		for _, s := range f.Succs[b.SuccStart:b.SuccEnd] {
-			sb := &f.Blocks[s]
-			f.Preds[sb.PredEnd] = int32(bi)
-			sb.PredEnd++
-		}
-	}
 }
 
 // termOf returns the index and opcode of b's terminator instruction.
@@ -328,18 +256,6 @@ func (f *FlatFn) termOf(b *FlatBlock) (int32, Op, bool) {
 		return 0, Nop, false
 	}
 	return i, op, true
-}
-
-// BlockSuccs returns block bi's successor indices (aliasing internal state).
-func (f *FlatFn) BlockSuccs(bi int) []int32 {
-	b := &f.Blocks[bi]
-	return f.Succs[b.SuccStart:b.SuccEnd]
-}
-
-// BlockPreds returns block bi's predecessor indices (aliasing internal state).
-func (f *FlatFn) BlockPreds(bi int) []int32 {
-	b := &f.Blocks[bi]
-	return f.Preds[b.PredStart:b.PredEnd]
 }
 
 // Unflatten materializes a private pointer-graph Program from the flat

@@ -8,10 +8,9 @@ package rtl
 //
 // Invariants preserved by every primitive here (and checked by VerifyFn):
 // instruction arrays stay parallel, block ranges stay contiguous in block
-// order, and (Op==Call) == (CallIdx>=0). The Succs/Preds edge tables are
-// derived state; primitives that change control flow leave them stale and
-// callers recompute with ComputeEdges when needed (the flat analyses read
-// Target/Else directly, so most passes never need the tables).
+// order, and (Op==Call) == (CallIdx>=0). Control flow is the terminators'
+// Target/Else indices and nothing else, so no primitive has edge state to
+// keep current; cfg.FlatGraph derives the edges when a pass needs them.
 
 // FlatInstr is the value form of one instruction, gathered from / scattered
 // to the parallel arrays. Target and Else are block indices (-1 none);

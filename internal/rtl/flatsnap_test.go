@@ -29,94 +29,135 @@ func snapFn() *Fn {
 	return f
 }
 
-// mutations is a catalogue of pass-like edits, applied to the flat form
-// through a per-function round trip to the pointer graph. Each
-// tolerates an arbitrary current shape (the composed tests apply them to
-// already-mutated functions), mutating only when the structure it targets
-// exists.
+// mutations is a catalogue of pass-like edits, applied to function 0 of a
+// flat program with the primitives the passes use (SpliceInstrs, NewBlock,
+// AppendInstr, CloneRegion, RemoveBlocks, SetInstr, direct field writes).
+// Each tolerates an arbitrary current shape (the composed tests apply them
+// to already-mutated functions), mutating only when the structure it
+// targets exists.
 var mutations = []struct {
 	name string
-	do   func(f *Fn)
+	do   func(fp *FlatProgram, f *FlatFn)
 }{
-	{"in-place operand rewrite", func(f *Fn) {
+	{"in-place operand rewrite", func(fp *FlatProgram, f *FlatFn) {
 		for _, b := range f.Blocks {
-			if len(b.Instrs) > 1 {
-				b.Instrs[1].A = C(42)
+			if b.InstrEnd-b.InstrStart > 1 {
+				f.A[b.InstrStart+1] = C(42)
 				return
 			}
 		}
 	}},
-	{"in-place opcode flip", func(f *Fn) {
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op == Add {
-					in.Op = Sub
-					return
-				}
-			}
-		}
-	}},
-	{"call args rewrite", func(f *Fn) {
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op == Call && len(in.Args) > 1 {
-					in.Args[1] = C(99)
-					return
-				}
-			}
-		}
-	}},
-	{"instruction insert", func(f *Fn) {
-		f.Blocks[len(f.Blocks)-1].InsertAt(0, MovI(f.NewReg(), C(5)))
-	}},
-	{"instruction remove", func(f *Fn) {
-		if b := f.Blocks[len(f.Blocks)-1]; len(b.Instrs) > 1 {
-			b.RemoveAt(0)
-		}
-	}},
-	{"drop terminator", func(f *Fn) {
-		if b := f.Blocks[len(f.Blocks)-1]; len(b.Instrs) > 0 {
-			b.Instrs = b.Instrs[:len(b.Instrs)-1]
-		}
-	}},
-	{"retarget branch", func(f *Fn) {
-		for _, b := range f.Blocks {
-			if t := b.Term(); t != nil && t.Op == Branch {
-				t.Target = f.Blocks[len(f.Blocks)-1]
+	{"in-place opcode flip", func(fp *FlatProgram, f *FlatFn) {
+		for i, op := range f.Op {
+			if op == Add {
+				f.Op[i] = Sub
 				return
 			}
 		}
 	}},
-	{"new block and rewire", func(f *Fn) {
-		last := f.Blocks[len(f.Blocks)-1]
-		nb := f.NewBlock("detour")
-		nb.Instrs = append(nb.Instrs, JumpI(last))
-		f.RedirectEdges(last, nb)
+	{"call args rewrite", func(fp *FlatProgram, f *FlatFn) {
+		for i, op := range f.Op {
+			if c := f.CallIdx[i]; op == Call && f.Calls[c].ArgEnd-f.Calls[c].ArgStart > 1 {
+				f.Args[f.Calls[c].ArgStart+1] = C(99)
+				return
+			}
+		}
 	}},
-	{"remove block", func(f *Fn) {
+	{"instruction insert", func(fp *FlatProgram, f *FlatFn) {
+		in := FlatOp(Mov, f.NewReg(), C(5), Operand{})
+		f.SpliceInstrs(int32(len(f.Blocks)-1), 0, 0, []FlatInstr{in})
+	}},
+	{"instruction remove", func(fp *FlatProgram, f *FlatFn) {
+		for bi, b := range f.Blocks {
+			if b.InstrEnd-b.InstrStart > 1 {
+				f.SpliceInstrs(int32(bi), 0, 1, nil)
+				return
+			}
+		}
+	}},
+	{"drop terminator", func(fp *FlatProgram, f *FlatFn) {
+		if b := f.Blocks[len(f.Blocks)-1]; b.InstrEnd > b.InstrStart {
+			f.SpliceInstrs(int32(len(f.Blocks)-1), b.InstrEnd-b.InstrStart-1, 1, nil)
+		}
+	}},
+	{"retarget branch", func(fp *FlatProgram, f *FlatFn) {
+		for bi := range f.Blocks {
+			if ti, op, ok := f.TermIdx(int32(bi)); ok && op == Branch {
+				in := f.Instr(ti)
+				in.Target = int32(len(f.Blocks) - 1)
+				f.SetInstr(ti, in)
+				return
+			}
+		}
+	}},
+	{"new block and rewire", func(fp *FlatProgram, f *FlatFn) {
+		last := int32(len(f.Blocks) - 1)
+		nb := f.NewBlock(fp.Intern("detour"))
+		redirect(f, last, nb)
+		jump := MkInstr(Jump)
+		jump.Target = last
+		f.AppendInstr(nb, jump)
+	}},
+	{"remove block", func(fp *FlatProgram, f *FlatFn) {
 		if len(f.Blocks) < 3 {
 			return
 		}
-		f.RedirectEdges(f.Blocks[1], f.Blocks[2])
-		f.RemoveBlock(f.Blocks[1])
+		redirect(f, 1, 2)
+		removeBlock(f, 1)
 	}},
-	{"reorder blocks", func(f *Fn) {
+	{"reorder blocks", func(fp *FlatProgram, f *FlatFn) {
 		if len(f.Blocks) < 3 {
 			return
 		}
-		f.Blocks[1], f.Blocks[2] = f.Blocks[2], f.Blocks[1]
+		// Move block 1 to the end: copy it, send its edges to the copy,
+		// drop the original. With three blocks that swaps 1 and 2.
+		id := f.Blocks[1].ID
+		moved := fp.CloneRegion(0, []int32{1}, "")[1]
+		f.Blocks[moved].ID = id
+		redirect(f, 1, moved)
+		removeBlock(f, 1)
 	}},
-	{"frame and params", func(f *Fn) {
+	{"frame and params", func(fp *FlatProgram, f *FlatFn) {
 		f.FrameBytes = 64
 		f.FrameReg = f.NewReg()
 		if len(f.Params) > 1 {
 			f.Params = f.Params[:1]
 		}
 	}},
-	{"rename registers", func(f *Fn) {
-		RenameRegs(f.Blocks, map[Reg]Reg{2: 9})
-		f.EnsureRegs(10)
+	{"rename registers", func(fp *FlatProgram, f *FlatFn) {
+		for i := range f.Op {
+			if d, ok := f.Def(int32(i)); ok && d == 2 {
+				f.Dst[i] = 9
+			}
+			for k, n := 0, f.NumSrcs(int32(i)); k < n; k++ {
+				if o := f.Src(int32(i), k); o.Kind == KindReg && o.Reg == 2 {
+					o.Reg = 9
+				}
+			}
+		}
+		f.NextReg = max(f.NextReg, 10)
 	}},
+}
+
+// redirect points every jump and branch edge into block from at block to.
+func redirect(f *FlatFn, from, to int32) {
+	for i := range f.Target {
+		if f.Target[i] == from {
+			f.Target[i] = to
+		}
+		if f.Else[i] == from {
+			f.Else[i] = to
+		}
+	}
+}
+
+// removeBlock drops block bi with its instructions.
+func removeBlock(f *FlatFn, bi int32) {
+	keep := make([]bool, len(f.Blocks))
+	for k := range keep {
+		keep[k] = k != int(bi)
+	}
+	f.RemoveBlocks(keep)
 }
 
 // flatSnapFn is snapFn as a one-function flat program.
@@ -129,29 +170,17 @@ func flatSnapFn(t *testing.T) *FlatProgram {
 	return fp
 }
 
-// mutate applies a mutation to function 0 of fp: materialize it, edit the
-// graph, and flatten the result back into the same slot, interning any
-// block labels the edit introduced.
-func mutate(t *testing.T, fp *FlatProgram, do func(*Fn)) {
-	t.Helper()
-	f := fp.UnflattenFn(0)
-	do(f)
-	it := &interner{syms: fp.Syms, idx: make(map[string]Sym, len(fp.Syms))}
-	for i, s := range fp.Syms {
-		it.idx[s] = Sym(i)
-	}
-	ff, err := flattenFn(f, it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp.Syms = it.syms
-	fp.Fns[0] = ff
+// mutate applies a mutation to function 0 of fp.
+func mutate(fp *FlatProgram, do func(*FlatProgram, *FlatFn)) {
+	do(fp, &fp.Fns[0])
 }
 
-// text renders function 0 of fp together with the symbol-table size, which
-// a rollback must restore too.
+// text renders function 0 of fp, printed and as its raw arrays (which also
+// hold what the printer leaves out, such as a jump's operands or a dead
+// call-table entry), together with the symbol-table size, which a rollback
+// must restore too.
 func text(fp *FlatProgram) string {
-	return fmt.Sprintf("%s[%d syms]\n", fp.UnflattenFn(0), len(fp.Syms))
+	return fmt.Sprintf("%s%+v\n[%d syms]\n", fp.UnflattenFn(0), fp.Fns[0], len(fp.Syms))
 }
 
 // TestSnapshotRestoreIsByteIdentical proves rollback through the journal
@@ -162,7 +191,10 @@ func TestSnapshotRestoreIsByteIdentical(t *testing.T) {
 			fp := flatSnapFn(t)
 			want := text(fp)
 			snap := NewFlatSnapshot(fp, 0)
-			mutate(t, fp, m.do)
+			mutate(fp, m.do)
+			if text(fp) == want {
+				t.Fatalf("%s changed nothing", m.name)
+			}
 			snap.Restore()
 			if got := text(fp); got != want {
 				t.Errorf("restore not byte-identical after %s:\n--- got ---\n%s--- want ---\n%s", m.name, got, want)
@@ -183,10 +215,10 @@ func TestSnapshotUpdateAdvancesBaseline(t *testing.T) {
 			t.Run(good.name+"/then/"+bad.name, func(t *testing.T) {
 				fp := flatSnapFn(t)
 				snap := NewFlatSnapshot(fp, 0)
-				mutate(t, fp, good.do)
+				mutate(fp, good.do)
 				snap.Update()
 				want := text(fp)
-				mutate(t, fp, bad.do)
+				mutate(fp, bad.do)
 				snap.Restore()
 				if got := text(fp); got != want {
 					t.Errorf("rollback after committed %q + failed %q:\n--- got ---\n%s--- want ---\n%s",
@@ -205,7 +237,7 @@ func TestSnapshotRepeatedRestore(t *testing.T) {
 	snap := NewFlatSnapshot(fp, 0)
 	for i := 0; i < 3; i++ {
 		for _, m := range mutations {
-			mutate(t, fp, m.do)
+			mutate(fp, m.do)
 		}
 		snap.Restore()
 		if got := text(fp); got != want {
@@ -219,27 +251,8 @@ func TestSnapshotRepeatedRestore(t *testing.T) {
 func TestSnapshotCleanUpdateIsFree(t *testing.T) {
 	fp := flatSnapFn(t)
 	snap := NewFlatSnapshot(fp, 0)
-	allocs := testing.AllocsPerRun(100, func() {
-		if dirty := snap.Update(); dirty != 0 {
-			t.Fatalf("clean function reported %d dirty blocks", dirty)
-		}
-	})
-	if allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, snap.Update); allocs != 0 {
 		t.Errorf("clean Update allocates %v objects per run, want 0", allocs)
-	}
-}
-
-// TestSnapshotDirtyCount: Update counts exactly the blocks that changed.
-func TestSnapshotDirtyCount(t *testing.T) {
-	fp := flatSnapFn(t)
-	snap := NewFlatSnapshot(fp, 0)
-	f := &fp.Fns[0]
-	f.A[f.Blocks[1].InstrStart+1] = C(42)
-	if dirty := snap.Update(); dirty != 1 {
-		t.Errorf("one-block edit reported %d dirty blocks, want 1", dirty)
-	}
-	if dirty := snap.Update(); dirty != 0 {
-		t.Errorf("second Update reported %d dirty blocks, want 0", dirty)
 	}
 }
 
@@ -250,7 +263,7 @@ func TestSnapshotMatchesClone(t *testing.T) {
 	snap := NewFlatSnapshot(fp, 0)
 	ref := flatSnapFn(t)
 	for _, m := range mutations {
-		mutate(t, fp, m.do)
+		mutate(fp, m.do)
 	}
 	snap.Restore()
 	if got, want := text(fp), text(ref); got != want {

@@ -4,8 +4,8 @@ import "fmt"
 
 // opRole is one opcode's operand roles: the slots it reads, whether it
 // defines its destination, and the fields its shape requires filled. Every
-// operand walk reads it: Def on both instruction forms, Instr.SrcOperands,
-// FlatFn's SrcRegs, NumSrcs/Src and UsesReg, and VerifyFn's shape rules.
+// operand walk reads it: FlatFn's Def, SrcRegs, NumSrcs/Src and UsesReg,
+// and VerifyFn's shape rules.
 // The scheduler's DAG build and the simulator's predecode read it through
 // SrcRegs and Def.
 type opRole struct {
@@ -54,38 +54,6 @@ var opRoles = func() (t [256]opRole) {
 	t[Call] = opRole{args: true, def: true}
 	return t
 }()
-
-// Def returns the register this instruction defines, if any.
-func (in *Instr) Def() (Reg, bool) {
-	if in.Dst != NoReg && opRoles[in.Op].def {
-		return in.Dst, true
-	}
-	return NoReg, false
-}
-
-// SrcOperands returns pointers to every filled source operand slot the
-// instruction reads, enabling in-place substitution.
-func (in *Instr) SrcOperands() []*Operand {
-	var ops []*Operand
-	add := func(o *Operand) {
-		if o.Kind != KindNone {
-			ops = append(ops, o)
-		}
-	}
-	ro := &opRoles[in.Op]
-	if ro.args {
-		for i := range in.Args {
-			add(&in.Args[i])
-		}
-		return ops
-	}
-	for k, o := range [3]*Operand{&in.A, &in.B, &in.C} {
-		if k < int(ro.nsrc) {
-			add(o)
-		}
-	}
-	return ops
-}
 
 // Def returns the register instruction i defines, if any.
 func (f *FlatFn) Def(i int32) (Reg, bool) {

@@ -124,29 +124,11 @@ func slotName(f *FlatFn, o *Operand) string {
 	return "?"
 }
 
-// instrSlotName names the field of in that o points at.
-func instrSlotName(in *Instr, o *Operand) string {
-	switch o {
-	case &in.A:
-		return "A"
-	case &in.B:
-		return "B"
-	case &in.C:
-		return "C"
-	}
-	for ai := range in.Args {
-		if o == &in.Args[ai] {
-			return fmt.Sprintf("arg%d", ai)
-		}
-	}
-	return "?"
-}
-
 // TestOpRolesMatchSwitches builds one-instruction functions for every
 // opcode, and for one past the last, with every mix of filled and empty
 // destination, operand slots and width. The table-driven Def, SrcRegs,
-// Src, UsesReg, verifyFlatShape and the graph form's Def and SrcOperands
-// must agree with the switches they replaced.
+// Src, UsesReg and verifyFlatShape must agree with the switches they
+// replaced.
 func TestOpRolesMatchSwitches(t *testing.T) {
 	operands := []Operand{{}, R(1), C(-4)}
 	args := []Operand{R(2), C(7), {}, R(3), R(2)}
@@ -165,13 +147,11 @@ func TestOpRolesMatchSwitches(t *testing.T) {
 								Target: []int32{-1}, Else: []int32{-1}, CallIdx: []int32{-1},
 								Args: slices.Clone(args),
 							}
-							in := &Instr{Op: op, Dst: dst, A: a, B: b, C: c, Width: w}
 							if op == Call {
 								f.CallIdx[0] = 0
 								f.Calls = []FlatCall{{ArgStart: 0, ArgEnd: int32(len(args))}}
-								in.Args = slices.Clone(args)
 							}
-							checkRoles(t, f, in)
+							checkRoles(t, f)
 							cases++
 						}
 					}
@@ -184,9 +164,9 @@ func TestOpRolesMatchSwitches(t *testing.T) {
 	}
 }
 
-func checkRoles(t *testing.T, f *FlatFn, in *Instr) {
+func checkRoles(t *testing.T, f *FlatFn) {
 	t.Helper()
-	desc := in.Op.String()
+	desc := fmt.Sprintf("%s dst=%s a=%s b=%s c=%s w=%d", f.Op[0], f.Dst[0], f.A[0], f.B[0], f.C[0], f.Width[0])
 	var wantSlots []string
 	var wantRegs []Reg
 	refSrcSlots(f, 0, func(o *Operand) {
@@ -203,32 +183,22 @@ func checkRoles(t *testing.T, f *FlatFn, in *Instr) {
 		}
 	}
 	if !slices.Equal(gotSlots, wantSlots) {
-		t.Errorf("%s %+v: Src slots %v, want %v", desc, in, gotSlots, wantSlots)
+		t.Errorf("%s: Src slots %v, want %v", desc, gotSlots, wantSlots)
 	}
 	if got := f.SrcRegs(0, nil); !slices.Equal(got, wantRegs) {
-		t.Errorf("%s %+v: SrcRegs %v, want %v", desc, in, got, wantRegs)
+		t.Errorf("%s: SrcRegs %v, want %v", desc, got, wantRegs)
 	}
 	for r := Reg(0); r < 8; r++ {
 		if got, want := f.UsesReg(0, r), slices.Contains(wantRegs, r); got != want {
-			t.Errorf("%s %+v: UsesReg(%s) = %v, want %v", desc, in, r, got, want)
+			t.Errorf("%s: UsesReg(%s) = %v, want %v", desc, r, got, want)
 		}
 	}
 	gd, gok := f.Def(0)
 	wd, wok := refDef(f, 0)
 	if gd != wd || gok != wok {
-		t.Errorf("%s %+v: Def = %s,%v, want %s,%v", desc, in, gd, gok, wd, wok)
-	}
-	if gd, gok := in.Def(); gd != wd || gok != wok {
-		t.Errorf("%s %+v: Instr.Def = %s,%v, want %s,%v", desc, in, gd, gok, wd, wok)
-	}
-	var instrSlots []string
-	for _, o := range in.SrcOperands() {
-		instrSlots = append(instrSlots, instrSlotName(in, o))
-	}
-	if !slices.Equal(instrSlots, wantSlots) {
-		t.Errorf("%s %+v: Instr.SrcOperands slots %v, want %v", desc, in, instrSlots, wantSlots)
+		t.Errorf("%s: Def = %s,%v, want %s,%v", desc, gd, gok, wd, wok)
 	}
 	if got, want := fmt.Sprint(f.verifyFlatShape(0)), fmt.Sprint(refVerifyFlatShape(f, 0)); got != want {
-		t.Errorf("%s %+v: shape error %q, want %q", desc, in, got, want)
+		t.Errorf("%s: shape error %q, want %q", desc, got, want)
 	}
 }

@@ -216,16 +216,6 @@ type Instr struct {
 	Args   []Operand // Call only
 }
 
-// Clone returns a deep copy of the instruction. Block targets still point at
-// the original blocks; callers rewire them when cloning regions.
-func (in *Instr) Clone() *Instr {
-	cp := *in
-	if in.Args != nil {
-		cp.Args = append([]Operand(nil), in.Args...)
-	}
-	return &cp
-}
-
 // Block is a basic block: zero or more straight-line instructions followed
 // by exactly one terminator.
 type Block struct {
@@ -260,38 +250,6 @@ func (b *Block) Succs() []*Block {
 		return []*Block{t.Target, t.Else}
 	}
 	return nil
-}
-
-// Append adds an instruction before the terminator if one exists, otherwise
-// at the end.
-func (b *Block) Append(in *Instr) {
-	if t := b.Term(); t != nil {
-		b.Instrs = append(b.Instrs[:len(b.Instrs)-1], in, t)
-		return
-	}
-	b.Instrs = append(b.Instrs, in)
-}
-
-// InsertAt inserts an instruction at index i.
-func (b *Block) InsertAt(i int, in *Instr) {
-	b.Instrs = append(b.Instrs, nil)
-	copy(b.Instrs[i+1:], b.Instrs[i:])
-	b.Instrs[i] = in
-}
-
-// RemoveAt deletes the instruction at index i.
-func (b *Block) RemoveAt(i int) {
-	b.Instrs = append(b.Instrs[:i], b.Instrs[i+1:]...)
-}
-
-// Index returns the position of in within the block, or -1.
-func (b *Block) Index(in *Instr) int {
-	for i, x := range b.Instrs {
-		if x == in {
-			return i
-		}
-	}
-	return -1
 }
 
 func (b *Block) String() string {
@@ -345,7 +303,7 @@ func (f *Fn) NewReg() Reg {
 }
 
 // EnsureRegs bumps the register pool so ids below n are considered
-// allocated. Used after cloning or renaming introduces explicit ids.
+// allocated. The parser uses it after reading explicit register ids.
 func (f *Fn) EnsureRegs(n int) {
 	if Reg(n) > f.nextReg {
 		f.nextReg = Reg(n)
@@ -363,17 +321,6 @@ func (f *Fn) NewBlock(name string) *Block {
 	b.Name = name
 	f.Blocks = append(f.Blocks, b)
 	return b
-}
-
-// RemoveBlock deletes block b from the function. The caller must have
-// rewired all edges into b beforehand.
-func (f *Fn) RemoveBlock(b *Block) {
-	for i, x := range f.Blocks {
-		if x == b {
-			f.Blocks = append(f.Blocks[:i], f.Blocks[i+1:]...)
-			return
-		}
-	}
 }
 
 // Global is a statically allocated data object. The front end lays globals

@@ -62,46 +62,25 @@ func TestInstrDefUses(t *testing.T) {
 		{InsertI(6, R(1), R(2), C(3), W1), 6, true, []Reg{1, 2}},
 		{CallI(7, "f", R(1), C(2), R(3)), 7, true, []Reg{1, 3}},
 	}
+	// The instructions need not form a valid function: Flatten checks
+	// nothing but edges, and Def and SrcRegs read one instruction each.
+	f := NewFn("t", 0)
 	for _, tc := range cases {
-		d, ok := tc.in.Def()
+		f.Entry().Instrs = append(f.Entry().Instrs, tc.in)
+	}
+	fp, err := Flatten(NewProgram(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff := &fp.Fns[0]
+	for i, tc := range cases {
+		d, ok := ff.Def(int32(i))
 		if ok != tc.hasDef || (ok && d != tc.def) {
 			t.Errorf("%s: Def() = %v,%v want %v,%v", tc.in, d, ok, tc.def, tc.hasDef)
 		}
-		var uses []Reg
-		for _, o := range tc.in.SrcOperands() {
-			if r, ok := o.IsReg(); ok {
-				uses = append(uses, r)
-			}
+		if uses := ff.SrcRegs(int32(i), nil); !slices.Equal(uses, tc.uses) {
+			t.Errorf("%s: SrcRegs %v, want %v", tc.in, uses, tc.uses)
 		}
-		if !slices.Equal(uses, tc.uses) {
-			t.Errorf("%s: register sources %v, want %v", tc.in, uses, tc.uses)
-		}
-	}
-}
-
-func TestBlockEditing(t *testing.T) {
-	f := NewFn("t", 0)
-	b := f.Entry()
-	r := f.NewReg()
-	b.Instrs = append(b.Instrs, MovI(r, C(1)), RetI(R(r)))
-	ins := MovI(f.NewReg(), C(2))
-	b.Append(ins)
-	if b.Instrs[1] != ins {
-		t.Error("Append must insert before the terminator")
-	}
-	if b.Term() == nil || b.Term().Op != Ret {
-		t.Error("terminator lost")
-	}
-	if i := b.Index(ins); i != 1 {
-		t.Errorf("Index = %d, want 1", i)
-	}
-	b.InsertAt(0, MovI(f.NewReg(), C(3)))
-	if v, _ := b.Instrs[0].A.IsConst(); v != 3 {
-		t.Error("InsertAt(0) failed")
-	}
-	b.RemoveAt(0)
-	if v, _ := b.Instrs[0].A.IsConst(); v != 1 {
-		t.Error("RemoveAt(0) failed")
 	}
 }
 
@@ -161,28 +140,6 @@ func TestVerifyCatchesBadShapes(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "victim") {
 			t.Errorf("%s: error %q does not name the function", name, err)
 		}
-	}
-}
-
-func TestRenameRegs(t *testing.T) {
-	f := NewFn("t", 0)
-	r1, r2 := f.NewReg(), f.NewReg()
-	b := f.Entry()
-	b.Instrs = []*Instr{
-		BinI(Add, r1, R(r1), C(1)),
-		MovI(r2, R(r1)),
-		RetI(R(r2)),
-	}
-	nr := f.NewReg()
-	RenameRegs([]*Block{b}, map[Reg]Reg{r1: nr})
-	if b.Instrs[0].Dst != nr || b.Instrs[0].A.Reg != nr {
-		t.Error("def and self-use not renamed")
-	}
-	if b.Instrs[1].A.Reg != nr {
-		t.Error("use not renamed")
-	}
-	if b.Instrs[2].A.Reg != r2 {
-		t.Error("unrelated register renamed")
 	}
 }
 
@@ -327,19 +284,5 @@ func TestPrinterShapes(t *testing.T) {
 	dot := f.Dot()
 	if !strings.Contains(dot, "digraph") || !strings.Contains(dot, "entry") {
 		t.Errorf("dot output malformed:\n%s", dot)
-	}
-}
-
-func TestRedirectEdges(t *testing.T) {
-	f := NewFn("t", 0)
-	a := f.Entry()
-	b := f.NewBlock("b")
-	c := f.NewBlock("c")
-	a.Instrs = []*Instr{JumpI(b)}
-	b.Instrs = []*Instr{RetI(C(0))}
-	c.Instrs = []*Instr{RetI(C(1))}
-	f.RedirectEdges(b, c)
-	if a.Term().Target != c {
-		t.Error("edge not redirected")
 	}
 }

@@ -71,15 +71,16 @@ func checkFlatPass(t *testing.T, name string, seeds int, pass func(fp *rtl.FlatP
 	})
 }
 
-// check runs transform over a copy of each generated function and requires
-// valid output with unchanged behaviour.
+// check runs transform on each generated function and requires valid output
+// with unchanged behaviour. A transform flattens its input and leaves it
+// untouched, so the input is the "before" of a failure report.
 func check(t *testing.T, name string, seeds int, transform func(*rtl.Fn) *rtl.Fn) {
 	t.Helper()
 	m := machine.M68030() // tolerant of any alignment; timing irrelevant here
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		f := mustGen(t, seed)
 		want := behaviour(t, f, m)
-		f2 := transform(f.Clone())
+		f2 := transform(f)
 		if err := f2.Verify(); err != nil {
 			t.Fatalf("%s seed %d: invalid output: %v\n%s", name, seed, err, f2)
 		}

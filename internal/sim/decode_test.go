@@ -26,8 +26,8 @@ func operandIs(d dOp, o rtl.Operand) bool {
 // checkDecode predecodes fp for mach and holds every decoded instruction to
 // the pointer-graph rules applied to the Unflattened program: its fields,
 // Exec latency and occupancy from Costs.Of/OccOf, readiness sources from
-// SrcOperands, call arguments, branch targets, and the per-block and
-// phantom sentinels.
+// the flat image's SrcRegs, call arguments, branch targets, and the
+// per-block and phantom sentinels.
 func checkDecode(t testing.TB, fp *rtl.FlatProgram, mach *machine.Machine) {
 	t.Helper()
 	g := fp.Unflatten()
@@ -59,7 +59,14 @@ func checkDecode(t testing.TB, fp *rtl.FlatProgram, mach *machine.Machine) {
 			}
 			for j, in := range b.Instrs {
 				at := fmt.Sprintf("%s/%s[%d] %s", f.Name, b.Name, j, in)
-				checkInstr(t, at, img, &df.code[int(db.start)+j], in, index, &mach.Exec)
+				var srcs []int32
+				if in.Op != rtl.Call {
+					ff := &fp.Fns[fi]
+					for _, r := range ff.SrcRegs(ff.Blocks[bi].InstrStart+int32(j), nil) {
+						srcs = append(srcs, int32(r))
+					}
+				}
+				checkInstr(t, at, img, &df.code[int(db.start)+j], in, srcs, index, &mach.Exec)
 			}
 			if op := df.code[int(db.start)+len(b.Instrs)].op; op != opBadBlock {
 				t.Errorf("%s/%s: no sentinel after the block (op %v)", f.Name, b.Name, op)
@@ -72,7 +79,7 @@ func checkDecode(t testing.TB, fp *rtl.FlatProgram, mach *machine.Machine) {
 	}
 }
 
-func checkInstr(t testing.TB, at string, img *image, d *dInstr, in *rtl.Instr, index map[*rtl.Block]int32, costs *machine.Costs) {
+func checkInstr(t testing.TB, at string, img *image, d *dInstr, in *rtl.Instr, srcs []int32, index map[*rtl.Block]int32, costs *machine.Costs) {
 	t.Helper()
 	if d.op != in.Op || d.width != in.Width || d.signed != in.Signed || d.dst != int32(in.Dst) || d.disp != in.Disp {
 		t.Errorf("%s: decoded op/width/signed/dst/disp %v/%d/%t/%d/%d", at, d.op, d.width, d.signed, d.dst, d.disp)
@@ -85,14 +92,6 @@ func checkInstr(t testing.TB, at string, img *image, d *dInstr, in *rtl.Instr, i
 	}
 	if want := int64(costs.OccOf(in.Op, in.Width)); d.occ != want {
 		t.Errorf("%s: occ %d, want %d", at, d.occ, want)
-	}
-	var srcs []int32
-	if in.Op != rtl.Call {
-		for _, o := range in.SrcOperands() {
-			if r, ok := o.IsReg(); ok {
-				srcs = append(srcs, int32(r))
-			}
-		}
 	}
 	if fmt.Sprint(d.srcs[:d.nsrc]) != fmt.Sprint(srcs) {
 		t.Errorf("%s: srcs %v, want %v", at, d.srcs[:d.nsrc], srcs)

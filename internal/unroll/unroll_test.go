@@ -164,11 +164,18 @@ func TestUnrollProducesDisplacements(t *testing.T) {
 	}
 	// The pointer must advance once by 8.
 	bump := 0
-	for _, in := range body.Instrs {
-		if in.Op == rtl.Add {
-			if r, ok := in.A.IsReg(); ok {
-				if d, okd := in.Def(); okd && d == r {
-					if cst, okc := in.B.IsConst(); okc && cst == 8 {
+	ff := &fp.Fns[0]
+	for bi := range ff.Blocks {
+		if name(fp, int32(bi)) != bodyName {
+			continue
+		}
+		for k := ff.Blocks[bi].InstrStart; k < ff.Blocks[bi].InstrEnd; k++ {
+			if ff.Op[k] != rtl.Add {
+				continue
+			}
+			if r, ok := ff.A[k].IsReg(); ok {
+				if d, okd := ff.Def(k); okd && d == r {
+					if cst, okc := ff.B[k].IsConst(); okc && cst == 8 {
 						bump++
 					}
 				}

@@ -86,7 +86,7 @@ func TestFlatPipelineDifferentialRandomRTL(t *testing.T) {
 		}
 		cfg := macc.DefaultConfig()
 		cfg.Machine = m
-		p, err := macc.CompileRTL(rtl.NewProgram(fn.Clone()), cfg)
+		p, err := macc.CompileRTL(rtl.NewProgram(fn), cfg)
 		if err != nil {
 			t.Fatalf("seed %d: compile: %v", seed, err)
 		}
