@@ -82,8 +82,9 @@ type SimEntry struct {
 
 // PredecodeEntry is one paper kernel's cost to become runnable once its
 // compile is in hand: prog.NewSim(1 MiB) predecodes the flat image into a
-// simulator, and Release returns the memory arena to the pool — what every
-// cache hit that is run pays on top of the hit itself.
+// simulator, and Release returns its storage (memory arena, cache tags,
+// decoded image) to the pool — what every cache hit that is run pays on top
+// of the hit itself.
 type PredecodeEntry struct {
 	Kernel      string  `json:"kernel"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -309,7 +310,8 @@ func predecodeAllocs(p *macc.Program) float64 {
 // few objects high: the runtime seeds every map's hash at random, so how
 // the compile's maps grow varies, and a garbage collection empties the
 // pools of pass and simulator storage (the scheduler's scratch, the
-// cleaner, the simulator's arena), so the next call regrows what it draws.
+// cleaner, the pass manager's snapshots, the simulator's storage), so the
+// next call regrows what it draws.
 // The minimum does not move.
 func minAllocs(f func() error) (float64, error) {
 	var err error

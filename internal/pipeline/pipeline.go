@@ -132,6 +132,7 @@ func RunFlat(fp *rtl.FlatProgram, fi int, passes []FlatPass, opts Options) error
 	f := &fp.Fns[fi]
 	fnName := fp.Syms[f.Name]
 	good := rtl.NewFlatSnapshot(fp, fi)
+	defer good.Release()
 	for _, p := range passes {
 		if opts.Recorder != nil {
 			opts.Recorder.BeginPass(p.Name, fnName, f.NumInstrs(), len(f.Blocks))

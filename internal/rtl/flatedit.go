@@ -12,6 +12,8 @@ package rtl
 // Target/Else indices and nothing else, so no primitive has edge state to
 // keep current; cfg.FlatGraph derives the edges when a pass needs them.
 
+import "slices"
+
 // FlatInstr is the value form of one instruction, gathered from / scattered
 // to the parallel arrays. Target and Else are block indices (-1 none);
 // CallIdx indexes FlatFn.Calls (-1 for non-calls).
@@ -146,15 +148,13 @@ func (f *FlatFn) SpliceInstrs(bi int32, rel int32, del int32, ins []FlatInstr) {
 }
 
 // spliceSlice opens (or closes) a hole of n-del elements at position at.
+// The hole's contents are unspecified; SpliceInstrs overwrites them.
 func spliceSlice[T any](s *[]T, at, del int32, n int) {
 	old := *s
 	grow := n - int(del)
 	switch {
 	case grow > 0:
-		var zero T
-		for k := 0; k < grow; k++ {
-			old = append(old, zero)
-		}
+		old = slices.Grow(old, grow)[:len(old)+grow]
 		copy(old[int(at)+n:], old[at+del:])
 	case grow < 0:
 		copy(old[int(at)+n:], old[at+del:])
@@ -348,8 +348,19 @@ func (fp *FlatProgram) UnflattenFn(fi int) *Fn {
 		nextReg:    ff.NextReg,
 		nextBlk:    int(ff.NextBlk),
 	}
+	// One slab per kind: instructions, blocks, block pointers, each block's
+	// instruction pointers and call arguments. Every slice carved from a
+	// slab is capacity-capped, so appending to one cannot reach the next.
 	n := ff.NumInstrs()
+	nargs := 0
+	for _, ci := range ff.CallIdx {
+		if ci >= 0 {
+			nargs += int(ff.Calls[ci].ArgEnd - ff.Calls[ci].ArgStart)
+		}
+	}
 	islab := make([]Instr, n)
+	pslab := make([]*Instr, n)
+	aslab := make([]Operand, nargs)
 	bslab := make([]Block, len(ff.Blocks))
 	blocks := make([]*Block, len(ff.Blocks))
 	for bi := range ff.Blocks {
@@ -360,9 +371,8 @@ func (fp *FlatProgram) UnflattenFn(fi int) *Fn {
 		b := blocks[bi]
 		b.ID = int(fb.ID)
 		b.Name = fp.Syms[fb.Name]
-		nb := int(fb.InstrEnd - fb.InstrStart)
-		b.Instrs = make([]*Instr, nb)
-		for j := 0; j < nb; j++ {
+		b.Instrs = pslab[fb.InstrStart:fb.InstrEnd:fb.InstrEnd]
+		for j := range b.Instrs {
 			i := int(fb.InstrStart) + j
 			in := &islab[i]
 			in.Op = ff.Op[i]
@@ -382,8 +392,10 @@ func (fp *FlatProgram) UnflattenFn(fi int) *Fn {
 			if ci := ff.CallIdx[i]; ci >= 0 {
 				c := &ff.Calls[ci]
 				in.Callee = fp.Syms[c.Callee]
-				if c.ArgEnd > c.ArgStart {
-					in.Args = append([]Operand(nil), ff.Args[c.ArgStart:c.ArgEnd]...)
+				if k := int(c.ArgEnd - c.ArgStart); k > 0 {
+					in.Args = aslab[:k:k]
+					aslab = aslab[k:]
+					copy(in.Args, ff.Args[c.ArgStart:c.ArgEnd])
 				}
 			}
 			b.Instrs[j] = in

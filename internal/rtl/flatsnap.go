@@ -1,5 +1,7 @@
 package rtl
 
+import "sync"
+
 // FlatSnapshot is the flat pipeline's rollback journal: a last-known-good
 // image of one function captured by copying its dense arrays — no block
 // graph cloning, no per-instruction pointers, just range copies. Restore
@@ -10,6 +12,9 @@ package rtl
 // append-only, so rolling back a failed pass that interned fresh block
 // labels is a truncation, keeping the table byte-identical to a run in
 // which the pass never executed.
+//
+// Snapshots are pooled: NewFlatSnapshot draws one and captures into the
+// buffers an earlier function left in it, and Release puts it back.
 type FlatSnapshot struct {
 	p     *FlatProgram
 	fi    int
@@ -17,11 +22,24 @@ type FlatSnapshot struct {
 	nsyms int
 }
 
-// NewFlatSnapshot captures function fi of p.
+// snapshotPool recycles released snapshots with their image buffers. The
+// image holds only values (symbols are indices), so a pooled snapshot
+// keeps no program alive once Release drops its program pointer.
+var snapshotPool = sync.Pool{New: func() any { return new(FlatSnapshot) }}
+
+// NewFlatSnapshot captures function fi of p into a pooled snapshot. A
+// caller that is done with it may Release it.
 func NewFlatSnapshot(p *FlatProgram, fi int) *FlatSnapshot {
-	s := &FlatSnapshot{p: p, fi: fi}
+	s := snapshotPool.Get().(*FlatSnapshot)
+	s.p, s.fi = p, fi
 	s.Update()
 	return s
+}
+
+// Release returns the snapshot to the pool. It must not be used afterwards.
+func (s *FlatSnapshot) Release() {
+	s.p = nil
+	snapshotPool.Put(s)
 }
 
 // Update recaptures the live function as the new last-known-good image.

@@ -37,10 +37,11 @@ func TestDecodePaperKernels(t *testing.T) {
 }
 
 // TestPredecodeAllocsIndependentOfSize: NewFlat carves the decoded image
-// from one slab per kind, so the image kernel and the same kernel with its
-// loop body replicated 4x allocate the same number of objects. Each count
-// is the minimum over samples: the arena pool may drop a buffer (it does so
-// at random under the race detector), which costs one allocation.
+// from one slab per kind, held in pooled storage that Release returns, so
+// the image kernel and the same kernel with its loop body replicated 4x
+// allocate the same number of objects. Each count is the minimum over
+// samples: the storage pool may drop a storage (it does so at random under
+// the race detector), and a fresh one allocates every slab again.
 func TestPredecodeAllocsIndependentOfSize(t *testing.T) {
 	kernel := func(copies int) string {
 		var body strings.Builder
