@@ -31,7 +31,7 @@ func operandIs(d dOp, o rtl.Operand) bool {
 func checkDecode(t testing.TB, fp *rtl.FlatProgram, mach *machine.Machine) {
 	t.Helper()
 	g := fp.Unflatten()
-	img := NewFlat(fp, mach, 1<<12).img
+	img := &NewFlat(fp, mach, 1<<12).st.img
 	if len(img.fns) != len(g.Fns) {
 		t.Fatalf("decoded %d functions, program has %d", len(img.fns), len(g.Fns))
 	}

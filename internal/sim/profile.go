@@ -20,7 +20,7 @@ type BlockProfile struct {
 // counters.
 func (s *Sim) EnableProfile() {
 	s.profiling = true
-	for _, df := range s.img.fns {
+	for _, df := range s.st.img.fns {
 		df.execs = make([]int64, len(df.blocks))
 	}
 }
@@ -28,7 +28,7 @@ func (s *Sim) EnableProfile() {
 // Profile returns the blocks executed since EnableProfile, hottest first.
 func (s *Sim) Profile() []BlockProfile {
 	var out []BlockProfile
-	for _, df := range s.img.fns {
+	for _, df := range s.st.img.fns {
 		// The last entry is the phantom block (see decode); it is never
 		// reported.
 		for bi := 0; bi < len(df.execs)-1; bi++ {
