@@ -46,9 +46,7 @@ import (
 
 	"macc"
 	"macc/internal/bench"
-	"macc/internal/core"
 	"macc/internal/farm"
-	"macc/internal/machine"
 	"macc/internal/telemetry"
 	"macc/internal/telemetry/dtrace"
 )
@@ -130,31 +128,31 @@ type refStore struct {
 }
 
 // get returns the reference for (src, k), compiling and simulating locally
-// on first use. The config mirrors maccd's defaults exactly.
+// on first use. The compile reads its configuration from the same
+// CompileRequest the workers send, and the run goes through the same call
+// parser and data writer maccd uses, so the reference is the server's
+// answer without the server.
 func (rs *refStore) get(src string, k kernel) (*reference, error) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	if r, ok := rs.refs[src]; ok {
 		return r, nil
 	}
-	m, _ := machine.ByName("alpha")
-	prog, err := macc.Compile(src, macc.Config{
-		Machine:  m,
-		Optimize: true,
-		Schedule: true,
-		Unroll:   true,
-		Coalesce: core.Options{Loads: true, Stores: true},
-	})
+	cfg, err := farm.CompileRequest{Source: src}.Config()
+	if err != nil {
+		return nil, err
+	}
+	prog, err := macc.Compile(src, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("reference compile: %w", err)
 	}
 	r := &reference{rtl: prog.RTL.String()}
 	s := prog.NewSim(k.mem)
 	defer s.Release()
-	for _, d := range k.data {
-		s.WriteInts(d.Addr, 4, d.Ints)
+	if err := farm.WriteData(s, k.data); err != nil {
+		return nil, fmt.Errorf("reference data: %w", err)
 	}
-	name, args, err := parseCall(k.call)
+	name, args, err := farm.ParseCall(k.call)
 	if err != nil {
 		return nil, err
 	}
@@ -653,25 +651,4 @@ func loadArtifact(path string) (*Artifact, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &a, nil
-}
-
-// parseCall parses "fn(1,2,3)" into a name and integer arguments.
-func parseCall(s string) (string, []int64, error) {
-	open := strings.IndexByte(s, '(')
-	if open < 0 || !strings.HasSuffix(s, ")") {
-		return "", nil, fmt.Errorf("want fn(arg,...), got %q", s)
-	}
-	name := strings.TrimSpace(s[:open])
-	inner := strings.TrimSpace(s[open+1 : len(s)-1])
-	var args []int64
-	if inner != "" {
-		for _, part := range strings.Split(inner, ",") {
-			var v int64
-			if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &v); err != nil {
-				return "", nil, fmt.Errorf("bad argument %q", part)
-			}
-			args = append(args, v)
-		}
-	}
-	return name, args, nil
 }

@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"macc/internal/farm"
+)
 
 // TestQuantile pins the nearest-rank definition on known samples: the
 // q-quantile is the smallest sample with at least a fraction q of the
@@ -42,4 +46,24 @@ func seq(n int) []int64 {
 		s[i] = int64(i + 1)
 	}
 	return s
+}
+
+// TestReferenceWritesDataAtItsWidth pins the reference run to the request's
+// data path: each write lands at its own width, as maccd writes it, so a
+// kernel over shorts sees its values and not their 32-bit halves.
+func TestReferenceWritesDataAtItsWidth(t *testing.T) {
+	k := kernel{
+		name: "sum16",
+		src:  "int sum16(short *a, int n) { int s; int i; s = 0; for (i = 0; i < n; i = i + 1) { s = s + a[i]; } return s; }",
+		call: "sum16(0x1000, 5)",
+		data: []farm.DataWrite{{Addr: 4096, Width: 2, Ints: []int64{1, 2, 3, 4, 5}}},
+		mem:  1 << 16,
+	}
+	ref, err := (&refStore{}).get(k.src, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.ret != 15 {
+		t.Errorf("reference sum16 returned %d, want 15", ref.ret)
+	}
 }

@@ -94,8 +94,8 @@ import (
 	"macc"
 	"macc/internal/ccache"
 	"macc/internal/core"
+	"macc/internal/farm"
 	"macc/internal/faultinject"
-	"macc/internal/machine"
 	"macc/internal/rtl"
 	"macc/internal/rtl/codec"
 	"macc/internal/sim"
@@ -180,6 +180,21 @@ func main() {
 		fatal(errors.New("-reopt requires -in=bin"))
 	}
 
+	// The pipeline flags speak the farm's request vocabulary, so a local
+	// compile and a -server compile read them through the same Config.
+	req := farm.RunRequest{
+		CompileRequest: farm.CompileRequest{
+			Machine:   *machName,
+			Coalesce:  *coalesce,
+			Unroll:    *unrollFlag,
+			Optimize:  optimize,
+			Schedule:  schedule,
+			Registers: *regs,
+			Priority:  *priority,
+		},
+		Call: *run,
+		Mem:  *mem,
+	}
 	if *server != "" {
 		if flag.NArg() > 1 {
 			fatal(errors.New("-server compiles a single input file"))
@@ -198,56 +213,16 @@ func main() {
 				servers = append(servers, s)
 			}
 		}
-		os.Exit(runRemote(remoteOpts{
-			servers:   servers,
-			file:      flag.Arg(0),
-			machine:   *machName,
-			coalesce:  *coalesce,
-			unroll:    *unrollFlag,
-			optimize:  *optimize,
-			schedule:  *schedule,
-			registers: *regs,
-			priority:  *priority,
-			printRTL:  *printRTL,
-			reports:   *reports,
-			run:       *run,
-			mem:       *mem,
-			timeout:   *remoteTimeout,
-			traceID:   *remoteTraceID,
-		}))
+		opts := farm.ClientOptions{Peers: servers, AttemptTimeout: *remoteTimeout, Tracer: dtrace.New("macc-cli", 0)}
+		os.Exit(runRemote(opts, flag.Arg(0), req, *printRTL, *reports, *remoteTraceID))
 	}
 
-	m, ok := machine.ByName(*machName)
-	if !ok {
-		fatal(fmt.Errorf("unknown machine %q", *machName))
-	}
-	cfg := macc.Config{Machine: m, Optimize: *optimize, Schedule: *schedule}
-	switch *coalesce {
-	case "both":
-		cfg.Coalesce = core.Options{Loads: true, Stores: true}
-	case "loads":
-		cfg.Coalesce = core.Options{Loads: true}
-	case "stores":
-		cfg.Coalesce = core.Options{Stores: true}
-	case "off":
-	default:
-		fatal(fmt.Errorf("unknown -coalesce mode %q", *coalesce))
+	cfg, err := req.Config()
+	if err != nil {
+		fatal(err)
 	}
 	cfg.Coalesce.Force = *force
 	cfg.Coalesce.NoRuntimeChecks = *static
-	switch *unrollFlag {
-	case "auto":
-		cfg.Unroll = true
-	case "off":
-	default:
-		n, err := strconv.Atoi(*unrollFlag)
-		if err != nil || n < 2 {
-			fatal(fmt.Errorf("bad -unroll %q", *unrollFlag))
-		}
-		cfg.Unroll = true
-		cfg.UnrollFactor = n
-	}
-	cfg.Registers = *regs
 	cfg.Strict = *strict
 	if *dump {
 		cfg.DumpStage = dumpStages(os.Stdout)
@@ -340,19 +315,13 @@ func main() {
 	}
 
 	if *reports {
-		for _, r := range prog.Reports {
-			fmt.Printf("loop %-24s applied=%-5v %s (wide %dL/%dS, replaced %dL/%dS, sched %d->%d cycles, %d check instrs)\n",
-				r.Header, r.Applied, r.Reason, r.WideLoads, r.WideStores,
-				r.NarrowLoads, r.NarrowStores, r.CyclesOriginal, r.CyclesCoalesced, r.CheckInstrs)
-		}
+		writeReports(os.Stdout, prog.Reports)
 	}
 	if remarks.mode != "" {
 		fmt.Print(telemetry.FormatRemarks(rec.Remarks(), remarks.mode))
 	}
 	if *printRTL {
-		for _, f := range prog.RTL.Fns {
-			fmt.Print(f)
-		}
+		fmt.Print(prog.RTL)
 	}
 	if *dotFn != "" {
 		f, ok := prog.Fn(*dotFn)
@@ -362,9 +331,9 @@ func main() {
 		fmt.Print(f.Dot())
 	}
 	if *run != "" {
-		name, args, err := parseCall(*run)
+		name, args, err := farm.ParseCall(*run)
 		if err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("bad -run: %w", err))
 		}
 		s := prog.NewSim(*mem)
 		if *profile > 0 {
@@ -380,9 +349,11 @@ func main() {
 		if *profile > 0 {
 			fmt.Print(sim.FormatProfile(s.Profile(), *profile))
 		}
-		fmt.Printf("ret=%d cycles=%d instrs=%d loads=%d stores=%d memrefs=%d icache-misses=%d dcache-misses=%d\n",
-			res.Ret, res.Cycles, res.Instrs, res.Loads, res.Stores, res.MemRefs(),
-			res.ICacheMisses, res.DCacheMisses)
+		printRun(farm.RunResponse{
+			Ret: res.Ret, Cycles: res.Cycles, Instrs: res.Instrs,
+			Loads: res.Loads, Stores: res.Stores, MemRefs: res.MemRefs(),
+			ICacheMisses: res.ICacheMisses, DCacheMisses: res.DCacheMisses,
+		})
 	}
 	if *traceOut != "" {
 		fw, err := os.Create(*traceOut)
@@ -504,19 +475,13 @@ func compileOne(path string, cfg macc.Config, remarksMode string, reports, print
 		fmt.Fprintf(&errs, "macc: %s: compilation completed in degraded mode:\n%s", path, prog.Diagnostics.String())
 	}
 	if reports {
-		for _, r := range prog.Reports {
-			fmt.Fprintf(&out, "loop %-24s applied=%-5v %s (wide %dL/%dS, replaced %dL/%dS, sched %d->%d cycles, %d check instrs)\n",
-				r.Header, r.Applied, r.Reason, r.WideLoads, r.WideStores,
-				r.NarrowLoads, r.NarrowStores, r.CyclesOriginal, r.CyclesCoalesced, r.CheckInstrs)
-		}
+		writeReports(&out, prog.Reports)
 	}
 	if remarksMode != "" {
 		out.WriteString(telemetry.FormatRemarks(rec.Remarks(), remarksMode))
 	}
 	if printRTL {
-		for _, f := range prog.RTL.Fns {
-			fmt.Fprint(&out, f)
-		}
+		fmt.Fprint(&out, prog.RTL)
 	}
 	return fileResult{out: out.String(), errs: errs.String()}
 }
@@ -558,9 +523,9 @@ func runBisect(src string, isRTL bool, cfg macc.Config, run string, mem int) err
 	if run == "" {
 		return errors.New("-bisect requires -run 'fn(arg,...)'")
 	}
-	name, args, err := parseCall(run)
+	name, args, err := farm.ParseCall(run)
 	if err != nil {
-		return err
+		return fmt.Errorf("bad -run: %w", err)
 	}
 	var rp *rtl.Program
 	if isRTL {
@@ -589,28 +554,19 @@ func runBisect(src string, isRTL bool, cfg macc.Config, run string, mem int) err
 	return nil
 }
 
-// parseCall parses "fn(1,2,3)" into a name and integer arguments.
-func parseCall(s string) (string, []int64, error) {
-	open := strings.IndexByte(s, '(')
-	if open < 0 || !strings.HasSuffix(s, ")") {
-		return "", nil, fmt.Errorf("bad -run %q, want fn(arg,...)", s)
+// writeReports writes the coalescer's per-loop reports, one line a loop.
+func writeReports(w io.Writer, reports []core.LoopReport) {
+	for _, r := range reports {
+		fmt.Fprintf(w, "loop %-24s applied=%-5v %s (wide %dL/%dS, replaced %dL/%dS, sched %d->%d cycles, %d check instrs)\n",
+			r.Header, r.Applied, r.Reason, r.WideLoads, r.WideStores,
+			r.NarrowLoads, r.NarrowStores, r.CyclesOriginal, r.CyclesCoalesced, r.CheckInstrs)
 	}
-	name := strings.TrimSpace(s[:open])
-	if name == "" {
-		return "", nil, fmt.Errorf("bad -run %q: missing function name", s)
-	}
-	inner := strings.TrimSpace(s[open+1 : len(s)-1])
-	var args []int64
-	if inner != "" {
-		for _, part := range strings.Split(inner, ",") {
-			v, err := strconv.ParseInt(strings.TrimSpace(part), 0, 64)
-			if err != nil {
-				return "", nil, fmt.Errorf("bad argument %q: %v", part, err)
-			}
-			args = append(args, v)
-		}
-	}
-	return name, args, nil
+}
+
+// printRun prints the -run result line.
+func printRun(r farm.RunResponse) {
+	fmt.Printf("ret=%d cycles=%d instrs=%d loads=%d stores=%d memrefs=%d icache-misses=%d dcache-misses=%d\n",
+		r.Ret, r.Cycles, r.Instrs, r.Loads, r.Stores, r.MemRefs, r.ICacheMisses, r.DCacheMisses)
 }
 
 func fatal(err error) {

@@ -11,88 +11,48 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"time"
 
 	"macc/internal/farm"
 	"macc/internal/telemetry/dtrace"
 )
 
-// remoteOpts carries the subset of CLI flags a farm compile supports.
-type remoteOpts struct {
-	servers   []string
-	file      string
-	machine   string
-	coalesce  string
-	unroll    string
-	optimize  bool
-	schedule  bool
-	registers int
-	priority  string
-	printRTL  bool
-	reports   bool
-	run       string
-	mem       int
-	timeout   time.Duration
-	traceID   bool
-}
-
-// runRemote executes one compile (or compile+run) against the farm and
-// returns the process exit code.
-func runRemote(o remoteOpts) int {
-	src, err := os.ReadFile(o.file)
+// runRemote executes one compile (or, when req.Call is set, compile+run)
+// of the file at path against the farm and returns the process exit code.
+// opts.Tracer must be set: it roots the request's trace.
+func runRemote(opts farm.ClientOptions, path string, req farm.RunRequest, printRTL, reports, traceID bool) int {
+	src, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "macc:", err)
 		return 1
 	}
-	tracer := dtrace.New("macc-cli", 0)
-	c := farm.NewClient(farm.ClientOptions{
-		Peers:          o.servers,
-		AttemptTimeout: o.timeout,
-		Tracer:         tracer,
-	})
-
-	req := farm.CompileRequest{
-		Source:    string(src),
-		Machine:   o.machine,
-		Coalesce:  o.coalesce,
-		Unroll:    o.unroll,
-		Optimize:  &o.optimize,
-		Schedule:  &o.schedule,
-		Registers: o.registers,
-		Priority:  o.priority,
-	}
+	req.Source = string(src)
+	c := farm.NewClient(opts)
 	// Root the request's distributed trace here so the farm's spans (and a
 	// replica's /debug/trace view) include the CLI's side of the call.
-	root := tracer.StartRoot("macc -server "+o.file, dtrace.KindRequest)
+	root := opts.Tracer.StartRoot("macc -server "+path, dtrace.KindRequest)
 	ctx := dtrace.ContextWith(context.Background(), root.Context())
 	finishTrace := func() {
 		root.End()
-		if o.traceID {
+		if traceID {
 			c.ReportTrace(context.Background(), root.TraceID())
 			fmt.Fprintf(os.Stderr, "macc: trace %s (inspect at <replica>%s%s)\n",
 				root.TraceID(), farm.DebugTracePrefix, root.TraceID())
 		}
 	}
 
-	if o.run != "" {
+	if req.Call != "" {
 		var resp farm.RunResponse
-		peer, err := c.PostJSON(ctx, "/run", farm.RunRequest{
-			CompileRequest: req,
-			Call:           o.run,
-			Mem:            o.mem,
-		}, &resp)
+		peer, err := c.PostJSON(ctx, "/run", req, &resp)
 		finishTrace()
 		if err != nil {
 			return remoteFail(peer, err)
 		}
-		fmt.Printf("ret=%d cycles=%d instrs=%d loads=%d stores=%d memrefs=%d icache-misses=%d dcache-misses=%d\n",
-			resp.Ret, resp.Cycles, resp.Instrs, resp.Loads, resp.Stores, resp.MemRefs,
-			resp.ICacheMisses, resp.DCacheMisses)
+		printRun(resp)
 		return 0
 	}
 
 	var resp farm.CompileResponse
-	peer, err := c.PostJSON(ctx, "/compile", req, &resp)
+	peer, err := c.PostJSON(ctx, "/compile", req.CompileRequest, &resp)
 	finishTrace()
 	if err != nil {
 		return remoteFail(peer, err)
@@ -100,14 +60,10 @@ func runRemote(o remoteOpts) int {
 	if resp.Degraded {
 		fmt.Fprint(os.Stderr, "macc: compilation completed in degraded mode:\n"+resp.Diagnostics)
 	}
-	if o.reports {
-		for _, r := range resp.Reports {
-			fmt.Printf("loop %-24s applied=%-5v %s (wide %dL/%dS, replaced %dL/%dS, sched %d->%d cycles, %d check instrs)\n",
-				r.Header, r.Applied, r.Reason, r.WideLoads, r.WideStores,
-				r.NarrowLoads, r.NarrowStores, r.CyclesOriginal, r.CyclesCoalesced, r.CheckInstrs)
-		}
+	if reports {
+		writeReports(os.Stdout, resp.Reports)
 	}
-	if o.printRTL {
+	if printRTL {
 		fmt.Print(resp.RTL)
 	}
 	return 0

@@ -9,9 +9,7 @@ import (
 	"time"
 
 	"macc"
-	"macc/internal/core"
 	"macc/internal/faultinject"
-	"macc/internal/machine"
 )
 
 // TestDrainShedsNewWorkKeepsMetrics: after StartDrain the service refuses
@@ -126,14 +124,7 @@ func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // no cache: the ground truth every farm answer must match byte for byte.
 func referenceRTL(t *testing.T, src string) string {
 	t.Helper()
-	m, _ := machine.ByName("alpha")
-	prog, err := macc.Compile(src, macc.Config{
-		Machine:  m,
-		Optimize: true,
-		Schedule: true,
-		Unroll:   true,
-		Coalesce: core.Options{Loads: true, Stores: true},
-	})
+	prog, err := macc.Compile(src, macc.DefaultConfig())
 	if err != nil {
 		t.Fatalf("reference compile: %v", err)
 	}

@@ -23,11 +23,8 @@ import (
 
 	"macc"
 	"macc/internal/ccache"
-	"macc/internal/core"
 	"macc/internal/farm"
 	"macc/internal/faultinject"
-	"macc/internal/machine"
-	"macc/internal/rtl"
 	"macc/internal/telemetry"
 	"macc/internal/telemetry/dtrace"
 )
@@ -273,53 +270,16 @@ func (s *Server) configFor(req CompileRequest) (macc.Config, error) {
 	if strings.TrimSpace(req.Source) == "" {
 		return macc.Config{}, badRequest("missing source")
 	}
-	name := req.Machine
-	if name == "" {
-		name = "alpha"
+	cfg, err := req.Config()
+	if err != nil {
+		return macc.Config{}, badRequest("%v", err)
 	}
-	m, ok := machine.ByName(name)
-	if !ok {
-		return macc.Config{}, badRequest("unknown machine %q", name)
-	}
-	cfg := macc.Config{Machine: m, Optimize: true, Schedule: true, Cache: s.cache}
-	if req.Optimize != nil {
-		cfg.Optimize = *req.Optimize
-	}
-	if req.Schedule != nil {
-		cfg.Schedule = *req.Schedule
-	}
-	switch req.Coalesce {
-	case "", "both":
-		cfg.Coalesce = core.Options{Loads: true, Stores: true}
-	case "loads":
-		cfg.Coalesce = core.Options{Loads: true}
-	case "stores":
-		cfg.Coalesce = core.Options{Stores: true}
-	case "off":
-	default:
-		return macc.Config{}, badRequest("unknown coalesce mode %q", req.Coalesce)
-	}
-	switch req.Unroll {
-	case "", "auto":
-		cfg.Unroll = true
-	case "off":
-	default:
-		n, err := strconv.Atoi(req.Unroll)
-		if err != nil || n < 2 {
-			return macc.Config{}, badRequest("bad unroll %q", req.Unroll)
-		}
-		cfg.Unroll = true
-		cfg.UnrollFactor = n
-	}
-	if req.Registers < 0 {
-		return macc.Config{}, badRequest("negative registers")
-	}
-	cfg.Registers = req.Registers
 	switch req.Priority {
 	case "", farm.PriorityInteractive, farm.PriorityBatch:
 	default:
 		return macc.Config{}, badRequest("unknown priority %q", req.Priority)
 	}
+	cfg.Cache = s.cache
 	return cfg, nil
 }
 
@@ -470,7 +430,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	serve(s, w, r, "maccd.run_ns", func(ctx context.Context, req RunRequest) (RunResponse, error) {
-		name, args, err := parseCall(req.Call)
+		name, args, err := farm.ParseCall(req.Call)
 		if err != nil {
 			return RunResponse{}, badRequest("bad call: %v", err)
 		}
@@ -488,16 +448,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		sim := prog.NewSim(mem)
 		defer sim.Release()
 		sim.Fuel = s.maxSimFuel
-		for _, d := range req.Data {
-			w := rtl.Width(d.Width)
-			if !w.Valid() {
-				return RunResponse{}, badRequest("bad data width %d", d.Width)
-			}
-			end := d.Addr + int64(len(d.Ints))*int64(w)
-			if d.Addr < 0 || end > int64(mem) {
-				return RunResponse{}, badRequest("data write [%d, %d) outside memory", d.Addr, end)
-			}
-			sim.WriteInts(d.Addr, w, d.Ints)
+		if err := farm.WriteData(sim, req.Data); err != nil {
+			return RunResponse{}, badRequest("%v", err)
 		}
 		runSp := s.tracer.StartSpan(dtrace.FromContext(ctx), "simulate", dtrace.KindRun)
 		runSp.SetAttr("call", req.Call)
@@ -687,28 +639,4 @@ func (s *Server) handleDebugFarm(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, "peer      %-28s state=%-9s trips=%d\n", p.URL, p.State, p.Trips)
 		}
 	}
-}
-
-// parseCall parses "fn(1,2,3)" into a name and integer arguments.
-func parseCall(s string) (string, []int64, error) {
-	open := strings.IndexByte(s, '(')
-	if open < 0 || !strings.HasSuffix(s, ")") {
-		return "", nil, fmt.Errorf("want fn(arg,...), got %q", s)
-	}
-	name := strings.TrimSpace(s[:open])
-	if name == "" {
-		return "", nil, fmt.Errorf("missing function name in %q", s)
-	}
-	inner := strings.TrimSpace(s[open+1 : len(s)-1])
-	var args []int64
-	if inner != "" {
-		for _, part := range strings.Split(inner, ",") {
-			v, err := strconv.ParseInt(strings.TrimSpace(part), 0, 64)
-			if err != nil {
-				return "", nil, fmt.Errorf("bad argument %q", part)
-			}
-			args = append(args, v)
-		}
-	}
-	return name, args, nil
 }

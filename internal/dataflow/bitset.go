@@ -50,13 +50,6 @@ func (s BitSet) Copy(o BitSet) {
 	}
 }
 
-// Clone returns an independent copy of s.
-func (s BitSet) Clone() BitSet {
-	c := make(BitSet, len(s))
-	copy(c, s)
-	return c
-}
-
 // Count returns the number of elements in the set.
 func (s BitSet) Count() int {
 	n := 0

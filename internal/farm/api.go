@@ -1,7 +1,16 @@
 package farm
 
 import (
+	"errors"
+	"fmt"
+	"strconv"
+	"strings"
+
+	"macc"
 	"macc/internal/core"
+	"macc/internal/machine"
+	"macc/internal/rtl"
+	"macc/internal/sim"
 	"macc/internal/telemetry/dtrace"
 )
 
@@ -46,8 +55,9 @@ const (
 )
 
 // CompileRequest selects a source, a machine, and a pipeline configuration
-// (the same knobs as the cmd/macc flags). Zero values mean the default
-// optimizing configuration.
+// (the same knobs as the cmd/macc flags, which cmd/macc reads through this
+// type). Zero values mean the default optimizing configuration; Config is
+// the one mapping of these fields onto a macc.Config.
 type CompileRequest struct {
 	Source string `json:"source"`
 	// Machine is alpha, m88100, or m68030 (default alpha).
@@ -73,6 +83,58 @@ func (r CompileRequest) AdmissionTier() string {
 		return PriorityBatch
 	}
 	return PriorityInteractive
+}
+
+// Config maps the request's machine and pipeline fields onto a
+// macc.Config: zero values select Alpha with the clean-up passes,
+// unrolling at the heuristic factor, scheduling, and coalescing of loads
+// and stores. It rejects an unknown machine or coalescing mode, an unroll
+// factor below 2, and a negative register count. Source and Priority are
+// not read.
+func (r CompileRequest) Config() (macc.Config, error) {
+	name := r.Machine
+	if name == "" {
+		name = "alpha"
+	}
+	m, ok := machine.ByName(name)
+	if !ok {
+		return macc.Config{}, fmt.Errorf("unknown machine %q", name)
+	}
+	cfg := macc.Config{Machine: m, Optimize: true, Schedule: true}
+	if r.Optimize != nil {
+		cfg.Optimize = *r.Optimize
+	}
+	if r.Schedule != nil {
+		cfg.Schedule = *r.Schedule
+	}
+	switch r.Coalesce {
+	case "", "both":
+		cfg.Coalesce = core.Options{Loads: true, Stores: true}
+	case "loads":
+		cfg.Coalesce = core.Options{Loads: true}
+	case "stores":
+		cfg.Coalesce = core.Options{Stores: true}
+	case "off":
+	default:
+		return macc.Config{}, fmt.Errorf("unknown coalesce mode %q", r.Coalesce)
+	}
+	switch r.Unroll {
+	case "", "auto":
+		cfg.Unroll = true
+	case "off":
+	default:
+		n, err := strconv.Atoi(r.Unroll)
+		if err != nil || n < 2 {
+			return macc.Config{}, fmt.Errorf("bad unroll %q", r.Unroll)
+		}
+		cfg.Unroll = true
+		cfg.UnrollFactor = n
+	}
+	if r.Registers < 0 {
+		return macc.Config{}, errors.New("negative registers")
+	}
+	cfg.Registers = r.Registers
+	return cfg, nil
 }
 
 // CompileResponse carries the optimized RTL and the compile's side records.
@@ -103,6 +165,50 @@ type DataWrite struct {
 	Addr  int64   `json:"addr"`
 	Width int     `json:"width"` // 1, 2, 4, or 8 bytes
 	Ints  []int64 `json:"ints"`
+}
+
+// ParseCall parses a RunRequest.Call, "fn(arg, ...)", into the function
+// name and its arguments. Arguments are integers in Go syntax, so 0x10 is
+// 16; the name must not be empty.
+func ParseCall(s string) (string, []int64, error) {
+	open := strings.IndexByte(s, '(')
+	if open < 0 || !strings.HasSuffix(s, ")") {
+		return "", nil, fmt.Errorf("want fn(arg,...), got %q", s)
+	}
+	name := strings.TrimSpace(s[:open])
+	if name == "" {
+		return "", nil, fmt.Errorf("missing function name in %q", s)
+	}
+	inner := strings.TrimSpace(s[open+1 : len(s)-1])
+	var args []int64
+	if inner != "" {
+		for _, part := range strings.Split(inner, ",") {
+			v, err := strconv.ParseInt(strings.TrimSpace(part), 0, 64)
+			if err != nil {
+				return "", nil, fmt.Errorf("bad argument %q", part)
+			}
+			args = append(args, v)
+		}
+	}
+	return name, args, nil
+}
+
+// WriteData applies a RunRequest's Data to s's memory in order. A write
+// whose width is not 1, 2, 4 or 8, or whose bytes do not all lie inside
+// s.Mem, is rejected before it lands; the writes before it stay.
+func WriteData(s *sim.Sim, data []DataWrite) error {
+	for _, d := range data {
+		w := rtl.Width(d.Width)
+		if !w.Valid() {
+			return fmt.Errorf("bad data width %d", d.Width)
+		}
+		end := d.Addr + int64(len(d.Ints))*int64(w)
+		if d.Addr < 0 || end > int64(len(s.Mem)) {
+			return fmt.Errorf("data write [%d, %d) outside memory", d.Addr, end)
+		}
+		s.WriteInts(d.Addr, w, d.Ints)
+	}
+	return nil
 }
 
 // RunResponse is the simulator's verdict.

@@ -131,9 +131,6 @@ func NewClient(opts ClientOptions) *Client {
 	return c
 }
 
-// Peers returns the configured peer count.
-func (c *Client) Peers() int { return len(c.peers) }
-
 // PeerURLs returns the configured peer base URLs (trace assembly fans a
 // /debug/trace pull across these).
 func (c *Client) PeerURLs() []string {

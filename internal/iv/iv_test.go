@@ -6,8 +6,10 @@ import (
 
 	"macc/internal/cfg"
 	"macc/internal/iv"
+	"macc/internal/machine"
 	"macc/internal/opt"
 	"macc/internal/rtl"
+	"macc/internal/sim"
 )
 
 // buildArrayLoop creates the canonical pre-strength-reduction loop:
@@ -372,4 +374,110 @@ func TestStrengthReduceNegativeScale(t *testing.T) {
 		t.Errorf("descending control op = %s, want >", info.Control.Op)
 	}
 	materialize(t, fp)
+}
+
+// buildExitOnTrueLoop builds the array loop of buildArrayLoop with its
+// header test inverted: cond = op(i, n) (or op(n, i) when !ivLeft) and the
+// branch leaves the loop when cond holds, so the loop continues on false.
+func buildExitOnTrueLoop(op rtl.Op, ivLeft bool, step int64) (*rtl.Fn, rtl.Reg) {
+	f := rtl.NewFn("t", 2)
+	a, n := f.Params[0], f.Params[1]
+	entry := f.Entry()
+	header := f.NewBlock("header")
+	body := f.NewBlock("body")
+	latch := f.NewBlock("latch")
+	exit := f.NewBlock("exit")
+	i, acc, cond := f.NewReg(), f.NewReg(), f.NewReg()
+	sc, addr, val := f.NewReg(), f.NewReg(), f.NewReg()
+	x, y := rtl.R(i), rtl.R(n)
+	if !ivLeft {
+		x, y = y, x
+	}
+	entry.Instrs = []*rtl.Instr{rtl.MovI(i, rtl.C(0)), rtl.MovI(acc, rtl.C(0)), rtl.JumpI(header)}
+	header.Instrs = []*rtl.Instr{
+		rtl.SBinI(op, cond, x, y),
+		rtl.BranchI(rtl.R(cond), exit, body),
+	}
+	body.Instrs = []*rtl.Instr{
+		rtl.BinI(rtl.Shl, sc, rtl.R(i), rtl.C(1)),
+		rtl.BinI(rtl.Add, addr, rtl.R(a), rtl.R(sc)),
+		rtl.LoadI(val, rtl.R(addr), 0, rtl.W2, true),
+		rtl.BinI(rtl.Add, acc, rtl.R(acc), rtl.R(val)),
+		rtl.JumpI(latch),
+	}
+	latch.Instrs = []*rtl.Instr{rtl.BinI(rtl.Add, i, rtl.R(i), rtl.C(step)), rtl.JumpI(header)}
+	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.R(acc))}
+	return f, i
+}
+
+// TestControlContinuingOnFalse: a header that branches out of the loop when
+// its compare holds is read as the negated compare, the continue test.
+// Equality tests negate to tests the trip analysis does not accept.
+func TestControlContinuingOnFalse(t *testing.T) {
+	cases := []struct {
+		name   string
+		op     rtl.Op
+		ivLeft bool
+		step   int64
+		want   rtl.Op // the control op; 0 when no control is recognized
+	}{
+		{"exit on i >= n", rtl.SetGE, true, 1, rtl.SetLT},
+		{"exit on i > n", rtl.SetGT, true, 1, rtl.SetLE},
+		{"exit on n <= i", rtl.SetLE, false, 1, rtl.SetLT},
+		{"exit on n < i", rtl.SetLT, false, 1, rtl.SetLE},
+		{"exit on i < n, descending", rtl.SetLT, true, -1, rtl.SetGE},
+		{"exit on i <= n, descending", rtl.SetLE, true, -1, rtl.SetGT},
+		{"exit on i == n", rtl.SetEQ, true, 1, 0},
+		{"exit on i != n", rtl.SetNE, true, 1, 0},
+	}
+	for _, tc := range cases {
+		f, i := buildExitOnTrueLoop(tc.op, tc.ivLeft, tc.step)
+		_, _, info := analyze(t, f)
+		ctl := info.Control
+		switch {
+		case tc.want == 0 && ctl != nil:
+			t.Errorf("%s: control %+v recognized, want none", tc.name, ctl)
+		case tc.want != 0 && (ctl == nil || ctl.IV != i || ctl.Op != tc.want):
+			t.Errorf("%s: control %+v, want %s on the counter", tc.name, ctl, tc.want)
+		}
+	}
+}
+
+// TestReplaceTestKeepsExitOnTrue: linear function test replacement on a loop
+// that continues on false must write the exit test back, p >= pend, and the
+// loop must compute what it computed before.
+func TestReplaceTestKeepsExitOnTrue(t *testing.T) {
+	orig, _ := buildExitOnTrueLoop(rtl.SetGE, true, 1)
+	f, _ := buildExitOnTrueLoop(rtl.SetGE, true, 1)
+	fp, _, info := analyze(t, f)
+	ptrs := info.StrengthReduce()
+	if !info.ReplaceTest(ptrs) {
+		t.Fatal("test not replaced")
+	}
+	cmp := fp.Fns[0].Instr(info.Control.Cmp)
+	if r, ok := cmp.A.IsReg(); cmp.Op != rtl.SetGE || !ok || r != ptrs[0].Reg {
+		t.Errorf("rewritten header test %s %v %v, want pointer >= bound", cmp.Op, cmp.A, cmp.B)
+	}
+	materialize(t, fp)
+
+	const a = 256
+	data := []int64{3, -1, 4, 1, -5, 9}
+	for n := int64(0); n <= int64(len(data)); n++ {
+		var got [2]int64
+		for k, s := range []*sim.Sim{
+			sim.New(rtl.NewProgram(orig), machine.Alpha(), 1024),
+			sim.NewFlat(fp, machine.Alpha(), 1024),
+		} {
+			s.WriteInts(a, rtl.W2, data)
+			res, err := s.Run("t", a, n)
+			s.Release()
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			got[k] = res.Ret
+		}
+		if got[0] != got[1] {
+			t.Errorf("n=%d: replaced test returns %d, original %d", n, got[1], got[0])
+		}
+	}
 }

@@ -105,16 +105,6 @@ func (g *gen) lowerFunc() (*rtl.Fn, error) {
 
 func (g *gen) emit(in *rtl.Instr) { g.cur.Instrs = append(g.cur.Instrs, in) }
 
-// val forces an operand into a register.
-func (g *gen) val(o rtl.Operand) rtl.Reg {
-	if r, ok := o.IsReg(); ok {
-		return r
-	}
-	r := g.f.NewReg()
-	g.emit(rtl.MovI(r, o))
-	return r
-}
-
 // narrow renormalizes a 64-bit value to the canonical form of type t after
 // an implicit conversion (assignment, return, argument passing). Unsigned
 // narrow types wrap, which C defines, so they are masked. Signed int and

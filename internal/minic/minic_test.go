@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"macc/internal/machine"
 	"macc/internal/rtl"
+	"macc/internal/sim"
 )
 
 func TestLexBasics(t *testing.T) {
@@ -378,5 +380,49 @@ func TestGlobalLayout(t *testing.T) {
 	c := prog.Globals[2]
 	if c.Size != 4 || len(c.Init) != 4 || c.Init[0] != 7 || c.Init[2] != 8 {
 		t.Errorf("c encoding wrong: %+v", c)
+	}
+}
+
+// TestPointerIntArithmeticScales runs p - n, p += n and p -= n, with n a
+// register and a constant, on each pointer width: the integer side must be
+// scaled by the element size before it meets the address.
+func TestPointerIntArithmeticScales(t *testing.T) {
+	const base = 256
+	for _, el := range []struct {
+		typ string
+		w   rtl.Width
+	}{{"char", rtl.W1}, {"short", rtl.W2}, {"int", rtl.W4}, {"long", rtl.W8}} {
+		w := int64(el.w)
+		cases := []struct {
+			body string
+			args []int64
+			want int64 // the element index the function must return
+		}{
+			{"T *q; q = p - n; return *q;", []int64{base + 3*w, 2}, 1},
+			{"T *q; q = p - 2; return *q;", []int64{base + 3*w, 0}, 1},
+			{"p += n; return *p;", []int64{base, 2}, 2},
+			{"p += 3; return *p;", []int64{base, 0}, 3},
+			{"p -= n; return *p;", []int64{base + 3*w, 3}, 0},
+			{"p -= 1; return *p;", []int64{base + 3*w, 0}, 2},
+		}
+		for _, tc := range cases {
+			src := strings.ReplaceAll("T f(T *p, int n) { "+tc.body+" }", "T", el.typ)
+			prog, err := Compile(src)
+			if err != nil {
+				t.Errorf("Compile(%q): %v", src, err)
+				continue
+			}
+			s := sim.New(prog, machine.Alpha(), 1024)
+			s.WriteInts(base, el.w, []int64{10, 11, 12, 13})
+			res, err := s.Run("f", tc.args...)
+			s.Release()
+			if err != nil {
+				t.Errorf("%q%v: %v", src, tc.args, err)
+				continue
+			}
+			if res.Ret != 10+tc.want {
+				t.Errorf("%q%v = %d, want element %d (%d)", src, tc.args, res.Ret, tc.want, 10+tc.want)
+			}
+		}
 	}
 }

@@ -77,7 +77,8 @@ func wipeEntry(fp *rtl.FlatProgram, fi int) {
 var faultyPasses = []struct {
 	name      string
 	pass      pipeline.FlatPass
-	wantPanic bool // incident should carry a recovered panic + stack
+	wantPanic bool  // incident should carry a recovered panic + stack
+	wantErr   error // the error a *PassError must unwrap to, if known
 }{
 	{
 		name: "panic-in-pass",
@@ -101,10 +102,13 @@ var faultyPasses = []struct {
 		name: "pass-returned-error",
 		pass: pipeline.FlatPass{Name: "bad", Run: func(fp *rtl.FlatProgram, fi int) error {
 			wipeEntry(fp, fi)
-			return errors.New("resource exhausted")
+			return errExhausted
 		}},
+		wantErr: errExhausted,
 	},
 }
+
+var errExhausted = errors.New("resource exhausted")
 
 func TestRecoveryRollsBackAndContinues(t *testing.T) {
 	for _, tc := range faultyPasses {
@@ -170,6 +174,14 @@ func TestStrictModePropagatesPassError(t *testing.T) {
 			}
 			if tc.wantPanic != (pe.Recovered != nil) {
 				t.Errorf("Recovered = %v, wantPanic = %v", pe.Recovered, tc.wantPanic)
+			}
+			// The pass's own error stays reachable through the wrapper; a
+			// panic has none to unwrap to.
+			if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
+				t.Errorf("errors.Is(%v, %v) = false", err, tc.wantErr)
+			}
+			if tc.wantPanic && errors.Unwrap(pe) != nil {
+				t.Errorf("a panic's PassError unwraps to %v, want nil", errors.Unwrap(pe))
 			}
 			if got := fp.UnflattenFn(0).String(); got != orig {
 				t.Error("strict mode must still leave the function rolled back")
@@ -249,6 +261,10 @@ func TestBisectFindsBehaviouralCulprit(t *testing.T) {
 	if !res.Found() || res.Index != 1 || res.Pass != "culprit" {
 		t.Fatalf("bisect = %v, want culprit at index 1", res)
 	}
+	// macc -bisect prints the result as is.
+	if got, want := res.String(), `bisect: first culprit is pass 1 "culprit": diverges`; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
 }
 
 func TestBisectFindsStructuralCulprit(t *testing.T) {
@@ -276,6 +292,9 @@ func TestBisectHealthyPipeline(t *testing.T) {
 	}
 	if res.Found() {
 		t.Fatalf("healthy pipeline reported culprit %v", res)
+	}
+	if got, want := res.String(), "bisect: no culprit pass (full pipeline is healthy)"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
 	}
 }
 

@@ -292,9 +292,6 @@ func NewFn(name string, nparams int) *Fn {
 // Entry returns the function's entry block.
 func (f *Fn) Entry() *Block { return f.Blocks[0] }
 
-// NumRegs returns the number of virtual registers allocated so far.
-func (f *Fn) NumRegs() int { return int(f.nextReg) }
-
 // NewReg allocates a fresh virtual register.
 func (f *Fn) NewReg() Reg {
 	r := f.nextReg

@@ -95,23 +95,6 @@ func newStats() Stats {
 	}
 }
 
-// Add accumulates o into s.
-func (s *Stats) Add(o Stats) {
-	s.Cycles += o.Cycles
-	s.Instrs += o.Instrs
-	s.Loads += o.Loads
-	s.Stores += o.Stores
-	s.ICacheMisses += o.ICacheMisses
-	s.DCacheMisses += o.DCacheMisses
-	s.Branches += o.Branches
-	for w, n := range o.LoadsByWidth {
-		s.LoadsByWidth[w] += n
-	}
-	for w, n := range o.StoresByWidth {
-		s.StoresByWidth[w] += n
-	}
-}
-
 // Result is the outcome of one simulated call.
 type Result struct {
 	Ret int64
