@@ -46,18 +46,24 @@ sleep 1
 # Local and farm compiles must agree: macc -server sends the request that
 # a local macc reads its flags through, so the printed RTL, the loop
 # reports and the simulated run of two paper kernels are byte-identical,
-# under the default flags and at a second point of the paper's grid. Each
-# kernel's -run hits the compile its -print left in the replica's cache.
-# The check runs after the baseline load so it does not warm the replica
-# that the baseline measures.
+# under the default flags and at a second point of the paper's grid: with
+# -print -reports, with -run, with all three in one call, and with -mem 0,
+# which both modes read as 1 MiB. Each kernel's -run hits the compile its
+# -print left in the replica's cache. The check runs after the baseline
+# load so it does not warm the replica that the baseline measures.
 mkdir -p "$OUT/local-vs-farm"
 set_no=0
 for flags in "" "-machine m88100 -coalesce loads -unroll 4 -regs 8"; do
   set_no=$((set_no + 1))
   for kc in "dotproduct:dotproduct(4096,8192,64)" "convolution:convolution(4096,65536,32,32)"; do
     k=${kc%%:*}
-    for mode in print run; do
-      if [ "$mode" = print ]; then args=(-print -reports); else args=(-run "${kc#*:}"); fi
+    for mode in print run both mem0; do
+      case $mode in
+        print) args=(-print -reports) ;;
+        run) args=(-run "${kc#*:}") ;;
+        both) args=(-print -reports -run "${kc#*:}") ;;
+        mem0) args=(-mem 0 -run "${kc#*:}") ;;
+      esac
       want="$OUT/local-vs-farm/local_${set_no}_${k}_${mode}.txt"
       got="$OUT/local-vs-farm/farm_${set_no}_${k}_${mode}.txt"
       # shellcheck disable=SC2086 # $flags is a list of flags

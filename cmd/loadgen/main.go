@@ -129,9 +129,9 @@ type refStore struct {
 
 // get returns the reference for (src, k), compiling and simulating locally
 // on first use. The compile reads its configuration from the same
-// CompileRequest the workers send, and the run goes through the same call
-// parser and data writer maccd uses, so the reference is the server's
-// answer without the server.
+// CompileRequest the workers send, and the run goes through the /run
+// set-up maccd uses, so the reference is the server's answer without the
+// server.
 func (rs *refStore) get(src string, k kernel) (*reference, error) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -146,21 +146,17 @@ func (rs *refStore) get(src string, k kernel) (*reference, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reference compile: %w", err)
 	}
-	r := &reference{rtl: prog.RTL.String()}
-	s := prog.NewSim(k.mem)
-	defer s.Release()
-	if err := farm.WriteData(s, k.data); err != nil {
-		return nil, fmt.Errorf("reference data: %w", err)
-	}
-	name, args, err := farm.ParseCall(k.call)
+	run := farm.RunRequest{Call: k.call, Mem: k.mem, Data: k.data}
+	s, name, args, err := run.Prepare(func(int) (*macc.Program, error) { return prog, nil })
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("reference run: %w", err)
 	}
+	defer s.Release()
 	res, err := s.Run(name, args...)
 	if err != nil {
 		return nil, fmt.Errorf("reference run: %w", err)
 	}
-	r.ret, r.cycles = res.Ret, res.Cycles
+	r := &reference{rtl: prog.RTL.String(), ret: res.Ret, cycles: res.Cycles}
 	if rs.refs == nil {
 		rs.refs = make(map[string]*reference)
 	}
@@ -265,7 +261,6 @@ func main() {
 	label := flag.String("label", "", "free-form label recorded in the artifact")
 	chaos := flag.String("chaos", "", "chaos spec in effect on the targets (recorded, not enforced)")
 	slowest := flag.Int("slowest", 5, "slowest requests to record with trace IDs and span breakdowns (0: off)")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /metrics/history over the client registry on this address")
 
 	gate := flag.String("gate", "", "gate mode: path of the artifact to check (skips load generation)")
 	baseline := flag.String("baseline", "", "gate mode: artifact to beat on throughput")
@@ -290,17 +285,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	reg := telemetry.NewRegistry()
-	if *debugAddr != "" {
-		addr, err := telemetry.StartDebugServer(*debugAddr, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "loadgen: debug server on %s\n", addr)
-	}
-
-	art, err := run(urls, reg, *requests, *concurrency, *tenants, *zipfS, *seed, *batchFrac, *runFrac, *timeout, *slowest)
+	art, err := run(urls, *requests, *concurrency, *tenants, *zipfS, *seed, *batchFrac, *runFrac, *timeout, *slowest)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
@@ -331,14 +316,10 @@ func main() {
 	}
 }
 
-// run drives the closed-loop workers and assembles the artifact. reg is
-// the client-side metrics registry (nil: a fresh one), shared with the
-// -debug-addr continuous-profiling surface when enabled.
-func run(urls []string, reg *telemetry.Registry, requests, concurrency, tenants int, zipfS float64, seed int64,
+// run drives the closed-loop workers and assembles the artifact.
+func run(urls []string, requests, concurrency, tenants int, zipfS float64, seed int64,
 	batchFrac, runFrac float64, timeout time.Duration, slowest int) (*Artifact, error) {
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
+	reg := telemetry.NewRegistry()
 	// The tracer retains every request's trace: the slowest exemplars are
 	// often the earliest (cold) requests, which a smaller ring would evict
 	// before the post-run ReportTrace pushes them to the farm.

@@ -73,7 +73,9 @@
 //
 // With -server the compile runs on a maccd farm instead of locally, through
 // the resilient farm client (retries with failover, circuit breakers);
-// -priority batch marks the request sheddable under saturation:
+// -priority batch marks the request sheddable under saturation. Both modes
+// print the farm's compile and run responses through the same writers, so
+// the output of either is byte for byte the same:
 //
 //	macc -server http://farm0:8080,http://farm1:8080 -print prog.c
 //	macc -server http://farm0:8080 -priority batch -run 'f(4096,100)' prog.c
@@ -93,7 +95,6 @@ import (
 
 	"macc"
 	"macc/internal/ccache"
-	"macc/internal/core"
 	"macc/internal/farm"
 	"macc/internal/faultinject"
 	"macc/internal/rtl"
@@ -137,7 +138,7 @@ func main() {
 	printRTL := flag.Bool("print", false, "print the final RTL")
 	dotFn := flag.String("dot", "", "print the DOT control-flow graph of the named function")
 	run := flag.String("run", "", "run 'fn(arg,arg,...)' on the simulator")
-	mem := flag.Int("mem", 1<<20, "simulator memory size in bytes")
+	mem := flag.Int("mem", 1<<20, "simulator memory size in bytes (0 or less: 1 MiB)")
 	reports := flag.Bool("reports", false, "print the coalescer's per-loop reports")
 	regs := flag.Int("regs", 0, "register file size for the allocator (0 = virtual registers)")
 	profile := flag.Int("profile", 0, "with -run: print the n hottest basic blocks")
@@ -195,6 +196,7 @@ func main() {
 		Call: *run,
 		Mem:  *mem,
 	}
+	sh := show{reports: *reports, remarks: remarks.mode, rtl: *printRTL}
 	if *server != "" {
 		if flag.NArg() > 1 {
 			fatal(errors.New("-server compiles a single input file"))
@@ -214,7 +216,7 @@ func main() {
 			}
 		}
 		opts := farm.ClientOptions{Peers: servers, AttemptTimeout: *remoteTimeout, Tracer: dtrace.New("macc-cli", 0)}
-		os.Exit(runRemote(opts, flag.Arg(0), req, *printRTL, *reports, *remoteTraceID))
+		os.Exit(runRemote(opts, flag.Arg(0), req, sh, *remoteTraceID))
 	}
 
 	cfg, err := req.Config()
@@ -244,7 +246,7 @@ func main() {
 		if *cacheDir != "" || remarks.mode == "" {
 			cfg.Cache = ccache.New(ccache.Options{MemBudget: *cacheMem, Dir: *cacheDir})
 		}
-		os.Exit(compileMany(flag.Args(), cfg, *jobs, remarks.mode, *reports, *printRTL))
+		os.Exit(compileMany(flag.Args(), cfg, *jobs, sh))
 	}
 
 	var cache *ccache.Cache
@@ -252,12 +254,6 @@ func main() {
 		cache = ccache.New(ccache.Options{MemBudget: *cacheMem, Dir: *cacheDir})
 		cfg.Cache = cache
 	}
-
-	src, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	isRTL := strings.HasSuffix(flag.Arg(0), ".rtl")
 
 	var rec *telemetry.Recorder
 	if remarks.mode != "" || *traceOut != "" || *metricsOut != "" {
@@ -269,40 +265,22 @@ func main() {
 		if *inFmt == "bin" {
 			fatal(errors.New("-bisect needs a source input, not -in=bin"))
 		}
-		if err := runBisect(string(src), isRTL, cfg, *run, *mem); err != nil {
+		if err := runBisect(flag.Arg(0), cfg, *run, *mem); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
-	var prog *macc.Program
 	if *inFmt == "bin" {
-		// A binary flat-IR file is an already-compiled program: decode it
-		// (checksum, structural validation and verification) and load it
-		// through the driver with the passes off, unless -reopt asks for
-		// them, in which case they execute on the flat image itself.
-		fp, derr := codec.DecodeProgram(src)
-		if derr != nil {
-			fatal(derr)
-		}
+		// A binary flat-IR file is an already-compiled program: the passes
+		// stay off unless -reopt asks for them, in which case they execute
+		// on the flat image itself.
 		cfg.Optimize = cfg.Optimize && *reopt
-		prog, err = macc.OptimizeFlat(fp, cfg)
-	} else if isRTL {
-		rp, perr := rtl.ParseProgram(string(src))
-		if perr != nil {
-			fatal(perr)
-		}
-		prog, err = macc.CompileRTL(rp, cfg)
-	} else {
-		prog, err = macc.Compile(string(src), cfg)
 	}
+	prog, err := loadProgram(flag.Arg(0), cfg, *inFmt == "bin")
 	if err != nil {
 		fatal(err)
 	}
-	if prog.Diagnostics.Degraded() {
-		fmt.Fprint(os.Stderr, "macc: compilation completed in degraded mode:\n"+prog.Diagnostics.String())
-	}
-
 	if *emit == "bin" {
 		data := codec.EncodeProgram(prog.Flat)
 		if *output == "" || *output == "-" {
@@ -313,16 +291,7 @@ func main() {
 			fatal(err)
 		}
 	}
-
-	if *reports {
-		writeReports(os.Stdout, prog.Reports)
-	}
-	if remarks.mode != "" {
-		fmt.Print(telemetry.FormatRemarks(rec.Remarks(), remarks.mode))
-	}
-	if *printRTL {
-		fmt.Print(prog.RTL)
-	}
+	sh.write(os.Stdout, os.Stderr, "", farm.NewCompileResponse(prog), rec)
 	if *dotFn != "" {
 		f, ok := prog.Fn(*dotFn)
 		if !ok {
@@ -331,29 +300,9 @@ func main() {
 		fmt.Print(f.Dot())
 	}
 	if *run != "" {
-		name, args, err := farm.ParseCall(*run)
-		if err != nil {
-			fatal(fmt.Errorf("bad -run: %w", err))
-		}
-		s := prog.NewSim(*mem)
-		if *profile > 0 {
-			s.EnableProfile()
-		}
-		if rec != nil {
-			s.AttachMetrics(rec.Metrics())
-		}
-		res, err := s.Run(name, args...)
-		if err != nil {
+		if err := runLocal(os.Stdout, prog, req, *profile, rec); err != nil {
 			fatal(err)
 		}
-		if *profile > 0 {
-			fmt.Print(sim.FormatProfile(s.Profile(), *profile))
-		}
-		printRun(farm.RunResponse{
-			Ret: res.Ret, Cycles: res.Cycles, Instrs: res.Instrs,
-			Loads: res.Loads, Stores: res.Stores, MemRefs: res.MemRefs(),
-			ICacheMisses: res.ICacheMisses, DCacheMisses: res.DCacheMisses,
-		})
 	}
 	if *traceOut != "" {
 		fw, err := os.Create(*traceOut)
@@ -404,7 +353,7 @@ type fileResult struct {
 // compileMany compiles every input file on a bounded worker pool, buffering
 // each file's output so the final print is in input order regardless of
 // which worker finished first. Returns the process exit code.
-func compileMany(files []string, cfg macc.Config, jobs int, remarksMode string, reports, printRTL bool) int {
+func compileMany(files []string, cfg macc.Config, jobs int, sh show) int {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
@@ -419,7 +368,7 @@ func compileMany(files []string, cfg macc.Config, jobs int, remarksMode string, 
 		go func() {
 			defer wg.Done()
 			for i := range idxc {
-				results[i] = compileOne(files[i], cfg, remarksMode, reports, printRTL)
+				results[i] = compileOne(files[i], cfg, sh)
 			}
 		}()
 	}
@@ -442,48 +391,107 @@ func compileMany(files []string, cfg macc.Config, jobs int, remarksMode string, 
 
 // compileOne compiles a single file into a buffered result. Each compile
 // gets its own telemetry recorder; a failed file does not stop the others.
-func compileOne(path string, cfg macc.Config, remarksMode string, reports, printRTL bool) fileResult {
+func compileOne(path string, cfg macc.Config, sh show) fileResult {
 	var out, errs strings.Builder
 	fmt.Fprintf(&out, "==> %s <==\n", path)
-	fail := func(err error) fileResult {
-		fmt.Fprintf(&errs, "macc: %s: %v\n", path, err)
-		return fileResult{out: out.String(), errs: errs.String(), failed: true}
-	}
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return fail(err)
-	}
 	var rec *telemetry.Recorder
-	if remarksMode != "" {
+	if sh.remarks != "" {
 		rec = telemetry.NewRecorder()
 		cfg.Telemetry = rec
 	}
-	var prog *macc.Program
-	if strings.HasSuffix(path, ".rtl") {
-		rp, perr := rtl.ParseProgram(string(src))
-		if perr != nil {
-			return fail(perr)
-		}
-		prog, err = macc.CompileRTL(rp, cfg)
-	} else {
-		prog, err = macc.Compile(string(src), cfg)
-	}
+	prog, err := loadProgram(path, cfg, false)
 	if err != nil {
-		return fail(err)
+		fmt.Fprintf(&errs, "macc: %s: %v\n", path, err)
+		return fileResult{out: out.String(), errs: errs.String(), failed: true}
 	}
-	if prog.Diagnostics.Degraded() {
-		fmt.Fprintf(&errs, "macc: %s: compilation completed in degraded mode:\n%s", path, prog.Diagnostics.String())
-	}
-	if reports {
-		writeReports(&out, prog.Reports)
-	}
-	if remarksMode != "" {
-		out.WriteString(telemetry.FormatRemarks(rec.Remarks(), remarksMode))
-	}
-	if printRTL {
-		fmt.Fprint(&out, prog.RTL)
-	}
+	sh.write(&out, &errs, path+": ", farm.NewCompileResponse(prog), rec)
 	return fileResult{out: out.String(), errs: errs.String()}
+}
+
+// loadProgram reads one input file and compiles it under cfg. With bin set
+// the file is a binary flat-IR image, which is decoded (checksum,
+// structural validation and verification) and loaded through the driver;
+// otherwise a .rtl file is textual RTL and any other file mini-C source.
+func loadProgram(path string, cfg macc.Config, bin bool) (*macc.Program, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case bin:
+		fp, err := codec.DecodeProgram(src)
+		if err != nil {
+			return nil, err
+		}
+		return macc.OptimizeFlat(fp, cfg)
+	case strings.HasSuffix(path, ".rtl"):
+		rp, err := rtl.ParseProgram(string(src))
+		if err != nil {
+			return nil, err
+		}
+		return macc.CompileRTL(rp, cfg)
+	default:
+		return macc.Compile(string(src), cfg)
+	}
+}
+
+// show is what a compile prints besides errors: the -reports loop
+// reports, the -remarks stream in its format ("" for none), and the -print
+// RTL.
+type show struct {
+	reports bool
+	remarks string
+	rtl     bool
+}
+
+// write prints one compile as every mode prints it: the degraded-mode
+// notice on errs, then the loop reports, the remarks and the RTL on out.
+// label prefixes the notice ("" or "file: "); rec holds the remarks and is
+// read only when sh.remarks is set.
+func (sh show) write(out, errs io.Writer, label string, resp farm.CompileResponse, rec *telemetry.Recorder) {
+	if resp.Degraded {
+		fmt.Fprintf(errs, "macc: %scompilation completed in degraded mode:\n%s", label, resp.Diagnostics)
+	}
+	if sh.reports {
+		for _, r := range resp.Reports {
+			fmt.Fprintf(out, "loop %-24s applied=%-5v %s (wide %dL/%dS, replaced %dL/%dS, sched %d->%d cycles, %d check instrs)\n",
+				r.Header, r.Applied, r.Reason, r.WideLoads, r.WideStores,
+				r.NarrowLoads, r.NarrowStores, r.CyclesOriginal, r.CyclesCoalesced, r.CheckInstrs)
+		}
+	}
+	if sh.remarks != "" {
+		fmt.Fprint(out, telemetry.FormatRemarks(rec.Remarks(), sh.remarks))
+	}
+	if sh.rtl {
+		fmt.Fprint(out, resp.RTL)
+	}
+}
+
+// runLocal runs req's call on prog through the farm's /run set-up, so -run
+// and -mem read as maccd reads them, and prints the ret= line, preceded by
+// the profile hottest blocks when profile > 0. With rec set, the run's
+// counters land in its metrics.
+func runLocal(w io.Writer, prog *macc.Program, req farm.RunRequest, profile int, rec *telemetry.Recorder) error {
+	s, name, args, err := req.Prepare(func(int) (*macc.Program, error) { return prog, nil })
+	if err != nil {
+		return err
+	}
+	defer s.Release()
+	if profile > 0 {
+		s.EnableProfile()
+	}
+	if rec != nil {
+		s.AttachMetrics(rec.Metrics())
+	}
+	res, err := s.Run(name, args...)
+	if err != nil {
+		return err
+	}
+	if profile > 0 {
+		fmt.Fprint(w, sim.FormatProfile(s.Profile(), profile))
+	}
+	printRun(w, farm.NewRunResponse(res, prog.Cached))
+	return nil
 }
 
 // dumpStages is the -dump hook: a banner naming the function and stage,
@@ -519,7 +527,7 @@ func parseInject(spec string) (*faultinject.Injector, error) {
 // it rebuilds the unoptimized RTL, fingerprints its simulator behaviour,
 // and binary-searches pass prefixes for the first behavioural divergence,
 // verifier rejection, or pass panic.
-func runBisect(src string, isRTL bool, cfg macc.Config, run string, mem int) error {
+func runBisect(path string, cfg macc.Config, run string, mem int) error {
 	if run == "" {
 		return errors.New("-bisect requires -run 'fn(arg,...)'")
 	}
@@ -527,26 +535,18 @@ func runBisect(src string, isRTL bool, cfg macc.Config, run string, mem int) err
 	if err != nil {
 		return fmt.Errorf("bad -run: %w", err)
 	}
-	var rp *rtl.Program
-	if isRTL {
-		if rp, err = rtl.ParseProgram(src); err != nil {
-			return err
-		}
-	} else {
-		plain := cfg
-		plain.Optimize = false
-		plain.WrapPass = nil
-		prog, cerr := macc.Compile(src, plain)
-		if cerr != nil {
-			return cerr
-		}
-		rp = prog.RTL
-	}
-	bad, err := macc.DifferentialPredicate(rp, name, cfg, mem, [][]int64{args})
+	plain := cfg
+	plain.Optimize = false
+	plain.WrapPass = nil
+	prog, err := loadProgram(path, plain, false)
 	if err != nil {
 		return err
 	}
-	res, err := macc.Bisect(rp, name, cfg, bad)
+	bad, err := macc.DifferentialPredicate(prog.RTL, name, cfg, mem, [][]int64{args})
+	if err != nil {
+		return err
+	}
+	res, err := macc.Bisect(prog.RTL, name, cfg, bad)
 	if err != nil {
 		return err
 	}
@@ -554,18 +554,9 @@ func runBisect(src string, isRTL bool, cfg macc.Config, run string, mem int) err
 	return nil
 }
 
-// writeReports writes the coalescer's per-loop reports, one line a loop.
-func writeReports(w io.Writer, reports []core.LoopReport) {
-	for _, r := range reports {
-		fmt.Fprintf(w, "loop %-24s applied=%-5v %s (wide %dL/%dS, replaced %dL/%dS, sched %d->%d cycles, %d check instrs)\n",
-			r.Header, r.Applied, r.Reason, r.WideLoads, r.WideStores,
-			r.NarrowLoads, r.NarrowStores, r.CyclesOriginal, r.CyclesCoalesced, r.CheckInstrs)
-	}
-}
-
 // printRun prints the -run result line.
-func printRun(r farm.RunResponse) {
-	fmt.Printf("ret=%d cycles=%d instrs=%d loads=%d stores=%d memrefs=%d icache-misses=%d dcache-misses=%d\n",
+func printRun(w io.Writer, r farm.RunResponse) {
+	fmt.Fprintf(w, "ret=%d cycles=%d instrs=%d loads=%d stores=%d memrefs=%d icache-misses=%d dcache-misses=%d\n",
 		r.Ret, r.Cycles, r.Instrs, r.Loads, r.Stores, r.MemRefs, r.ICacheMisses, r.DCacheMisses)
 }
 

@@ -16,6 +16,10 @@ import (
 // negative arguments parse, and a malformed call is refused as a bad -run
 // before anything is compiled.
 func TestParseCall(t *testing.T) {
+	path := t.TempDir() + "/addone.c"
+	if err := os.WriteFile(path, []byte("int addone(int x) { return x + 1; }"), 0o666); err != nil {
+		t.Fatal(err)
+	}
 	name, args, err := farm.ParseCall("dotproduct(4096, 8192, 100)")
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +37,7 @@ func TestParseCall(t *testing.T) {
 		if _, _, err := farm.ParseCall(bad); err == nil {
 			t.Errorf("ParseCall(%q) should fail", bad)
 		}
-		err := runBisect("int addone(int x) { return x + 1; }", false, macc.Config{}, bad, 4096)
+		err := runBisect(path, macc.Config{}, bad, 4096)
 		if err == nil || !strings.Contains(err.Error(), "bad -run") {
 			t.Errorf("-bisect -run %q: err %v, want a bad -run error", bad, err)
 		}
@@ -80,8 +84,8 @@ int sum(short *a, int n) {
 	cache := ccache.New(ccache.Options{})
 	cfg.Cache = cache
 
-	first := compileOne(path, cfg, "", false, true)
-	second := compileOne(path, cfg, "", false, true)
+	first := compileOne(path, cfg, show{rtl: true})
+	second := compileOne(path, cfg, show{rtl: true})
 	if first.failed || second.failed {
 		t.Fatalf("compile failed:\n%s\n%s", first.errs, second.errs)
 	}
@@ -94,5 +98,32 @@ int sum(short *a, int n) {
 	}
 	if reg.CounterValue("ccache.mem_hits") != 1 {
 		t.Fatalf("mem_hits = %d, want 1", reg.CounterValue("ccache.mem_hits"))
+	}
+}
+
+// TestRunMemDefault pins -mem's reading: zero or a negative size means the
+// 1 MiB that maccd gives a /run request, so -mem 0 and -mem -1 run the dot
+// product exactly as -mem 1048576 does instead of trapping or panicking.
+func TestRunMemDefault(t *testing.T) {
+	prog, err := macc.Compile(bench.DotProductSrc, macc.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(mem int) string {
+		var out bytes.Buffer
+		req := farm.RunRequest{Call: "dotproduct(4096,8192,64)", Mem: mem}
+		if err := runLocal(&out, prog, req, 0, nil); err != nil {
+			t.Fatalf("-mem %d: %v", mem, err)
+		}
+		return out.String()
+	}
+	want := run(1 << 20)
+	if !strings.HasPrefix(want, "ret=") {
+		t.Fatalf("-mem 1048576 printed %q", want)
+	}
+	for _, mem := range []int{0, -1} {
+		if got := run(mem); got != want {
+			t.Errorf("-mem %d printed %q, want %q", mem, got, want)
+		}
 	}
 }

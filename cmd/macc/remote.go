@@ -2,9 +2,10 @@ package main
 
 // Remote mode: -server offloads the compile to a maccd farm through the
 // resilient farm client (retries with failover and backoff, per-peer
-// circuit breakers). The local CLI keeps its output format, so scripts
-// cannot tell a farm compile from a local one — except by its speed when
-// the farm's shared cache is warm.
+// circuit breakers). Both modes print a compile's farm.CompileResponse and
+// a run's farm.RunResponse through the same writers, so scripts cannot
+// tell a farm compile from a local one — except by its speed when the
+// farm's shared cache is warm.
 
 import (
 	"context"
@@ -16,10 +17,10 @@ import (
 	"macc/internal/telemetry/dtrace"
 )
 
-// runRemote executes one compile (or, when req.Call is set, compile+run)
-// of the file at path against the farm and returns the process exit code.
-// opts.Tracer must be set: it roots the request's trace.
-func runRemote(opts farm.ClientOptions, path string, req farm.RunRequest, printRTL, reports, traceID bool) int {
+// runRemote compiles the file at path on the farm and returns the process
+// exit code. Both of its requests ride on one trace, rooted in
+// opts.Tracer, which must be set.
+func runRemote(opts farm.ClientOptions, path string, req farm.RunRequest, sh show, traceID bool) int {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "macc:", err)
@@ -30,46 +31,16 @@ func runRemote(opts farm.ClientOptions, path string, req farm.RunRequest, printR
 	// Root the request's distributed trace here so the farm's spans (and a
 	// replica's /debug/trace view) include the CLI's side of the call.
 	root := opts.Tracer.StartRoot("macc -server "+path, dtrace.KindRequest)
-	ctx := dtrace.ContextWith(context.Background(), root.Context())
-	finishTrace := func() {
-		root.End()
-		if traceID {
-			c.ReportTrace(context.Background(), root.TraceID())
-			fmt.Fprintf(os.Stderr, "macc: trace %s (inspect at <replica>%s%s)\n",
-				root.TraceID(), farm.DebugTracePrefix, root.TraceID())
-		}
+	err = post(dtrace.ContextWith(context.Background(), root.Context()), c, req, sh)
+	root.End()
+	if traceID {
+		c.ReportTrace(context.Background(), root.TraceID())
+		fmt.Fprintf(os.Stderr, "macc: trace %s (inspect at <replica>%s%s)\n",
+			root.TraceID(), farm.DebugTracePrefix, root.TraceID())
 	}
-
-	if req.Call != "" {
-		var resp farm.RunResponse
-		peer, err := c.PostJSON(ctx, "/run", req, &resp)
-		finishTrace()
-		if err != nil {
-			return remoteFail(peer, err)
-		}
-		printRun(resp)
+	if err == nil {
 		return 0
 	}
-
-	var resp farm.CompileResponse
-	peer, err := c.PostJSON(ctx, "/compile", req.CompileRequest, &resp)
-	finishTrace()
-	if err != nil {
-		return remoteFail(peer, err)
-	}
-	if resp.Degraded {
-		fmt.Fprint(os.Stderr, "macc: compilation completed in degraded mode:\n"+resp.Diagnostics)
-	}
-	if reports {
-		writeReports(os.Stdout, resp.Reports)
-	}
-	if printRTL {
-		fmt.Print(resp.RTL)
-	}
-	return 0
-}
-
-func remoteFail(peer string, err error) int {
 	var se *farm.StatusError
 	switch {
 	case errors.As(err, &se):
@@ -80,4 +51,26 @@ func remoteFail(peer string, err error) int {
 		fmt.Fprintf(os.Stderr, "macc: remote: %v\n", err)
 	}
 	return 1
+}
+
+// post sends /compile when there is no call or when the compile's reports
+// or RTL are asked for, then /run when there is a call, and prints each
+// answer as a local compile prints it. The /run compiles the same request
+// again, a cache hit on the replica.
+func post(ctx context.Context, c *farm.Client, req farm.RunRequest, sh show) error {
+	if req.Call == "" || sh.reports || sh.rtl {
+		var resp farm.CompileResponse
+		if _, err := c.PostJSON(ctx, "/compile", req.CompileRequest, &resp); err != nil {
+			return err
+		}
+		sh.write(os.Stdout, os.Stderr, "", resp, nil)
+	}
+	if req.Call != "" {
+		var resp farm.RunResponse
+		if _, err := c.PostJSON(ctx, "/run", req, &resp); err != nil {
+			return err
+		}
+		printRun(os.Stdout, resp)
+	}
+	return nil
 }

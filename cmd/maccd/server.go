@@ -409,48 +409,36 @@ func (s *Server) fail(w http.ResponseWriter, code int, msg string) {
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	serve(s, w, r, "maccd.compile_ns", func(ctx context.Context, req CompileRequest) (CompileResponse, error) {
-		prog, _, err := s.compile(ctx, req)
+		prog, err := s.compile(ctx, req)
 		if err != nil {
 			return CompileResponse{}, err
 		}
-		resp := CompileResponse{
-			RTL:      prog.RTL.String(),
-			Machine:  prog.Machine.Name,
-			Cached:   prog.Cached,
-			Degraded: prog.Diagnostics.Degraded(),
-			Reports:  prog.Reports,
-			Unrolled: prog.Unrolled,
-		}
-		if resp.Degraded {
-			resp.Diagnostics = prog.Diagnostics.String()
-		}
-		return resp, nil
+		return farm.NewCompileResponse(prog), nil
 	})
 }
 
+// handleRun adds maccd's policy to the farm's /run set-up: the memory
+// bound, checked before compiling, the fuel bound, and the simulate span.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	serve(s, w, r, "maccd.run_ns", func(ctx context.Context, req RunRequest) (RunResponse, error) {
-		name, args, err := farm.ParseCall(req.Call)
+		var prog *macc.Program
+		sim, name, args, err := req.Prepare(func(mem int) (*macc.Program, error) {
+			if mem > s.maxSimMem {
+				return nil, badRequest("mem %d exceeds limit %d", mem, s.maxSimMem)
+			}
+			var err error
+			prog, err = s.compile(ctx, req.CompileRequest)
+			return prog, err
+		})
 		if err != nil {
-			return RunResponse{}, badRequest("bad call: %v", err)
-		}
-		mem := req.Mem
-		if mem <= 0 {
-			mem = 1 << 20
-		}
-		if mem > s.maxSimMem {
-			return RunResponse{}, badRequest("mem %d exceeds limit %d", mem, s.maxSimMem)
-		}
-		prog, _, err := s.compile(ctx, req.CompileRequest)
-		if err != nil {
+			var he *httpError
+			if !errors.As(err, &he) {
+				err = badRequest("%v", err)
+			}
 			return RunResponse{}, err
 		}
-		sim := prog.NewSim(mem)
 		defer sim.Release()
 		sim.Fuel = s.maxSimFuel
-		if err := farm.WriteData(sim, req.Data); err != nil {
-			return RunResponse{}, badRequest("%v", err)
-		}
 		runSp := s.tracer.StartSpan(dtrace.FromContext(ctx), "simulate", dtrace.KindRun)
 		runSp.SetAttr("call", req.Call)
 		res, err := sim.Run(name, args...)
@@ -460,17 +448,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			return RunResponse{}, fmt.Errorf("run: %w", err)
 		}
 		runSp.End()
-		return RunResponse{
-			Ret:          res.Ret,
-			Cycles:       res.Cycles,
-			Instrs:       res.Instrs,
-			Loads:        res.Loads,
-			Stores:       res.Stores,
-			MemRefs:      res.MemRefs(),
-			ICacheMisses: res.ICacheMisses,
-			DCacheMisses: res.DCacheMisses,
-			Cached:       prog.Cached,
-		}, nil
+		return farm.NewRunResponse(res, prog.Cached), nil
 	})
 }
 
@@ -478,18 +456,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // ingress span's context; a per-request recorder lets a cold compile's
 // pass spans link into the request trace (warm hits and singleflight
 // waiters record cache-tier spans instead).
-func (s *Server) compile(ctx context.Context, req CompileRequest) (*macc.Program, macc.Config, error) {
+func (s *Server) compile(ctx context.Context, req CompileRequest) (*macc.Program, error) {
 	cfg, err := s.configFor(req)
 	if err != nil {
-		return nil, cfg, err
+		return nil, err
 	}
 	cfg.Telemetry = telemetry.NewRecorder()
 	cfg.Tracer = s.tracer
 	prog, err := macc.CompileCtx(ctx, req.Source, cfg)
 	if err != nil {
-		return nil, cfg, badRequest("compile: %v", err)
+		return nil, badRequest("compile: %v", err)
 	}
-	return prog, cfg, nil
+	return prog, nil
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -43,7 +43,6 @@ func main() {
 	md := flag.Bool("md", false, "render tables as markdown instead of aligned text")
 	diff := flag.Bool("diff", false, "diff two artifacts: optreport -diff old.json new.json")
 	gate := flag.Bool("gate", false, "with -diff: exit nonzero on any coalescing regression")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /metrics/history on this address while running")
 	flag.Parse()
 
 	if *diff {
@@ -63,14 +62,6 @@ func main() {
 		}
 		runDiff(paths[0], paths[1], *gate)
 		return
-	}
-
-	if *debugAddr != "" {
-		addr, err := telemetry.StartDebugServer(*debugAddr, nil)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "optreport: debug server on %s\n", addr)
 	}
 
 	machines, err := parseMachines(*machinesFlag)

@@ -48,17 +48,7 @@ func main() {
 	dumpDir := flag.String("dump-kernels", "", "write each benchmark's C source into this directory")
 	jobs := flag.Int("j", 0, "worker pool width for table measurement (0 = GOMAXPROCS; output is identical at any width)")
 	traceOut := flag.String("trace", "", "write a merged per-worker Chrome trace of the table's compiles to this path")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /metrics/history on this address while measuring")
 	flag.Parse()
-
-	if *debugAddr != "" {
-		addr, err := telemetry.StartDebugServer(*debugAddr, nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tables:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "tables: debug server on %s\n", addr)
-	}
 
 	wl := bench.DefaultWorkload()
 	if *quick {

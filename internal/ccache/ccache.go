@@ -18,7 +18,7 @@
 // startup (see migrate).
 //
 // Concurrent identical compiles are deduplicated singleflight-style:
-// GetOrCompute runs the compute function once per key, and every concurrent
+// GetOrComputeCtx runs the compute function once per key, and every concurrent
 // caller shares the result. Callers must treat a returned Entry as
 // immutable.
 package ccache
@@ -287,13 +287,6 @@ func New(opts Options) *Cache {
 // ccache.bytes.
 func (c *Cache) Metrics() *telemetry.Registry { return c.reg }
 
-// Len returns the number of memory-tier entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.byKey)
-}
-
 // Bytes returns the memory tier's current byte cost.
 func (c *Cache) Bytes() int64 {
 	c.mu.Lock()
@@ -398,23 +391,17 @@ func (c *Cache) Put(key Key, e Entry) {
 	}
 }
 
-// GetOrCompute returns the cached entry for key, or runs compute exactly
+// GetOrComputeCtx returns the cached entry for key, or runs compute exactly
 // once — concurrently requested identical keys share the single in-flight
 // computation (and each waiter counts as ccache.dedup_waiters). hit reports
 // whether the result came from the cache or a shared flight rather than
 // this caller's own compute. A compute error is shared with every waiter
 // and nothing is stored.
-func (c *Cache) GetOrCompute(key Key, compute func() (Entry, error)) (e Entry, hit bool, err error) {
-	return c.GetOrComputeCtx(context.Background(), key, func(context.Context) (Entry, error) {
-		return compute()
-	})
-}
-
-// GetOrComputeCtx is GetOrCompute with trace propagation: the tier lookup
-// records its cache span, a waiter joining an existing flight records a
-// wait span covering the time spent parked behind the leader, and the
-// leader's compute runs under a compute span whose context reaches the
-// pipeline (so per-pass spans nest beneath it).
+//
+// The tier lookup records its cache span, a waiter joining an existing
+// flight records a wait span covering the time spent parked behind the
+// leader, and the leader's compute runs under a compute span whose context
+// reaches the pipeline (so per-pass spans nest beneath it).
 func (c *Cache) GetOrComputeCtx(ctx context.Context, key Key, compute func(context.Context) (Entry, error)) (e Entry, hit bool, err error) {
 	if e, ok := c.GetCtx(ctx, key); ok {
 		return e, true, nil

@@ -154,7 +154,8 @@ type RunRequest struct {
 	CompileRequest
 	// Call is "fn(arg, ...)" with integer arguments.
 	Call string `json:"call"`
-	// Mem is the simulator memory size in bytes (default 1 MiB).
+	// Mem is the simulator memory size in bytes; zero or negative means
+	// 1 MiB.
 	Mem int `json:"mem,omitempty"`
 	// Data writes integer arrays into memory before the run.
 	Data []DataWrite `json:"data,omitempty"`
@@ -193,10 +194,10 @@ func ParseCall(s string) (string, []int64, error) {
 	return name, args, nil
 }
 
-// WriteData applies a RunRequest's Data to s's memory in order. A write
+// writeData applies a RunRequest's Data to s's memory in order. A write
 // whose width is not 1, 2, 4 or 8, or whose bytes do not all lie inside
 // s.Mem, is rejected before it lands; the writes before it stay.
-func WriteData(s *sim.Sim, data []DataWrite) error {
+func writeData(s *sim.Sim, data []DataWrite) error {
 	for _, d := range data {
 		w := rtl.Width(d.Width)
 		if !w.Valid() {
@@ -209,6 +210,69 @@ func WriteData(s *sim.Sim, data []DataWrite) error {
 		s.WriteInts(d.Addr, w, d.Ints)
 	}
 	return nil
+}
+
+// Prepare is the one /run set-up, shared by maccd's /run, macc -run and
+// loadgen's reference runs. It parses r.Call, sizes the simulator's memory
+// (Mem <= 0 means 1 MiB), obtains the program from compile, builds the
+// simulator and writes r.Data into it. compile is handed the memory size
+// first, so a caller can bound it before compiling. A bad call fails as
+// "bad call: …" before compile is called, and compile's error is returned
+// as it is. When a step after the simulator is built fails, the simulator
+// is released.
+func (r RunRequest) Prepare(compile func(mem int) (*macc.Program, error)) (*sim.Sim, string, []int64, error) {
+	name, args, err := ParseCall(r.Call)
+	if err != nil {
+		return nil, "", nil, fmt.Errorf("bad call: %w", err)
+	}
+	mem := r.Mem
+	if mem <= 0 {
+		mem = 1 << 20
+	}
+	prog, err := compile(mem)
+	if err != nil {
+		return nil, "", nil, err
+	}
+	s := prog.NewSim(mem)
+	if err := writeData(s, r.Data); err != nil {
+		s.Release()
+		return nil, "", nil, err
+	}
+	return s, name, args, nil
+}
+
+// NewCompileResponse is the one CompileResponse for a compiled program:
+// its printed RTL, machine, cache state, loop reports and unroll factors,
+// and the diagnostics when the compile degraded.
+func NewCompileResponse(p *macc.Program) CompileResponse {
+	resp := CompileResponse{
+		RTL:      p.RTL.String(),
+		Machine:  p.Machine.Name,
+		Cached:   p.Cached,
+		Degraded: p.Diagnostics.Degraded(),
+		Reports:  p.Reports,
+		Unrolled: p.Unrolled,
+	}
+	if resp.Degraded {
+		resp.Diagnostics = p.Diagnostics.String()
+	}
+	return resp
+}
+
+// NewRunResponse is the one RunResponse for a finished run; cached says
+// whether the program came from a compile cache.
+func NewRunResponse(res sim.Result, cached bool) RunResponse {
+	return RunResponse{
+		Ret:          res.Ret,
+		Cycles:       res.Cycles,
+		Instrs:       res.Instrs,
+		Loads:        res.Loads,
+		Stores:       res.Stores,
+		MemRefs:      res.MemRefs(),
+		ICacheMisses: res.ICacheMisses,
+		DCacheMisses: res.DCacheMisses,
+		Cached:       cached,
+	}
 }
 
 // RunResponse is the simulator's verdict.

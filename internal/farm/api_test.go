@@ -1,7 +1,9 @@
 package farm
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"macc"
@@ -148,7 +150,7 @@ func TestWriteData(t *testing.T) {
 	}
 	s := prog.NewSim(64)
 	defer s.Release()
-	if err := WriteData(s, []DataWrite{
+	if err := writeData(s, []DataWrite{
 		{Addr: 0, Width: 2, Ints: []int64{1, -2}},
 		{Addr: 8, Width: 8, Ints: []int64{7}},
 		{Addr: 60, Width: 4, Ints: []int64{9}},
@@ -171,11 +173,63 @@ func TestWriteData(t *testing.T) {
 		{Addr: 61, Width: 4, Ints: []int64{1}},
 		{Addr: 56, Width: 8, Ints: []int64{1, 2}},
 	} {
-		if err := WriteData(s, []DataWrite{bad}); err == nil {
-			t.Errorf("WriteData(%+v) accepted, want an error", bad)
+		if err := writeData(s, []DataWrite{bad}); err == nil {
+			t.Errorf("writeData(%+v) accepted, want an error", bad)
 		}
 	}
 	if got := s.ReadInts(56, rtl.W8, 1, false); got[0] != 9<<32 {
 		t.Errorf("a refused write changed memory: [56, 64) holds %#x", got[0])
+	}
+}
+
+func TestRunRequestPrepare(t *testing.T) {
+	prog, err := macc.Compile("int sum2(int *a) { a[2] = a[0] + a[1]; return a[2]; }", macc.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiledAt := 0
+	compile := func(mem int) (*macc.Program, error) {
+		compiledAt = mem
+		return prog, nil
+	}
+	for _, tc := range []struct{ mem, want int }{{0, 1 << 20}, {-1, 1 << 20}, {4096, 4096}} {
+		req := RunRequest{Call: "sum2(0x100)", Mem: tc.mem, Data: []DataWrite{{Addr: 256, Width: 4, Ints: []int64{3, 4}}}}
+		s, name, args, err := req.Prepare(compile)
+		if err != nil {
+			t.Fatalf("Mem %d: %v", tc.mem, err)
+		}
+		if compiledAt != tc.want || len(s.Mem) != tc.want {
+			t.Errorf("Mem %d: compile saw %d, simulator has %d bytes, want %d", tc.mem, compiledAt, len(s.Mem), tc.want)
+		}
+		res, err := s.Run(name, args...)
+		s.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := NewRunResponse(res, true)
+		if resp.Ret != 7 || resp.Loads != res.Loads || resp.Stores != 1 || resp.MemRefs != res.Loads+res.Stores || !resp.Cached {
+			t.Errorf("Mem %d: run answered %+v from %+v", tc.mem, resp, res)
+		}
+	}
+
+	compiledAt = 0
+	if _, _, _, err := (RunRequest{Call: "sum2(1"}).Prepare(compile); err == nil || !strings.HasPrefix(err.Error(), "bad call: ") {
+		t.Errorf("bad call: err %v, want a bad call error", err)
+	}
+	if compiledAt != 0 {
+		t.Error("a bad call reached compile")
+	}
+	boom := errors.New("boom")
+	if _, _, _, err := (RunRequest{Call: "sum2(0)"}).Prepare(func(int) (*macc.Program, error) { return nil, boom }); err != boom {
+		t.Errorf("compile error came back as %v", err)
+	}
+	for _, bad := range []DataWrite{
+		{Addr: 0, Width: 3, Ints: []int64{1}},
+		{Addr: 4092, Width: 4, Ints: []int64{1, 2}},
+	} {
+		req := RunRequest{Call: "sum2(0)", Mem: 4096, Data: []DataWrite{bad}}
+		if s, _, _, err := req.Prepare(compile); err == nil || s != nil {
+			t.Errorf("data %+v: simulator %v, err %v, want an error and no simulator", bad, s, err)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"net"
 	"net/http"
 	"net/http/pprof"
 )
@@ -9,7 +8,7 @@ import (
 // AttachPprof mounts the net/http/pprof handlers under /debug/pprof/ on
 // mux. It exists (rather than importing net/http/pprof for its side effect)
 // so the profiling surface lands only on the mux the caller chose — the
-// -debug-addr listener, never the production one — and never on
+// maccd -debug-addr listener, never the production one — and never on
 // http.DefaultServeMux.
 func AttachPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -17,37 +16,4 @@ func AttachPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// DebugMux builds the continuous-profiling surface: /debug/pprof/* and,
-// when hist is non-nil, /metrics/history.
-func DebugMux(hist *History) *http.ServeMux {
-	mux := http.NewServeMux()
-	AttachPprof(mux)
-	if hist != nil {
-		mux.Handle("/metrics/history", hist)
-	}
-	return mux
-}
-
-// StartDebugServer serves DebugMux on addr in a background goroutine and
-// returns the bound address (useful with a ":0" port). A history ring over
-// reg (a fresh registry when nil) records at the default interval for the
-// life of the process — batch tools like cmd/tables, cmd/loadgen, and
-// cmd/optreport wire this behind their -debug-addr flag so a long corpus
-// run can be profiled live.
-func StartDebugServer(addr string, reg *Registry) (string, error) {
-	if reg == nil {
-		reg = NewRegistry()
-	}
-	hist := NewHistory(reg, 0)
-	hist.Record()
-	hist.Start(0)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	srv := &http.Server{Handler: DebugMux(hist)}
-	go srv.Serve(ln)
-	return ln.Addr().String(), nil
 }

@@ -84,17 +84,3 @@ func TestHistoryJSONAndHTTP(t *testing.T) {
 		t.Errorf("HTTP serve: code %d body %q", rr.Code, rr.Body.String())
 	}
 }
-
-func TestDebugMuxServesPprofAndHistory(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	h := telemetry.NewHistory(reg, 0)
-	h.Record()
-	mux := telemetry.DebugMux(h)
-	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/metrics/history"} {
-		rr := httptest.NewRecorder()
-		mux.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
-		if rr.Code != 200 {
-			t.Errorf("GET %s = %d, want 200", path, rr.Code)
-		}
-	}
-}

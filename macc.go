@@ -212,20 +212,15 @@ func compileSource(ctx context.Context, src string, cfg Config) (*Program, error
 // compile is keyed by the program's printed text; on a hit rp is left
 // untouched and the cached result is returned instead.
 func CompileRTL(rp *rtl.Program, cfg Config) (*Program, error) {
-	return CompileRTLCtx(context.Background(), rp, cfg)
-}
-
-// CompileRTLCtx is CompileRTL with context propagation (see CompileCtx).
-func CompileRTLCtx(ctx context.Context, rp *rtl.Program, cfg Config) (*Program, error) {
 	if cfg.Machine == nil {
 		cfg.Machine = machine.Alpha()
 	}
 	if cfg.usesCache() {
-		return compileCached(ctx, rp.String(), cfg, func(ctx context.Context) (*Program, error) {
+		return compileCached(context.Background(), rp.String(), cfg, func(ctx context.Context) (*Program, error) {
 			return compileProgram(ctx, rp, cfg)
 		})
 	}
-	return compileProgram(ctx, rp, cfg)
+	return compileProgram(context.Background(), rp, cfg)
 }
 
 // compileProgram is the cold path: flatten the front end's output once and
