@@ -265,7 +265,7 @@ func main() {
 		if *inFmt == "bin" {
 			fatal(errors.New("-bisect needs a source input, not -in=bin"))
 		}
-		if err := runBisect(flag.Arg(0), cfg, *run, *mem); err != nil {
+		if err := runBisect(os.Stdout, flag.Arg(0), cfg, *run, *mem); err != nil {
 			fatal(err)
 		}
 		return
@@ -523,11 +523,11 @@ func parseInject(spec string) (*faultinject.Injector, error) {
 	return inj, nil
 }
 
-// runBisect identifies the first pipeline pass that breaks the -run call:
-// it rebuilds the unoptimized RTL, fingerprints its simulator behaviour,
-// and binary-searches pass prefixes for the first behavioural divergence,
-// verifier rejection, or pass panic.
-func runBisect(path string, cfg macc.Config, run string, mem int) error {
+// runBisect identifies the first pipeline pass that breaks the -run call
+// and prints it on w: it rebuilds the unoptimized flat image, fingerprints
+// its simulator behaviour, and binary-searches pass prefixes for the first
+// behavioural divergence, verifier rejection, or pass panic.
+func runBisect(w io.Writer, path string, cfg macc.Config, run string, mem int) error {
 	if run == "" {
 		return errors.New("-bisect requires -run 'fn(arg,...)'")
 	}
@@ -538,19 +538,20 @@ func runBisect(path string, cfg macc.Config, run string, mem int) error {
 	plain := cfg
 	plain.Optimize = false
 	plain.WrapPass = nil
+	plain.Cache = nil // Bisect rewrites the image in place: it must not be a cache entry's
 	prog, err := loadProgram(path, plain, false)
 	if err != nil {
 		return err
 	}
-	bad, err := macc.DifferentialPredicate(prog.RTL, name, cfg, mem, [][]int64{args})
+	bad, err := macc.DifferentialPredicate(prog.Flat, name, cfg, mem, [][]int64{args})
 	if err != nil {
 		return err
 	}
-	res, err := macc.Bisect(prog.RTL, name, cfg, bad)
+	res, err := macc.Bisect(prog.Flat, name, cfg, bad)
 	if err != nil {
 		return err
 	}
-	fmt.Println(res)
+	fmt.Fprintln(w, res)
 	return nil
 }
 

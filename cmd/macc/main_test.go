@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -37,7 +38,7 @@ func TestParseCall(t *testing.T) {
 		if _, _, err := farm.ParseCall(bad); err == nil {
 			t.Errorf("ParseCall(%q) should fail", bad)
 		}
-		err := runBisect(path, macc.Config{}, bad, 4096)
+		err := runBisect(io.Discard, path, macc.Config{}, bad, 4096)
 		if err == nil || !strings.Contains(err.Error(), "bad -run") {
 			t.Errorf("-bisect -run %q: err %v, want a bad -run error", bad, err)
 		}
@@ -123,6 +124,39 @@ func TestRunMemDefault(t *testing.T) {
 	}
 	for _, mem := range []int{0, -1} {
 		if got := run(mem); got != want {
+			t.Errorf("-mem %d printed %q, want %q", mem, got, want)
+		}
+	}
+}
+
+// TestBisectMemDefault pins -bisect's reading of -mem: the simulator's own
+// rule, as for -run, so -mem 0 and -mem -1 bisect the dot product in 1 MiB
+// and print the culprit line -mem 1048576 prints, instead of failing the
+// reference run or panicking.
+func TestBisectMemDefault(t *testing.T) {
+	path := t.TempDir() + "/dotproduct.c"
+	if err := os.WriteFile(path, []byte(bench.DotProductSrc), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	bisect := func(mem int) string {
+		inj, err := parseInject("schedule:flip-op:3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := macc.DefaultConfig()
+		cfg.WrapPass = inj.Hook()
+		var out bytes.Buffer
+		if err := runBisect(&out, path, cfg, "dotproduct(0,4096,100)", mem); err != nil {
+			t.Fatalf("-mem %d: %v", mem, err)
+		}
+		return out.String()
+	}
+	want := bisect(1 << 20)
+	if !strings.HasPrefix(want, `bisect: first culprit is pass 5 "schedule"`) {
+		t.Fatalf("-mem 1048576 printed %q", want)
+	}
+	for _, mem := range []int{0, -1} {
+		if got := bisect(mem); got != want {
 			t.Errorf("-mem %d printed %q, want %q", mem, got, want)
 		}
 	}

@@ -87,7 +87,11 @@ func FuzzPipelinePreservation(f *testing.F) {
 		}
 		m := machine.M68030()
 		run := func(fn *rtl.Fn) (int64, []byte) {
-			s := sim.New(rtl.NewProgram(fn), m, rtlgen.MemWindow*2)
+			fp, err := rtl.Flatten(rtl.NewProgram(fn))
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			s := sim.NewFlat(fp, m, rtlgen.MemWindow*2)
 			s.Fuel = 1 << 22
 			res, err := s.Run("f", 11, 22, 33)
 			if err != nil {

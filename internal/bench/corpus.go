@@ -50,7 +50,7 @@ func (o CorpusOutcome) Ok() bool { return len(o.Miscompiles) == 0 && len(o.Failu
 // RunCorpus pushes every (program × machine) pair through the unoptimized
 // reference compile and each coalescing configuration, verifying that
 // optimization preserved the program's behaviour fingerprint
-// (pipeline.Behavior over the program's concrete arguments) and handing
+// (pipeline.BehaviorFlat over the program's concrete arguments) and handing
 // each optimized compile's remarks to fold. Work is spread over the given
 // number of workers (0 means GOMAXPROCS); the outcome is deterministic
 // regardless of worker count.
@@ -102,7 +102,7 @@ func runCorpusJob(p rtlgen.CorpusProgram, m *machine.Machine, fold CorpusFold,
 		fail("%s/%s: reference compile: %v", p.Name, m.Name, err)
 		return
 	}
-	refFP, err := pipeline.Behavior(refProg.RTL, m, p.MemBytes, p.Entry, [][]int64{p.Args})
+	refFP, err := pipeline.BehaviorFlat(refProg.Flat, m, p.MemBytes, p.Entry, [][]int64{p.Args})
 	if err != nil {
 		fail("%s/%s: reference run: %v", p.Name, m.Name, err)
 		return
@@ -121,7 +121,7 @@ func runCorpusJob(p rtlgen.CorpusProgram, m *machine.Machine, fold CorpusFold,
 			fail("%s/%s/%s: compile degraded: %v", p.Name, m.Name, cname, prog.Diagnostics)
 			continue
 		}
-		fp, err := pipeline.Behavior(prog.RTL, m, p.MemBytes, p.Entry, [][]int64{p.Args})
+		fp, err := pipeline.BehaviorFlat(prog.Flat, m, p.MemBytes, p.Entry, [][]int64{p.Args})
 		if err != nil {
 			fail("%s/%s/%s: optimized run: %v", p.Name, m.Name, cname, err)
 			continue

@@ -148,35 +148,10 @@ func (e Entry) CloneUnrolled() map[string]int {
 const entryOverhead = 256
 
 // size is the byte cost charged against the memory budget: the actual
-// encoded entry size plus fixed overhead. Entries that have not been
-// encoded yet (never stored) fall back to an estimate from the flat image.
-func (e Entry) size() int64 {
-	if e.enc != nil {
-		return int64(len(e.enc)) + entryOverhead
-	}
-	return e.estimateSize() + entryOverhead
-}
-
-// estimateSize approximates the encoded size of an entry that has no cached
-// encoding (only reachable when Put was bypassed, e.g. in tests poking
-// insertMem directly).
-func (e Entry) estimateSize() int64 {
-	if e.Flat == nil {
-		return 0
-	}
-	var n int64
-	for _, s := range e.Flat.Syms {
-		n += int64(len(s)) + 2
-	}
-	for gi := range e.Flat.Globals {
-		n += int64(len(e.Flat.Globals[gi].Init)) + 16
-	}
-	for fi := range e.Flat.Fns {
-		f := &e.Flat.Fns[fi]
-		n += 32 + int64(12*len(f.Blocks)+14*f.NumInstrs()+8*len(f.Args))
-	}
-	return n
-}
+// encoded entry size plus fixed overhead. Every entry that reaches the
+// memory tier carries its encoding: Put encodes first, and disk and peer
+// hits come from DecodeEntry.
+func (e Entry) size() int64 { return int64(len(e.enc)) + entryOverhead }
 
 // Options configures a Cache.
 type Options struct {
@@ -194,7 +169,9 @@ type Options struct {
 	// fallback hit is promoted into both local tiers. The fallback is
 	// never consulted by GetLocal, so a replica answering peer probes can
 	// not recurse into its own peers. The ctx carries the requesting
-	// trace's span context so the peer lookup's spans join the trace.
+	// trace's span context so the peer lookup's spans join the trace. A
+	// hit must come from DecodeEntry, which keeps the encoding the memory
+	// tier charges for.
 	Fallback func(context.Context, Key) (Entry, bool)
 	// Tracer, when non-nil, records one tier-decision span per ctx-aware
 	// lookup (mem hit, disk hit + decode revalidation, peer fallback,

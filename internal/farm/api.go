@@ -154,8 +154,8 @@ type RunRequest struct {
 	CompileRequest
 	// Call is "fn(arg, ...)" with integer arguments.
 	Call string `json:"call"`
-	// Mem is the simulator memory size in bytes; zero or negative means
-	// 1 MiB.
+	// Mem is the simulator memory size in bytes, read by sim.MemSize: zero
+	// or negative means 1 MiB.
 	Mem int `json:"mem,omitempty"`
 	// Data writes integer arrays into memory before the run.
 	Data []DataWrite `json:"data,omitempty"`
@@ -214,21 +214,18 @@ func writeData(s *sim.Sim, data []DataWrite) error {
 
 // Prepare is the one /run set-up, shared by maccd's /run, macc -run and
 // loadgen's reference runs. It parses r.Call, sizes the simulator's memory
-// (Mem <= 0 means 1 MiB), obtains the program from compile, builds the
-// simulator and writes r.Data into it. compile is handed the memory size
-// first, so a caller can bound it before compiling. A bad call fails as
-// "bad call: …" before compile is called, and compile's error is returned
-// as it is. When a step after the simulator is built fails, the simulator
-// is released.
+// by the simulator's own rule (sim.MemSize), obtains the program from
+// compile, builds the simulator and writes r.Data into it. compile is
+// handed the memory size first, so a caller can bound it before compiling.
+// A bad call fails as "bad call: …" before compile is called, and compile's
+// error is returned as it is. When a step after the simulator is built
+// fails, the simulator is released.
 func (r RunRequest) Prepare(compile func(mem int) (*macc.Program, error)) (*sim.Sim, string, []int64, error) {
 	name, args, err := ParseCall(r.Call)
 	if err != nil {
 		return nil, "", nil, fmt.Errorf("bad call: %w", err)
 	}
-	mem := r.Mem
-	if mem <= 0 {
-		mem = 1 << 20
-	}
+	mem := sim.MemSize(r.Mem)
 	prog, err := compile(mem)
 	if err != nil {
 		return nil, "", nil, err

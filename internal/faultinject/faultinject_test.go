@@ -168,14 +168,13 @@ func TestFlipOpIsSilentButBisectable(t *testing.T) {
 	// A fresh injector reproduces the same corruption during bisection and
 	// the differential predicate pins it on the sabotaged pass.
 	inj2 := &faultinject.Injector{Pass: "victim", Kind: faultinject.FlipOp, Seed: seed}
-	bad := func(f *rtl.Fn) error {
-		if behavior(t, f) != want {
+	bad := func(fp *rtl.FlatProgram, fi int) error {
+		if behavior(t, fp.UnflattenFn(fi)) != want {
 			return errors.New("diverges from reference")
 		}
 		return nil
 	}
-	fresh := func() (*rtl.FlatProgram, int) { return flatten(t, orig), 0 }
-	res, err := pipeline.Bisect(fresh, victimPasses(inj2), bad)
+	res, err := pipeline.Bisect(flatten(t, orig), 0, victimPasses(inj2), bad)
 	if err != nil {
 		t.Fatal(err)
 	}

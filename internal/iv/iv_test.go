@@ -459,13 +459,17 @@ func TestReplaceTestKeepsExitOnTrue(t *testing.T) {
 		t.Errorf("rewritten header test %s %v %v, want pointer >= bound", cmp.Op, cmp.A, cmp.B)
 	}
 	materialize(t, fp)
+	origFP, err := rtl.Flatten(rtl.NewProgram(orig))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const a = 256
 	data := []int64{3, -1, 4, 1, -5, 9}
 	for n := int64(0); n <= int64(len(data)); n++ {
 		var got [2]int64
 		for k, s := range []*sim.Sim{
-			sim.New(rtl.NewProgram(orig), machine.Alpha(), 1024),
+			sim.NewFlat(origFP, machine.Alpha(), 1024),
 			sim.NewFlat(fp, machine.Alpha(), 1024),
 		} {
 			s.WriteInts(a, rtl.W2, data)

@@ -412,7 +412,11 @@ func TestPointerIntArithmeticScales(t *testing.T) {
 				t.Errorf("Compile(%q): %v", src, err)
 				continue
 			}
-			s := sim.New(prog, machine.Alpha(), 1024)
+			fp, err := rtl.Flatten(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := sim.NewFlat(fp, machine.Alpha(), 1024)
 			s.WriteInts(base, el.w, []int64{10, 11, 12, 13})
 			res, err := s.Run("f", tc.args...)
 			s.Release()

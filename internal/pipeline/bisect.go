@@ -9,10 +9,11 @@ import (
 	"macc/internal/sim"
 )
 
-// Predicate judges the function produced by a prefix of the pass list.
+// Predicate judges function fi of fp as a prefix of the pass list left it.
 // A nil return means the prefix is healthy; an error describes the failure
-// (verifier rejection, simulator trap, behavioural divergence, ...).
-type Predicate func(f *rtl.Fn) error
+// (simulator trap, behavioural divergence, ...). The predicate reads fp and
+// must not change it.
+type Predicate func(fp *rtl.FlatProgram, fi int) error
 
 // BisectResult identifies the first culprit pass found by Bisect.
 type BisectResult struct {
@@ -37,22 +38,27 @@ func (r BisectResult) String() string {
 
 // Bisect binary-searches the pass list for the first pass whose inclusion
 // makes the predicate fail, in the style of LLVM's -opt-bisect-limit and
-// bugpoint. fresh must return an independent flat copy of the unoptimized
-// program and the index of the function under test for each probe; probes
-// run their prefix with RunFlat fail-fast (a panic or verifier rejection
-// inside the prefix counts as a failure), then apply the predicate to the
-// materialized function. Bisection assumes the usual monotonicity: once the
-// culprit has run, longer prefixes stay bad.
+// bugpoint. Function fi of fp must be unoptimized. Each probe restores it
+// from one snapshot (the rollback RunFlat uses), runs a prefix with RunFlat
+// fail-fast (a panic or verifier rejection inside the prefix counts as a
+// failure), then applies the predicate to fp as the prefix left it. Bisect
+// returns with fi restored. Bisection assumes the usual monotonicity: once
+// the culprit has run, longer prefixes stay bad.
 //
 // An error is returned only when bisection itself cannot proceed, i.e. the
 // predicate already fails on the unoptimized function.
-func Bisect(fresh func() (*rtl.FlatProgram, int), passes []FlatPass, bad Predicate) (BisectResult, error) {
+func Bisect(fp *rtl.FlatProgram, fi int, passes []FlatPass, bad Predicate) (BisectResult, error) {
+	orig := rtl.NewFlatSnapshot(fp, fi)
+	defer func() {
+		orig.Restore()
+		orig.Release()
+	}()
 	probe := func(k int) error {
-		fp, fi := fresh()
+		orig.Restore()
 		if err := RunFlat(fp, fi, passes[:k], Options{Strict: true}); err != nil {
 			return err
 		}
-		return bad(fp.UnflattenFn(fi))
+		return bad(fp, fi)
 	}
 	if err := probe(0); err != nil {
 		return BisectResult{Index: -1}, fmt.Errorf("bisect: predicate fails before any pass runs: %w", err)
@@ -73,16 +79,27 @@ func Bisect(fresh func() (*rtl.FlatProgram, int), passes []FlatPass, bad Predica
 	return BisectResult{Index: hi - 1, Pass: passes[hi-1].Name, Err: hiErr}, nil
 }
 
-// Behavior fingerprints the observable behaviour of entry in prog: for each
-// argument set it runs the simulator over a deterministically seeded memory
-// image and folds the return value and final memory into the fingerprint.
-// Two programs with equal fingerprints returned the same values and left
-// memory bit-identical on every run; any simulator trap is returned as an
-// error. This is the divergence oracle differential predicates are built on.
+// Behavior is BehaviorFlat of prog's flat image. A program Flatten rejects
+// returns the flatten error.
 func Behavior(prog *rtl.Program, m *machine.Machine, memBytes int, entry string, argSets [][]int64) (string, error) {
+	fp, err := rtl.Flatten(prog)
+	if err != nil {
+		return "", err
+	}
+	return BehaviorFlat(fp, m, memBytes, entry, argSets)
+}
+
+// BehaviorFlat fingerprints the observable behaviour of entry in fp: for
+// each argument set it runs the simulator over a deterministically seeded
+// memory image and folds the return value and final memory into the
+// fingerprint. Two programs with equal fingerprints returned the same values
+// and left memory bit-identical on every run; any simulator trap is returned
+// as an error. This is the divergence oracle differential predicates are
+// built on.
+func BehaviorFlat(fp *rtl.FlatProgram, m *machine.Machine, memBytes int, entry string, argSets [][]int64) (string, error) {
 	h := fnv.New64a()
 	for _, args := range argSets {
-		s := sim.New(prog, m, memBytes)
+		s := sim.NewFlat(fp, m, memBytes)
 		s.Fuel = 1 << 26
 		for i := range s.Mem {
 			s.Mem[i] = byte(i * 7)

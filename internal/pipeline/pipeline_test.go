@@ -239,27 +239,48 @@ func flipPass(name string) pipeline.FlatPass {
 	}}
 }
 
-// fresh returns a probe source for pipeline.Bisect: a new flat copy of
-// testFn per probe.
-func fresh(t *testing.T) func() (*rtl.FlatProgram, int) {
-	return func() (*rtl.FlatProgram, int) { return flatTestFn(t), 0 }
+// growPass interns a symbol and adds a dead instruction on a fresh register
+// at the top of the entry block: the program grows without changing its
+// behaviour.
+func growPass(name string) pipeline.FlatPass {
+	return pipeline.FlatPass{Name: name, Run: func(fp *rtl.FlatProgram, fi int) error {
+		fp.Intern(name)
+		f := &fp.Fns[fi]
+		f.SpliceInstrs(0, 0, 0, []rtl.FlatInstr{rtl.FlatOp(rtl.Mov, f.NewReg(), rtl.C(7), rtl.Operand{})})
+		return nil
+	}}
 }
 
+func healthy(*rtl.FlatProgram, int) error { return nil }
+
+// TestBisectFindsBehaviouralCulprit: bisection pins the silent miscompile,
+// and although the last probe ([a culprit]) grew and flipped the function
+// in place, Bisect returns it byte-identical to its input, with the symbol
+// table at its old length.
 func TestBisectFindsBehaviouralCulprit(t *testing.T) {
 	want := behavior(t, testFn())
-	bad := func(f *rtl.Fn) error {
-		if got := behavior(t, f); got != want {
+	bad := func(fp *rtl.FlatProgram, fi int) error {
+		got, err := pipeline.BehaviorFlat(fp, machine.M68030(), 4096, fp.SymName(fp.Fns[fi].Name), testArgs)
+		if err != nil {
+			return err
+		}
+		if got != want {
 			return errors.New("diverges")
 		}
 		return nil
 	}
-	passes := []pipeline.FlatPass{noop("a"), flipPass("culprit"), noop("c"), noop("d")}
-	res, err := pipeline.Bisect(fresh(t), passes, bad)
+	passes := []pipeline.FlatPass{growPass("a"), flipPass("culprit"), noop("c"), noop("d")}
+	fp := flatTestFn(t)
+	in, nsyms := fp.UnflattenFn(0).String(), len(fp.Syms)
+	res, err := pipeline.Bisect(fp, 0, passes, bad)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Found() || res.Index != 1 || res.Pass != "culprit" {
 		t.Fatalf("bisect = %v, want culprit at index 1", res)
+	}
+	if got := fp.UnflattenFn(0).String(); got != in || len(fp.Syms) != nsyms {
+		t.Errorf("bisect left the function as\n%s(%d symbols), want\n%s(%d symbols)", got, len(fp.Syms), in, nsyms)
 	}
 	// macc -bisect prints the result as is.
 	if got, want := res.String(), `bisect: first culprit is pass 1 "culprit": diverges`; got != want {
@@ -267,11 +288,30 @@ func TestBisectFindsBehaviouralCulprit(t *testing.T) {
 	}
 }
 
+// TestBehaviorReturnsFlattenError: a program Flatten rejects — here a
+// branch to a block that belongs to no function — has no behaviour to
+// fingerprint; Behavior returns the flatten error itself instead of
+// running it.
+func TestBehaviorReturnsFlattenError(t *testing.T) {
+	f := rtl.NewFn("f", 1)
+	stray := &rtl.Block{Name: "stray"}
+	ret := f.NewBlock("ret")
+	ret.Instrs = append(ret.Instrs, rtl.RetI(rtl.C(0)))
+	f.Entry().Instrs = append(f.Entry().Instrs, rtl.BranchI(rtl.R(f.Params[0]), ret, stray))
+	prog := rtl.NewProgram(f)
+	_, want := rtl.Flatten(prog)
+	if want == nil || !strings.Contains(want.Error(), "dangling edge") {
+		t.Fatalf("Flatten = %v, want a dangling-edge error", want)
+	}
+	if _, err := pipeline.Behavior(prog, machine.Alpha(), 4096, "f", [][]int64{{1}}); err == nil || err.Error() != want.Error() {
+		t.Errorf("Behavior = %v, want the flatten error %q", err, want)
+	}
+}
+
 func TestBisectFindsStructuralCulprit(t *testing.T) {
-	healthy := func(*rtl.Fn) error { return nil }
 	passes := []pipeline.FlatPass{noop("a"), noop("b"),
 		{Name: "boom", Run: func(*rtl.FlatProgram, int) error { panic("boom") }}, noop("d")}
-	res, err := pipeline.Bisect(fresh(t), passes, healthy)
+	res, err := pipeline.Bisect(flatTestFn(t), 0, passes, healthy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +325,7 @@ func TestBisectFindsStructuralCulprit(t *testing.T) {
 }
 
 func TestBisectHealthyPipeline(t *testing.T) {
-	res, err := pipeline.Bisect(fresh(t),
-		[]pipeline.FlatPass{noop("a"), noop("b")}, func(*rtl.Fn) error { return nil })
+	res, err := pipeline.Bisect(flatTestFn(t), 0, []pipeline.FlatPass{noop("a"), noop("b")}, healthy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,8 +338,8 @@ func TestBisectHealthyPipeline(t *testing.T) {
 }
 
 func TestBisectRejectsBrokenBaseline(t *testing.T) {
-	_, err := pipeline.Bisect(fresh(t),
-		[]pipeline.FlatPass{noop("a")}, func(*rtl.Fn) error { return errors.New("always bad") })
+	_, err := pipeline.Bisect(flatTestFn(t), 0,
+		[]pipeline.FlatPass{noop("a")}, func(*rtl.FlatProgram, int) error { return errors.New("always bad") })
 	if err == nil {
 		t.Fatal("a predicate failing before any pass must be reported as an error")
 	}

@@ -40,8 +40,11 @@ func behaviour(t *testing.T, f *rtl.Fn, m *machine.Machine) string {
 		{4096, 12345, 999},
 	}
 	for _, args := range argSets {
-		prog := rtl.NewProgram(f)
-		s := sim.New(prog, m, memBytes)
+		fp, err := rtl.Flatten(rtl.NewProgram(f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := sim.NewFlat(fp, m, memBytes)
 		s.Fuel = 1 << 22
 		for i := range s.Mem {
 			s.Mem[i] = byte(i * 7)

@@ -8,8 +8,9 @@ import (
 )
 
 // storeFn builds a function that stores n words at base and returns the sum
-// it loaded back — enough traffic to exercise the dirty watermark.
-func storeFn() *rtl.Program {
+// it loaded back — enough traffic to exercise the dirty watermark — as a
+// flat program.
+func storeFn() *rtl.FlatProgram {
 	f := rtl.NewFn("work", 2) // base, n
 	base, n := f.Params[0], f.Params[1]
 	loop := f.NewBlock("loop")
@@ -33,13 +34,17 @@ func storeFn() *rtl.Program {
 		rtl.BinI(rtl.SetLT, cond, rtl.R(i), rtl.R(n)),
 		rtl.BranchI(rtl.R(cond), loop, exit))
 	exit.Instrs = append(exit.Instrs, rtl.RetI(rtl.R(sum)))
-	return &rtl.Program{Fns: []*rtl.Fn{f}}
+	fp, err := rtl.Flatten(&rtl.Program{Fns: []*rtl.Fn{f}})
+	if err != nil {
+		panic(err)
+	}
+	return fp
 }
 
 // TestResetZeroesDirtyRange: after a run that stored into memory, Reset must
 // clear every written byte while only touching the watermarked range.
 func TestResetZeroesDirtyRange(t *testing.T) {
-	s := New(storeFn(), machine.Alpha(), 1<<16)
+	s := NewFlat(storeFn(), machine.Alpha(), 1<<16)
 	if _, err := s.Run("work", 1024, 8); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +65,7 @@ func TestResetZeroesDirtyRange(t *testing.T) {
 // TestResetWatermarkCoversHarnessWrites: WriteBytes and WriteInts feed the
 // watermark too, so harness setup is also undone by Reset.
 func TestResetWatermarkCoversHarnessWrites(t *testing.T) {
-	s := New(storeFn(), machine.Alpha(), 1<<16)
+	s := NewFlat(storeFn(), machine.Alpha(), 1<<16)
 	s.WriteBytes(100, []byte{1, 2, 3})
 	s.WriteInts(4096, rtl.W4, []int64{7, 8, 9})
 	s.Reset()
@@ -74,7 +79,7 @@ func TestResetWatermarkCoversHarnessWrites(t *testing.T) {
 // TestRunAfterResetIsIdentical: the decoded image and recycled arena must
 // make a second measurement indistinguishable from the first.
 func TestRunAfterResetIsIdentical(t *testing.T) {
-	s := New(storeFn(), machine.Alpha(), 1<<16)
+	s := NewFlat(storeFn(), machine.Alpha(), 1<<16)
 	first, err := s.Run("work", 2048, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +102,7 @@ func TestRunAfterResetIsIdentical(t *testing.T) {
 // program it ran.
 func TestReleaseReturnsZeroedArena(t *testing.T) {
 	const memBytes = 1 << 16
-	s := New(storeFn(), machine.Alpha(), memBytes)
+	s := NewFlat(storeFn(), machine.Alpha(), memBytes)
 	s.WriteInts(512, rtl.W8, []int64{-1, -1, -1, -1})
 	if _, err := s.Run("work", 8192, 32); err != nil {
 		t.Fatal(err)
@@ -109,7 +114,7 @@ func TestReleaseReturnsZeroedArena(t *testing.T) {
 	checkScrubbed(t, st)
 	storagePool.Put(st)
 
-	s = New(storeFn(), machine.Alpha(), memBytes)
+	s = NewFlat(storeFn(), machine.Alpha(), memBytes)
 	for i, b := range s.Mem {
 		if b != 0 {
 			t.Fatalf("recycled arena byte %d = %d, want 0", i, b)
@@ -160,9 +165,9 @@ func checkScrubbed(t *testing.T, st *storage) {
 // TestRunAfterReleaseTraps: a released Sim reads nothing of the storage it
 // gave back; a Run on it is a TrapBadProgram error.
 func TestRunAfterReleaseTraps(t *testing.T) {
-	s := New(storeFn(), machine.Alpha(), 1<<16)
+	s := NewFlat(storeFn(), machine.Alpha(), 1<<16)
 	s.Release()
-	next := New(storeFn(), machine.Alpha(), 1<<16) // may draw the same storage
+	next := NewFlat(storeFn(), machine.Alpha(), 1<<16) // may draw the same storage
 	defer next.Release()
 	if _, err := s.Run("work", 1024, 8); !IsTrap(err, TrapBadProgram) {
 		t.Fatalf("Run after Release: err = %v, want a TrapBadProgram trap", err)

@@ -11,6 +11,7 @@ package sim
 import (
 	"fmt"
 
+	"macc/internal/reuse"
 	"macc/internal/rtl"
 )
 
@@ -135,16 +136,16 @@ func (s *Sim) decodeFlat(fp *rtl.FlatProgram) {
 		}
 	}
 	st := s.st
-	st.fns = sized(st.fns, len(fp.Fns))
-	st.code = sized(st.code, ncode)
-	st.blocks = sized(st.blocks, nblocks)
-	st.params = sized(st.params, nparams)
-	st.args = sized(st.args, nargs)
+	st.fns = reuse.Reslice(st.fns, len(fp.Fns))
+	st.code = reuse.Reslice(st.code, ncode)
+	st.blocks = reuse.Reslice(st.blocks, nblocks)
+	st.params = reuse.Reslice(st.params, nparams)
+	st.args = reuse.Reslice(st.args, nargs)
 	fns, code, blocks, params, args := st.fns, st.code, st.blocks, st.params, st.args
 
 	img := &st.img
-	img.fns = sized(img.fns, len(fp.Fns))
-	img.calls = sized(img.calls, ncalls)[:0]
+	img.fns = reuse.Reslice(img.fns, len(fp.Fns))
+	img.calls = reuse.Reslice(img.calls, ncalls)[:0]
 	if img.byName == nil {
 		img.byName = make(map[string]*dFn, len(fp.Fns))
 	}
@@ -342,7 +343,7 @@ func (s *Sim) exec(df *dFn, args []int64, depth int) (ret int64, cycles int64, e
 				return 0, clock, trap
 			}
 			s.stats.Loads++
-			s.loadsW[d.width]++
+			s.stats.LoadsByWidth[d.width]++
 			if stall := s.dcacheAccess(addr, d.width); stall > 0 {
 				clock += stall
 				done += stall
@@ -355,7 +356,7 @@ func (s *Sim) exec(df *dFn, args []int64, depth int) (ret int64, cycles int64, e
 				return 0, clock, trap
 			}
 			s.stats.Stores++
-			s.storesW[d.width]++
+			s.stats.StoresByWidth[d.width]++
 			if stall := s.dcacheAccess(addr, d.width); stall > 0 {
 				clock += stall
 			}

@@ -15,6 +15,9 @@
 // the decoded image's slabs and name map — lives in one pooled storage (see
 // storage.go): Release puts it back, and the next NewFlat reslices it
 // instead of reallocating. The frame cache that Run fills stays with the Sim.
+//
+// NewFlat is the only constructor, and MemSize the only memory rule: a
+// program in pointer-graph form is flattened (rtl.Flatten) before it runs.
 package sim
 
 import (
@@ -22,6 +25,7 @@ import (
 	"fmt"
 
 	"macc/internal/machine"
+	"macc/internal/reuse"
 	"macc/internal/rtl"
 	"macc/internal/telemetry"
 )
@@ -74,12 +78,14 @@ func IsTrap(err error, kind TrapKind) bool {
 
 // Stats aggregates the counters the paper's evaluation reports.
 type Stats struct {
-	Cycles        int64
-	Instrs        int64
-	Loads         int64
-	Stores        int64
-	LoadsByWidth  map[rtl.Width]int64
-	StoresByWidth map[rtl.Width]int64
+	Cycles int64
+	Instrs int64
+	Loads  int64
+	Stores int64
+	// LoadsByWidth and StoresByWidth count references by access width in
+	// bytes (index rtl.W1 … rtl.W8; the other entries stay zero).
+	LoadsByWidth  [rtl.W8 + 1]int64
+	StoresByWidth [rtl.W8 + 1]int64
 	ICacheMisses  int64
 	DCacheMisses  int64
 	Branches      int64
@@ -87,13 +93,6 @@ type Stats struct {
 
 // MemRefs is the total number of memory references executed.
 func (s *Stats) MemRefs() int64 { return s.Loads + s.Stores }
-
-func newStats() Stats {
-	return Stats{
-		LoadsByWidth:  make(map[rtl.Width]int64),
-		StoresByWidth: make(map[rtl.Width]int64),
-	}
-}
 
 // Result is the outcome of one simulated call.
 type Result struct {
@@ -126,26 +125,18 @@ type Sim struct {
 	// and the predecoded program (st.img, built once in NewFlat); Release
 	// returns it and leaves st nil.
 	st *storage
-	// badProgram, when non-nil, is why New could not load the program;
-	// every Run traps with it.
-	badProgram error
 	// icache and dcache are st's tag arrays, held here for the hot loop;
 	// dcache is nil on a machine without a D-cache.
 	icache   []int64 // per-set tag, -1 invalid
 	dcache   []int64 // per-set tag, -1 invalid; nil when disabled
 	fuel     int64
-	stats    *Stats
+	stats    Stats // the current Run's counters, which exec increments
 	stackTop int64 // grows down from the top of memory for spill frames
 	frames   frameCache
 
 	// Dirty-range watermark over Mem: every tracked write widens
 	// [dirtyLo, dirtyHi). Reset and Release zero only this range.
 	dirtyLo, dirtyHi int64
-
-	// Per-width reference counters, folded into Stats maps when a Run
-	// finishes (array indexing keeps the hot loop free of map operations).
-	loadsW  [int(rtl.W8) + 1]int64
-	storesW [int(rtl.W8) + 1]int64
 
 	// Profiling state (see profile.go): when set, per-block execution
 	// counters live in each dFn's execs array, indexed by block number, so
@@ -180,9 +171,12 @@ func (s *Sim) flushMetrics(st *Stats) {
 	reg.Counter("sim.icache_misses").Add(st.ICacheMisses)
 	reg.Counter("sim.dcache_misses").Add(st.DCacheMisses)
 	var bytes, narrow, wide int64
-	count := func(byWidth map[rtl.Width]int64, kind string) {
+	count := func(byWidth *[rtl.W8 + 1]int64, kind string) {
 		for w, n := range byWidth {
-			reg.Counter(fmt.Sprintf("sim.%s.w%d", kind, int64(w))).Add(n)
+			if n == 0 {
+				continue
+			}
+			reg.Counter(fmt.Sprintf("sim.%s.w%d", kind, w)).Add(n)
 			bytes += int64(w) * n
 			if int64(w) < int64(s.mach.WordBytes) {
 				narrow += n
@@ -191,8 +185,8 @@ func (s *Sim) flushMetrics(st *Stats) {
 			}
 		}
 	}
-	count(st.LoadsByWidth, "loads")
-	count(st.StoresByWidth, "stores")
+	count(&st.LoadsByWidth, "loads")
+	count(&st.StoresByWidth, "stores")
 	reg.Counter("sim.bytes_accessed").Add(bytes)
 	reg.Counter("sim.narrow_refs").Add(narrow)
 	reg.Counter("sim.wide_refs").Add(wide)
@@ -202,18 +196,22 @@ func (s *Sim) flushMetrics(st *Stats) {
 	reg.Histogram("sim.run_cycles").Observe(st.Cycles)
 }
 
-// newSim builds a Sim on st for mach; both constructors start here.
-func newSim(st *storage, mach *machine.Machine, memBytes int) *Sim {
-	s := new(Sim)
-	s.attach(st, mach, memBytes)
-	return s
+// MemSize is the simulator's memory rule: the RAM a Sim built with memBytes
+// gets. Zero or a negative size means 1 MiB. NewFlat applies it, and a
+// caller that bounds a request's memory before building a Sim reads the
+// size from here.
+func MemSize(memBytes int) int {
+	if memBytes <= 0 {
+		return 1 << 20
+	}
+	return memBytes
 }
 
 // attach hands st to s and sizes its machine state (memory arena, cache tag
 // arrays) for mach.
 func (s *Sim) attach(st *storage, mach *machine.Machine, memBytes int) {
-	st.mem = sized(st.mem, memBytes)
-	st.icache = sized(st.icache, max(mach.ICacheBytes/icacheLineBytes, 1))
+	st.mem = reuse.Reslice(st.mem, memBytes)
+	st.icache = reuse.Reslice(st.icache, max(mach.ICacheBytes/icacheLineBytes, 1))
 	*s = Sim{
 		mach:    mach,
 		Mem:     st.mem,
@@ -224,38 +222,25 @@ func (s *Sim) attach(st *storage, mach *machine.Machine, memBytes int) {
 	// A machine without a D-cache keeps dcache nil, which dcacheAccess reads
 	// as "no cache", even when the storage holds another machine's tags.
 	if mach.DCacheBytes > 0 {
-		st.dcache = sized(st.dcache, max(mach.DCacheBytes/dcacheLineBytes, 1))
+		st.dcache = reuse.Reslice(st.dcache, max(mach.DCacheBytes/dcacheLineBytes, 1))
 		s.dcache = st.dcache
 	}
 }
 
-// New builds a simulator for prog on mach with memBytes of RAM: the program
-// is flattened and predecoded here, once (see NewFlat); Reset and repeated
-// Runs reuse the decoded image. A program Flatten rejects (an edge leaving
-// its function, say) yields a Sim whose every Run returns a TrapBadProgram
-// trap carrying the flatten error.
-func New(prog *rtl.Program, mach *machine.Machine, memBytes int) *Sim {
-	fp, err := rtl.Flatten(prog)
-	if err != nil {
-		s := newSim(drawStorage(), mach, memBytes)
-		s.badProgram = err
-		return s
-	}
-	return NewFlat(fp, mach, memBytes)
-}
-
-// NewFlat builds a simulator directly from a flat program image: the
-// predecoder reads the SoA instruction arrays in place, so a cache hit that
-// decoded into flat form never has to materialize *rtl.Program to be
-// executed.
+// NewFlat builds a simulator for the flat program image fp on mach with
+// MemSize(memBytes) bytes of RAM. The predecoder reads the SoA instruction
+// arrays in place, once; Reset and repeated Runs reuse the decoded image,
+// and a cache hit that decoded into flat form never has to materialize
+// *rtl.Program to be executed.
 func NewFlat(fp *rtl.FlatProgram, mach *machine.Machine, memBytes int) *Sim {
 	return newFlat(drawStorage(), fp, mach, memBytes)
 }
 
 // newFlat is NewFlat on a given storage.
 func newFlat(st *storage, fp *rtl.FlatProgram, mach *machine.Machine, memBytes int) *Sim {
-	s := newSim(st, mach, memBytes)
-	st.globals = sized(st.globals, len(fp.Globals))
+	s := new(Sim)
+	s.attach(st, mach, MemSize(memBytes))
+	st.globals = reuse.Reslice(st.globals, len(fp.Globals))
 	for i := range fp.Globals {
 		g := &fp.Globals[i]
 		st.globals[i] = rtl.Global{
@@ -334,9 +319,6 @@ func (s *Sim) Run(fnName string, args ...int64) (Result, error) {
 	if s.st == nil {
 		return Result{}, &Trap{Kind: TrapBadProgram, Fn: fnName, Msg: "simulator was released"}
 	}
-	if s.badProgram != nil {
-		return Result{}, &Trap{Kind: TrapBadProgram, Fn: fnName, Msg: s.badProgram.Error()}
-	}
 	df, ok := s.st.img.byName[fnName]
 	if !ok {
 		return Result{}, &Trap{Kind: TrapBadProgram, Fn: fnName, Msg: "no such function"}
@@ -353,31 +335,13 @@ func (s *Sim) Run(fnName string, args ...int64) (Result, error) {
 	}
 	s.stackTop = int64(len(s.Mem))
 	s.loadGlobals()
-	st := newStats()
-	s.stats = &st
-	clear(s.loadsW[:])
-	clear(s.storesW[:])
+	s.stats = Stats{}
 	ret, _, err := s.exec(df, args, 0)
-	s.foldWidths(&st)
-	s.flushMetrics(&st)
+	s.flushMetrics(&s.stats)
 	if err != nil {
-		return Result{Stats: st}, err
+		return Result{Stats: s.stats}, err
 	}
-	return Result{Ret: ret, Stats: st}, nil
-}
-
-// foldWidths moves the array-indexed per-width counters into the Stats maps.
-func (s *Sim) foldWidths(st *Stats) {
-	for w, n := range s.loadsW {
-		if n != 0 {
-			st.LoadsByWidth[rtl.Width(w)] += n
-		}
-	}
-	for w, n := range s.storesW {
-		if n != 0 {
-			st.StoresByWidth[rtl.Width(w)] += n
-		}
-	}
+	return Result{Ret: ret, Stats: s.stats}, nil
 }
 
 // loadGlobals materializes the program's static data. It runs at the start

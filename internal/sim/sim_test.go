@@ -8,6 +8,7 @@ import (
 	"macc/internal/minic"
 	"macc/internal/rtl"
 	"macc/internal/sim"
+	"macc/internal/telemetry"
 )
 
 func compile(t *testing.T, src string) *rtl.Program {
@@ -19,9 +20,19 @@ func compile(t *testing.T, src string) *rtl.Program {
 	return prog
 }
 
+// newSim flattens prog and builds its simulator.
+func newSim(t *testing.T, prog *rtl.Program, m *machine.Machine, memBytes int) *sim.Sim {
+	t.Helper()
+	fp, err := rtl.Flatten(prog)
+	if err != nil {
+		t.Fatalf("flatten: %v", err)
+	}
+	return sim.NewFlat(fp, m, memBytes)
+}
+
 func run(t *testing.T, prog *rtl.Program, fn string, args ...int64) sim.Result {
 	t.Helper()
-	s := sim.New(prog, machine.Alpha(), 1<<20)
+	s := newSim(t, prog, machine.Alpha(), 1<<20)
 	res, err := s.Run(fn, args...)
 	if err != nil {
 		t.Fatalf("run %s: %v", fn, err)
@@ -50,7 +61,7 @@ func TestDotProduct(t *testing.T) {
 			return c;
 		}
 	`)
-	s := sim.New(prog, machine.Alpha(), 1<<20)
+	s := newSim(t, prog, machine.Alpha(), 1<<20)
 	a := []int64{1, -2, 3, 4, 5, 6, 7, -8}
 	b := []int64{2, 3, -4, 5, 6, 7, 8, 9}
 	s.WriteInts(0, rtl.W2, a)
@@ -93,7 +104,7 @@ func TestNarrowStoreTruncates(t *testing.T) {
 		void f(char *p, int v) { p[0] = v; }
 		int g(char *p) { return p[0]; }
 	`)
-	s := sim.New(prog, machine.Alpha(), 4096)
+	s := newSim(t, prog, machine.Alpha(), 4096)
 	if _, err := s.Run("f", 100, 0x1FF); err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +121,7 @@ func TestUnsignedLoad(t *testing.T) {
 	prog := compile(t, `
 		long f(unsigned char *p) { return p[0]; }
 	`)
-	s := sim.New(prog, machine.Alpha(), 4096)
+	s := newSim(t, prog, machine.Alpha(), 4096)
 	s.Mem[50] = 0xFF
 	res, err := s.Run("f", 50)
 	if err != nil {
@@ -125,12 +136,12 @@ func TestAlignmentTrap(t *testing.T) {
 	prog := compile(t, `
 		long f(long *p) { return p[0]; }
 	`)
-	s := sim.New(prog, machine.Alpha(), 4096)
+	s := newSim(t, prog, machine.Alpha(), 4096)
 	if _, err := s.Run("f", 3); !sim.IsTrap(err, sim.TrapAlignment) {
 		t.Errorf("expected alignment trap, got %v", err)
 	}
 	// The 68030 model tolerates misalignment.
-	s2 := sim.New(prog, machine.M68030(), 4096)
+	s2 := newSim(t, prog, machine.M68030(), 4096)
 	if _, err := s2.Run("f", 3); err != nil {
 		t.Errorf("m68030 should allow misaligned access, got %v", err)
 	}
@@ -140,7 +151,7 @@ func TestOutOfBoundsTrap(t *testing.T) {
 	prog := compile(t, `
 		long f(long *p) { return p[0]; }
 	`)
-	s := sim.New(prog, machine.Alpha(), 4096)
+	s := newSim(t, prog, machine.Alpha(), 4096)
 	if _, err := s.Run("f", 4096); !sim.IsTrap(err, sim.TrapOutOfBounds) {
 		t.Errorf("expected bounds trap, got %v", err)
 	}
@@ -153,7 +164,7 @@ func TestDivideByZeroTrap(t *testing.T) {
 	prog := compile(t, `
 		long f(long a, long b) { return a / b; }
 	`)
-	s := sim.New(prog, machine.Alpha(), 4096)
+	s := newSim(t, prog, machine.Alpha(), 4096)
 	if _, err := s.Run("f", 1, 0); !sim.IsTrap(err, sim.TrapDivideByZero) {
 		t.Errorf("expected divide trap, got %v", err)
 	}
@@ -163,29 +174,29 @@ func TestFuelTrap(t *testing.T) {
 	prog := compile(t, `
 		long f() { long i = 0; while (1) { i++; } return i; }
 	`)
-	s := sim.New(prog, machine.Alpha(), 4096)
+	s := newSim(t, prog, machine.Alpha(), 4096)
 	s.Fuel = 1000
 	if _, err := s.Run("f"); !sim.IsTrap(err, sim.TrapFuel) {
 		t.Errorf("expected fuel trap, got %v", err)
 	}
 }
 
-// TestUnflattenableProgramTraps: a program Flatten rejects — here a branch
-// to a block that belongs to no function — must load into a Sim whose Run
-// traps as a malformed program, carrying the flatten error, not panic.
-func TestUnflattenableProgramTraps(t *testing.T) {
-	f := rtl.NewFn("f", 1)
-	stray := &rtl.Block{Name: "stray"}
-	ret := f.NewBlock("ret")
-	ret.Instrs = append(ret.Instrs, rtl.RetI(rtl.C(0)))
-	f.Entry().Instrs = append(f.Entry().Instrs, rtl.BranchI(rtl.R(f.Params[0]), ret, stray))
-	s := sim.New(rtl.NewProgram(f), machine.Alpha(), 4096)
-	_, err := s.Run("f", 1)
-	if !sim.IsTrap(err, sim.TrapBadProgram) {
-		t.Fatalf("expected a malformed-program trap, got %v", err)
+// TestMemSizeDefault: zero or a negative memory size gives a simulator the
+// 1 MiB that MemSize names; a positive size is taken as it is.
+func TestMemSizeDefault(t *testing.T) {
+	fp, err := rtl.Flatten(compile(t, "long f(long a) { return a; }"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "dangling edge") {
-		t.Errorf("trap does not carry the flatten error: %v", err)
+	for _, tc := range []struct{ mem, want int }{{0, 1 << 20}, {-1, 1 << 20}, {4096, 4096}} {
+		s := sim.NewFlat(fp, machine.Alpha(), tc.mem)
+		if len(s.Mem) != tc.want || sim.MemSize(tc.mem) != tc.want {
+			t.Errorf("memBytes %d: %d bytes of memory, MemSize %d, want %d", tc.mem, len(s.Mem), sim.MemSize(tc.mem), tc.want)
+		}
+		if res, err := s.Run("f", 5); err != nil || res.Ret != 5 {
+			t.Errorf("memBytes %d: run = %d, %v", tc.mem, res.Ret, err)
+		}
+		s.Release()
 	}
 }
 
@@ -246,7 +257,7 @@ func TestPointerArithmetic(t *testing.T) {
 			return sum;
 		}
 	`)
-	s := sim.New(prog, machine.Alpha(), 4096)
+	s := newSim(t, prog, machine.Alpha(), 4096)
 	s.WriteInts(0, rtl.W2, []int64{5, -3, 7, 100})
 	res, err := s.Run("f", 0, 4)
 	if err != nil {
@@ -261,7 +272,7 @@ func TestCyclesMonotonic(t *testing.T) {
 	prog := compile(t, `
 		long f(long n) { long i, s = 0; for (i = 0; i < n; i++) s += i; return s; }
 	`)
-	s := sim.New(prog, machine.Alpha(), 4096)
+	s := newSim(t, prog, machine.Alpha(), 4096)
 	r10, err := s.Run("f", 10)
 	if err != nil {
 		t.Fatal(err)
@@ -283,13 +294,13 @@ func TestUnpipelinedCostsMore(t *testing.T) {
 		long f(long n) { long i, s = 0; for (i = 0; i < n; i++) s += i * 3; return s; }
 	`
 	prog := compile(t, src)
-	fast := sim.New(prog, machine.Alpha(), 4096)
+	fast := newSim(t, prog, machine.Alpha(), 4096)
 	rf, err := fast.Run("f", 50)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prog2 := compile(t, src)
-	slow := sim.New(prog2, machine.M68030(), 4096)
+	slow := newSim(t, prog2, machine.M68030(), 4096)
 	rs, err := slow.Run("f", 50)
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +317,9 @@ func TestStatsCounters(t *testing.T) {
 			for (i = 0; i < n; i++) dst[i] = src[i];
 		}
 	`)
-	s := sim.New(prog, machine.Alpha(), 1<<16)
+	s := newSim(t, prog, machine.Alpha(), 1<<16)
+	reg := telemetry.NewRegistry()
+	s.AttachMetrics(reg)
 	res, err := s.Run("copy", 0, 4096, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -320,11 +333,28 @@ func TestStatsCounters(t *testing.T) {
 	if res.MemRefs() != 200 {
 		t.Errorf("memrefs = %d, want 200", res.MemRefs())
 	}
+	// The registry gets a per-width counter for each width that occurred
+	// and none for the others, and the width-derived totals.
+	widths := map[string]int64{}
+	for name, v := range reg.Snapshot().Counters {
+		if strings.HasPrefix(name, "sim.loads.w") || strings.HasPrefix(name, "sim.stores.w") {
+			widths[name] = v
+		}
+	}
+	if len(widths) != 2 || widths["sim.loads.w4"] != 100 || widths["sim.stores.w4"] != 100 {
+		t.Errorf("per-width counters %v, want only sim.loads.w4 and sim.stores.w4 at 100", widths)
+	}
+	if got := reg.CounterValue("sim.bytes_accessed"); got != 800 {
+		t.Errorf("sim.bytes_accessed = %d, want 800", got)
+	}
+	if n, w := reg.CounterValue("sim.narrow_refs"), reg.CounterValue("sim.wide_refs"); n != 200 || w != 0 {
+		t.Errorf("narrow/wide refs = %d/%d, want 200/0 (4-byte references on the 8-byte Alpha)", n, w)
+	}
 }
 
 func TestMemHelpersRoundTrip(t *testing.T) {
 	prog := compile(t, `long id(long x) { return x; }`)
-	s := sim.New(prog, machine.Alpha(), 4096)
+	s := newSim(t, prog, machine.Alpha(), 4096)
 	vals := []int64{1, -1, 32767, -32768, 255}
 	s.WriteInts(64, rtl.W2, vals)
 	got := s.ReadInts(64, rtl.W2, len(vals), true)
@@ -350,7 +380,7 @@ func TestDCacheModel(t *testing.T) {
 		}
 	`)
 	m := machine.Alpha()
-	s := sim.New(prog, m, 1<<14)
+	s := newSim(t, prog, m, 1<<14)
 	res, err := s.Run("f", 0, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -366,7 +396,7 @@ func TestDCacheModel(t *testing.T) {
 			return s;
 		}
 	`)
-	s2 := sim.New(prog2, m, 1<<14)
+	s2 := newSim(t, prog2, m, 1<<14)
 	res2, err := s2.Run("g", 0, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -383,7 +413,7 @@ func TestDCacheDisabled(t *testing.T) {
 	prog := compile(t, `long f(long *p) { return p[0]; }`)
 	m := machine.Alpha()
 	m.DCacheBytes = 0
-	s := sim.New(prog, m, 4096)
+	s := newSim(t, prog, m, 4096)
 	res, err := s.Run("f", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -398,7 +428,7 @@ func TestDCacheSplitLineAccess(t *testing.T) {
 	// touches two lines.
 	prog := compile(t, `long f(long *p) { return p[0]; }`)
 	m := machine.M68030()
-	s := sim.New(prog, m, 4096)
+	s := newSim(t, prog, m, 4096)
 	res, err := s.Run("f", 12) // [12,20) spans lines 0 and 1
 	if err != nil {
 		t.Fatal(err)
@@ -451,7 +481,7 @@ func TestProfile(t *testing.T) {
 	prog := compile(t, `
 		long f(long n) { long i, s = 0; for (i = 0; i < n; i++) s += i; return s; }
 	`)
-	s := sim.New(prog, machine.Alpha(), 4096)
+	s := newSim(t, prog, machine.Alpha(), 4096)
 	s.EnableProfile()
 	if _, err := s.Run("f", 25); err != nil {
 		t.Fatal(err)
@@ -484,7 +514,7 @@ func TestGlobals(t *testing.T) {
 			return s * scale;
 		}
 	`)
-	s := sim.New(prog, machine.Alpha(), 1<<16)
+	s := newSim(t, prog, machine.Alpha(), 1<<16)
 	a := []int64{1, 2, 3, 4, 5, 6}
 	s.WriteInts(8192, rtl.W2, a)
 	res, err := s.Run("weighted", 8192, int64(len(a)))
@@ -521,7 +551,7 @@ func TestGlobalLUT(t *testing.T) {
 				out[i] = lut[img[i] & 7];
 		}
 	`)
-	s := sim.New(prog, machine.Alpha(), 1<<16)
+	s := newSim(t, prog, machine.Alpha(), 1<<16)
 	img := []byte{0, 1, 2, 3, 4, 5, 6, 7, 3, 1}
 	s.WriteBytes(8192, img)
 	if _, err := s.Run("apply", 8192, 12288, int64(len(img))); err != nil {

@@ -15,7 +15,9 @@ import (
 //
 // While pooled, a storage's arena is fully zero (Release zeroes the dirty
 // range) and it holds no string or pointer into any program (scrub), so the
-// pool keeps no program alive.
+// pool keeps no program alive. Its buffers are resliced without clearing
+// (reuse.Reslice): the decoder writes every element it hands out, Run
+// initializes the tag arrays, and the arena is zero already.
 type storage struct {
 	mem     []byte // the arena; the Sim's Mem is a prefix of it
 	icache  []int64
@@ -36,17 +38,6 @@ var storagePool = sync.Pool{New: func() any { return new(storage) }}
 
 // drawStorage returns a pooled storage, or a fresh one.
 func drawStorage() *storage { return storagePool.Get().(*storage) }
-
-// sized returns buf resliced to n elements, or a fresh zeroed slice when buf
-// is too small. A reused buffer keeps its old contents: the decoder writes
-// every element it hands out, Run initializes the tag arrays, and the arena
-// is zero already.
-func sized[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
-}
 
 // scrub clears every string and pointer the last simulator stored (global
 // names and initializers, function, block and call names, callees, the name

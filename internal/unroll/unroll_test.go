@@ -109,9 +109,8 @@ func TestUnrollSemantics(t *testing.T) {
 			if u.Factor != factor {
 				t.Errorf("factor = %d", u.Factor)
 			}
-			f = normalize(t, fp)
-			prog := rtl.NewProgram(f)
-			s := sim.New(prog, machine.Alpha(), 1<<14)
+			normalize(t, fp)
+			s := sim.NewFlat(fp, machine.Alpha(), 1<<14)
 			var want int64
 			for i := int64(0); i < n; i++ {
 				val := i*7 - 20

@@ -636,66 +636,41 @@ func Passes(cfg Config) []string {
 }
 
 // Bisect binary-searches the optimization pipeline for the first pass that
-// breaks function name, in the style of LLVM's -opt-bisect-limit. rp must
-// be the *unoptimized* RTL program (front-end output, or Optimize: false);
-// each probe runs a prefix of the pass list with the flat pass manager on a
-// fresh flat copy of the program and applies bad to the resulting function
-// — typically DifferentialPredicate, which compares simulator behaviour
-// against the unoptimized build. The WrapPass hook is honoured, so injected
-// faults are attributed like real pass bugs.
-func Bisect(rp *rtl.Program, name string, cfg Config, bad pipeline.Predicate) (pipeline.BisectResult, error) {
+// breaks function name, in the style of LLVM's -opt-bisect-limit. fp must
+// be the *unoptimized* flat image (Program.Flat of a compile with Optimize:
+// false), private to the caller: each probe restores the function from a
+// snapshot, runs a prefix of the pass list on fp in place with the flat
+// pass manager and applies bad — typically DifferentialPredicate, which
+// compares simulator behaviour against the unoptimized build. fp is left as
+// it was passed in. The WrapPass hook is honoured, so injected faults are
+// attributed like real pass bugs.
+func Bisect(fp *rtl.FlatProgram, name string, cfg Config, bad pipeline.Predicate) (pipeline.BisectResult, error) {
 	if cfg.Machine == nil {
 		cfg.Machine = machine.Alpha()
 	}
-	fi := -1
-	for i, f := range rp.Fns {
-		if f.Name == name {
-			fi = i
-			break
+	for fi := range fp.Fns {
+		if fp.SymName(fp.Fns[fi].Name) == name {
+			passes, _ := newProgram(cfg.Machine).pipelineFor(cfg)
+			return pipeline.Bisect(fp, fi, passes, bad)
 		}
 	}
-	if fi < 0 {
-		return pipeline.BisectResult{}, fmt.Errorf("no function %q", name)
-	}
-	if _, err := rtl.Flatten(rp); err != nil {
-		return pipeline.BisectResult{}, err
-	}
-	fresh := func() (*rtl.FlatProgram, int) {
-		fp, _ := rtl.Flatten(rp) // rp flattened cleanly above and is never mutated
-		return fp, fi
-	}
-	passes, _ := newProgram(cfg.Machine).pipelineFor(cfg)
-	return pipeline.Bisect(fresh, passes, bad)
+	return pipeline.BisectResult{}, fmt.Errorf("no function %q", name)
 }
 
 // DifferentialPredicate builds a bisection predicate that flags behavioural
-// divergence: it fingerprints the unoptimized program's simulator behaviour
-// on the given argument sets, then judges a candidate function by running
-// it in place of the original within the same program. Verifier rejections
-// and simulator traps also count as failures.
-func DifferentialPredicate(rp *rtl.Program, name string, cfg Config, memBytes int, argSets [][]int64) (pipeline.Predicate, error) {
+// divergence: it fingerprints the simulator behaviour of the unoptimized
+// image fp on the given argument sets, then judges a probe by fingerprinting
+// the image as the probe left it. Simulator traps also count as failures.
+func DifferentialPredicate(fp *rtl.FlatProgram, name string, cfg Config, memBytes int, argSets [][]int64) (pipeline.Predicate, error) {
 	if cfg.Machine == nil {
 		cfg.Machine = machine.Alpha()
 	}
-	want, err := pipeline.Behavior(rp, cfg.Machine, memBytes, name, argSets)
+	want, err := pipeline.BehaviorFlat(fp, cfg.Machine, memBytes, name, argSets)
 	if err != nil {
 		return nil, fmt.Errorf("reference run: %w", err)
 	}
-	return func(f *rtl.Fn) error {
-		if err := f.Verify(); err != nil {
-			return err
-		}
-		fns := make([]*rtl.Fn, len(rp.Fns))
-		for i, fn := range rp.Fns {
-			if fn.Name == name {
-				fns[i] = f
-			} else {
-				fns[i] = fn
-			}
-		}
-		cand := rtl.NewProgram(fns...)
-		cand.Globals = rp.Globals
-		got, err := pipeline.Behavior(cand, cfg.Machine, memBytes, name, argSets)
+	return func(fp *rtl.FlatProgram, _ int) error {
+		got, err := pipeline.BehaviorFlat(fp, cfg.Machine, memBytes, name, argSets)
 		if err != nil {
 			return err
 		}

@@ -76,11 +76,11 @@ func TestFaultInjectionAcrossPipeline(t *testing.T) {
 				// Bisection attributes the same pass.
 				bcfg := macc.DefaultConfig()
 				bcfg.WrapPass = (&faultinject.Injector{Pass: pass, Kind: kind, Seed: 1}).Hook()
-				bad, err := macc.DifferentialPredicate(unopt.RTL, "dotproduct", bcfg, resilienceMem, resilienceArgs)
+				bad, err := macc.DifferentialPredicate(unopt.Flat, "dotproduct", bcfg, resilienceMem, resilienceArgs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := macc.Bisect(unopt.RTL, "dotproduct", bcfg, bad)
+				res, err := macc.Bisect(unopt.Flat, "dotproduct", bcfg, bad)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -102,11 +102,11 @@ func TestSilentMiscompileIsBisectable(t *testing.T) {
 	cfg := macc.DefaultConfig()
 	inj := &faultinject.Injector{Pass: "strength-reduce", Kind: faultinject.FlipOp, Seed: 2}
 	cfg.WrapPass = inj.Hook()
-	bad, err := macc.DifferentialPredicate(unopt.RTL, "dotproduct", cfg, resilienceMem, resilienceArgs)
+	bad, err := macc.DifferentialPredicate(unopt.Flat, "dotproduct", cfg, resilienceMem, resilienceArgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := macc.Bisect(unopt.RTL, "dotproduct", cfg, bad)
+	res, err := macc.Bisect(unopt.Flat, "dotproduct", cfg, bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +129,11 @@ func TestCleanCompileHasEmptyDiagnostics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad, err := macc.DifferentialPredicate(unopt.RTL, "dotproduct", macc.DefaultConfig(), resilienceMem, resilienceArgs)
+	bad, err := macc.DifferentialPredicate(unopt.Flat, "dotproduct", macc.DefaultConfig(), resilienceMem, resilienceArgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := macc.Bisect(unopt.RTL, "dotproduct", macc.DefaultConfig(), bad)
+	res, err := macc.Bisect(unopt.Flat, "dotproduct", macc.DefaultConfig(), bad)
 	if err != nil {
 		t.Fatal(err)
 	}
